@@ -22,6 +22,17 @@ run() {
   "$@"
 }
 
+# Lanes that depend on what the box has installed record here whether they
+# ran, so a green run says which of them it did not cover.
+GATED_RAN=""
+GATED_SKIPPED=""
+gated() { # gated ran|skipped <lane>
+  case "$1" in
+    ran) GATED_RAN="$GATED_RAN $2" ;;
+    *) GATED_SKIPPED="$GATED_SKIPPED $2" ;;
+  esac
+}
+
 # Re-measure every snapshot panel into "$1" under the pinned CI shape:
 # BENCH_QUICK=1 (trimmed live sweeps, recorded in the snapshot's env
 # fingerprint so full-mode snapshots can never gate against quick
@@ -104,6 +115,20 @@ run cargo test --workspace -q
 # matters most: the instrumented hot paths and the engine.
 run cargo test -q -p offload -p mpisim --no-default-features
 run cargo check -q --benches --workspace
+
+# The op-path benchmark is a workspace of its own, so nothing above
+# compiles it: a rename that breaks its imports of offload/wire/rtmpi
+# would otherwise surface only in the benchmark pipeline. Its own smoke
+# (all six workloads, < 15 s) needs two allowed CPUs — opbench pins two
+# threads and refuses fewer.
+run cargo build --release --offline --manifest-path benchmark/Cargo.toml
+if [ "$(nproc)" -ge 2 ]; then
+  run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+  gated ran opbench-smoke
+else
+  echo "== fewer than 2 allowed CPUs; opbench built, its smoke skipped =="
+  gated skipped opbench-smoke
+fi
 
 # Multi-process smoke: ranks as OS processes over Unix-domain sockets
 # running the live halo-exchange panel (baseline / iprobe / offload over
@@ -220,14 +245,18 @@ timeout 120 env BENCH_QUICK=1 BENCH_REPEATS=1 \
 
 if cargo fmt --version >/dev/null 2>&1; then
   run cargo fmt --all -- --check
+  gated ran fmt
 else
   echo "== cargo fmt not installed; skipping format check =="
+  gated skipped fmt
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
   run cargo clippy --workspace --all-targets -- -D warnings
+  gated ran clippy
 else
   echo "== cargo clippy not installed; skipping lint =="
+  gated skipped clippy
 fi
 
 # Workspace discipline lint (crates/lint): subsumes the old awk
@@ -281,8 +310,10 @@ if rustup run nightly cargo --version >/dev/null 2>&1 \
       -- queue:: lane:: pool:: backoff:: \
     || { echo "thread-sanitizer lane FAILED — a real data race, not an"; \
          echo "environment problem; do not re-run with the lane skipped."; exit 1; }
+  gated ran tsan
 else
   echo "== nightly + rust-src not available; skipping thread-sanitizer lane =="
+  gated skipped tsan
 fi
 
 # Weak-memory lane (gated: Miri is not in every toolchain): the model lane
@@ -313,8 +344,10 @@ if cargo miri --version >/dev/null 2>&1; then
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p shmring --test plain -- --skip threaded_stream \
     || { echo "cargo miri lane FAILED (shmring)"; exit 1; }
+  gated ran miri
 else
   echo "== cargo miri not installed; skipping weak-memory lane =="
+  gated skipped miri
 fi
 
 # Perf-trajectory gate: quick panels under the pinned CI shape, diffed
@@ -324,4 +357,4 @@ fi
 bench_gate
 
 echo
-echo "ci.sh: all checks passed"
+echo "ci.sh: all checks passed — gated lanes ran:${GATED_RAN:- none}; skipped:${GATED_SKIPPED:- none}"

@@ -28,11 +28,11 @@
 //! surface (barrier, bcast, reduce, allreduce incl. Rabenseifner,
 //! allgather, alltoall, gather, scatter) as nonblocking schedules:
 //! [`LiveComm::icollective`] posts the first round and returns a
-//! [`LiveCollReq`]; [`LiveComm::coll_wait`] drives it to completion. The
-//! round plans come from one shared compiler ([`offload::nbc_plan`], built
-//! on `mpisim::nbc`), so the offload thread's executor and the direct-mode
-//! inline executor here run identical algorithms. Rounds travel in the
-//! reserved tag space ([`rtmpi::TAG_DIRECT_COLL_BASE`] for direct mode,
+//! [`LiveCollReq`]; [`LiveComm::coll_wait`] drives it to completion. Every
+//! strategy steps the same runner ([`mpisim::nbc::NbcRun`]): the offload
+//! thread polls it from its service loop, the direct modes from the
+//! application thread here. Rounds travel in the reserved tag space
+//! ([`rtmpi::TAG_DIRECT_COLL_BASE`] for direct mode,
 //! [`rtmpi::TAG_COLL_BASE`] for the offload thread), which wildcard
 //! receives can never match — an app `ANY_TAG` recv posted mid-barrier
 //! stays pending until real app traffic arrives. Who makes the rounds
@@ -43,9 +43,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpisim::nbc::{RecvAction, Round};
+use mpisim::nbc::NbcRun;
 use mpisim::types::{Dtype, ReduceOp};
-use offload::{nbc_apply, nbc_plan, nbc_resolve, Completion, OffloadHandle, OffloadRank};
+use offload::{Completion, OffloadHandle, OffloadRank};
 use rtmpi::{OpOutcome, Status, Transport, TransportError};
 
 // The collective surface of [`LiveComm`] speaks `CollKind`; re-export it
@@ -76,18 +76,22 @@ impl LiveApproach {
     }
 }
 
-/// One rank's communication object (see module docs).
 /// What a completed wait yields: `None` for a finished send, the status
 /// and payload for a finished receive.
 pub type WaitOutcome = Option<(Status, Arc<[u8]>)>;
 
+/// One rank's communication object (see module docs).
 pub struct LiveComm<T: Transport> {
     inner: Inner<T>,
     rank: usize,
     size: usize,
     /// In-flight direct-mode collective schedules (slot-indexed by
-    /// [`LiveCollReq::Direct`]); always empty in offload mode.
-    direct_nbcs: Vec<Option<DirectNbc<T>>>,
+    /// [`LiveCollReq::Direct`]); always empty in offload mode. The
+    /// application thread owns these runs and they advance only when *it*
+    /// touches MPI — the point of the baseline/iprobe comparison. `Err`
+    /// is the sticky failure of a hint-driven advance (the run already
+    /// aborted), surfaced at the wait.
+    direct_nbcs: Vec<Option<Result<NbcRun<T>, TransportError>>>,
     /// Collective sequence number — every rank issues collectives in the
     /// same program order (the MPI ordering rule), so equal sequence
     /// numbers name the same collective instance across ranks and the
@@ -117,111 +121,6 @@ pub enum LiveCollReq {
     Direct(usize),
     /// The offload thread's pool handle.
     Offload(offload::Handle),
-}
-
-/// One in-flight direct-mode collective: the same round-schedule state the
-/// offload thread keeps (`offload::live::LiveNbc`), but owned by the
-/// application thread and advanced only when *it* touches MPI — which is
-/// the point of the baseline/iprobe comparison.
-/// One posted round receive: the request, what to do with its payload,
-/// and the payload once the transport delivers it.
-type InflightRecv<R> = (R, RecvAction, Option<Arc<[u8]>>);
-
-struct DirectNbc<T: Transport> {
-    rounds: Vec<Round>,
-    cur: usize,
-    /// This round's receives; payloads fill in as they complete.
-    inflight: Vec<InflightRecv<T::Req>>,
-    /// Round sends not yet retired by the transport (drained across
-    /// rounds; all must complete before the schedule is done).
-    sends: Vec<T::Req>,
-    acc: Vec<u8>,
-    input: Option<Vec<u8>>,
-    tag: u32,
-    /// Set when a hint-driven advance hit a transport error; surfaced at
-    /// the wait.
-    failed: Option<TransportError>,
-}
-
-/// Post the sends and receives of round `cur` (no-op past the end).
-fn post_direct_round<T: Transport>(t: &mut T, nbc: &mut DirectNbc<T>) {
-    if nbc.cur >= nbc.rounds.len() {
-        return;
-    }
-    let round = nbc.rounds[nbc.cur].clone();
-    for send in &round.sends {
-        let data = nbc_resolve(&nbc.acc, nbc.input.as_ref(), &send.data);
-        let req = t.isend(send.peer, nbc.tag, Arc::from(data));
-        if t.try_take(&req).is_none() {
-            nbc.sends.push(req);
-        }
-    }
-    for recv in &round.recvs {
-        let req = t.irecv(Some(recv.peer), Some(nbc.tag));
-        nbc.inflight.push((req, recv.action.clone(), None));
-    }
-}
-
-/// Advance a direct-mode schedule as far as the transport's current state
-/// allows, cascading through rounds that complete immediately. `Ok(true)`
-/// once every round has applied *and* every round send has been retired
-/// (so the transport carries no dangling protocol state afterwards).
-fn advance_direct_nbc<T: Transport>(
-    t: &mut T,
-    nbc: &mut DirectNbc<T>,
-) -> Result<bool, TransportError> {
-    let mut i = 0;
-    while i < nbc.sends.len() {
-        match t.try_take(&nbc.sends[i]) {
-            Some(Ok(_)) => {
-                nbc.sends.swap_remove(i);
-            }
-            Some(Err(e)) => return Err(e),
-            None => i += 1,
-        }
-    }
-    loop {
-        if nbc.cur >= nbc.rounds.len() {
-            return Ok(nbc.sends.is_empty());
-        }
-        let mut all = true;
-        for (req, _, data) in nbc.inflight.iter_mut() {
-            if data.is_some() {
-                continue;
-            }
-            match t.try_take(req) {
-                Some(Ok(OpOutcome::Received(_, d))) => *data = Some(d),
-                Some(Ok(OpOutcome::Sent)) => unreachable!("receive completed as a send"),
-                Some(Err(e)) => return Err(e),
-                None => all = false,
-            }
-        }
-        if !all {
-            return Ok(false);
-        }
-        for (_, action, data) in std::mem::take(&mut nbc.inflight) {
-            nbc_apply(
-                &mut nbc.acc,
-                &action,
-                &data.expect("completed recv has data"),
-            );
-        }
-        nbc.cur += 1;
-        post_direct_round(t, nbc);
-    }
-}
-
-/// Cancel whatever the failed schedule still has posted, so the transport
-/// does not carry orphaned receives into the next operation.
-fn cancel_direct_nbc<T: Transport>(t: &mut T, nbc: &mut DirectNbc<T>) {
-    for req in nbc.sends.drain(..) {
-        t.cancel(&req);
-    }
-    for (req, _, data) in nbc.inflight.drain(..) {
-        if data.is_none() {
-            t.cancel(&req);
-        }
-    }
 }
 
 impl<T: Transport> LiveComm<T> {
@@ -297,13 +196,12 @@ impl<T: Transport> LiveComm<T> {
         } = &mut self.inner
         {
             t.progress();
-            for nbc in self.direct_nbcs.iter_mut().flatten() {
-                if nbc.failed.is_some() {
-                    continue;
-                }
-                if let Err(e) = advance_direct_nbc(t, nbc) {
-                    cancel_direct_nbc(t, nbc);
-                    nbc.failed = Some(e);
+            for slot in self.direct_nbcs.iter_mut().flatten() {
+                let Ok(run) = slot else { continue };
+                if let Err(e) = run.poll(t) {
+                    if let Ok(run) = std::mem::replace(slot, Err(e)) {
+                        run.abort(t);
+                    }
                 }
             }
         }
@@ -380,28 +278,17 @@ impl<T: Transport> LiveComm<T> {
 
     /// Begin a nonblocking collective (the `MPI_Ibarrier`/`MPI_Iallreduce`
     /// family). Every rank must issue its collectives in the same order
-    /// with matching arguments. Direct modes compile the schedule with
-    /// [`offload::nbc_plan`] and post round 0 here (an application-
-    /// initiated MPI call, so handshake attribution marks it in-wait);
-    /// offload mode hands the kind to the dedicated thread.
+    /// with matching arguments. Direct modes compile the schedule and post
+    /// round 0 here (an application-initiated MPI call, so handshake
+    /// attribution marks it in-wait); offload mode hands the kind to the
+    /// dedicated thread.
     pub fn icollective(&mut self, kind: CollKind) -> LiveCollReq {
         match &mut self.inner {
             Inner::Direct { t, .. } => {
                 self.coll_seq = self.coll_seq.wrapping_add(1);
                 let tag = rtmpi::TAG_DIRECT_COLL_BASE + (self.coll_seq % rtmpi::TAG_COLL_SPAN);
-                let (acc, input, rounds) = nbc_plan(self.size, self.rank, kind);
-                let mut nbc = DirectNbc {
-                    rounds,
-                    cur: 0,
-                    inflight: Vec::new(),
-                    sends: Vec::new(),
-                    acc,
-                    input,
-                    tag,
-                    failed: None,
-                };
                 t.set_in_wait(true);
-                post_direct_round(t, &mut nbc);
+                let run = NbcRun::start(t, tag, kind);
                 t.set_in_wait(false);
                 let idx = match self.direct_nbcs.iter().position(Option::is_none) {
                     Some(i) => i,
@@ -410,7 +297,7 @@ impl<T: Transport> LiveComm<T> {
                         self.direct_nbcs.len() - 1
                     }
                 };
-                self.direct_nbcs[idx] = Some(nbc);
+                self.direct_nbcs[idx] = Some(Ok(run));
                 LiveCollReq::Direct(idx)
             }
             Inner::Offload { handle, .. } => LiveCollReq::Offload(handle.start_collective(kind)),
@@ -426,16 +313,13 @@ impl<T: Transport> LiveComm<T> {
     pub fn coll_wait(&mut self, req: LiveCollReq) -> Result<Vec<u8>, TransportError> {
         match (&mut self.inner, req) {
             (Inner::Direct { t, .. }, LiveCollReq::Direct(idx)) => {
-                let mut nbc = self.direct_nbcs[idx]
+                let mut run = self.direct_nbcs[idx]
                     .take()
-                    .expect("collective waited at most once");
-                if let Some(e) = nbc.failed.take() {
-                    return Err(e);
-                }
+                    .expect("collective waited at most once")?;
                 t.set_in_wait(true);
                 let deadline = t.op_timeout().map(|d| Instant::now() + d);
                 let res = loop {
-                    match advance_direct_nbc(t, &mut nbc) {
+                    match run.poll(t) {
                         Ok(true) => break Ok(()),
                         Ok(false) => {}
                         Err(e) => break Err(e),
@@ -456,9 +340,9 @@ impl<T: Transport> LiveComm<T> {
                 };
                 t.set_in_wait(false);
                 match res {
-                    Ok(()) => Ok(std::mem::take(&mut nbc.acc)),
+                    Ok(()) => Ok(run.into_result()),
                     Err(e) => {
-                        cancel_direct_nbc(t, &mut nbc);
+                        run.abort(t);
                         Err(e)
                     }
                 }

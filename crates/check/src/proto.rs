@@ -13,7 +13,7 @@
 //!
 //! An N-rank world runs one real `WireComm<ModelFabric>` engine per rank,
 //! each driving a scripted workload (point-to-point sends/receives and/or
-//! one collective via `wire::nbcrun`). All rank-local computation is
+//! one collective via `mpisim::nbc::NbcRun`). All rank-local computation is
 //! deterministic, so the world is advanced to a fixpoint ("stabilize")
 //! between nondeterministic choices. What is explored, per step:
 //!
@@ -250,6 +250,16 @@ pub enum CollOp {
     Alltoall {
         block: usize,
     },
+    /// Gather `block` pattern bytes per rank to `root`.
+    Gather {
+        root: usize,
+        block: usize,
+    },
+    /// Scatter `block` pattern bytes per rank from `root`.
+    Scatter {
+        root: usize,
+        block: usize,
+    },
 }
 
 /// One rank's scripted workload. Receives are posted first, then the
@@ -346,6 +356,13 @@ impl WorldSpec {
                     })
                     .collect(),
             ),
+            CollOp::Gather { root, block } => Some(if rank == root {
+                (0..n).flat_map(|s| pattern(s, 0, block)).collect()
+            } else {
+                // Non-roots get their own block back.
+                pattern(rank, 0, block)
+            }),
+            CollOp::Scatter { root, block } => Some(pattern(root, rank as u32, block)),
         }
     }
 }
@@ -389,6 +406,21 @@ fn coll_for(spec: &WorldSpec, rank: usize, coll: CollOp) -> Coll {
             input: (0..n)
                 .flat_map(|dst| pattern(rank, dst as u32, block))
                 .collect(),
+            block,
+        },
+        CollOp::Gather { root, block } => Coll::Gather {
+            root,
+            mine: pattern(rank, 0, block),
+        },
+        CollOp::Scatter { root, block } => Coll::Scatter {
+            root,
+            input: if rank == root {
+                (0..n)
+                    .flat_map(|dst| pattern(root, dst as u32, block))
+                    .collect()
+            } else {
+                Vec::new()
+            },
             block,
         },
     }
@@ -1212,6 +1244,14 @@ mod tests {
                 CollOp::Allreduce { lanes: 24 },
                 CollOp::Allgather { block: 300 },
                 CollOp::Alltoall { block: 300 },
+                CollOp::Gather {
+                    root: n - 1,
+                    block: 300,
+                },
+                CollOp::Scatter {
+                    root: n - 1,
+                    block: 300,
+                },
             ];
             for coll in colls {
                 let spec = WorldSpec::collective(n, 64, coll);

@@ -48,9 +48,8 @@ pub mod sim;
 pub use backoff::{BackoffMetrics, WaitPolicy, WakeSignal};
 pub use lane::{LaneMetrics, LaneSet, SpscRing};
 pub use live::{
-    nbc_apply, nbc_plan, nbc_resolve, offload_rank, offload_rank_configured, offload_world,
-    offload_world_configured, offload_world_sized, CollKind, Command, CommandPath, Completion,
-    OffloadHandle, OffloadRank,
+    nbc_plan, offload_rank, offload_rank_configured, offload_world, offload_world_configured,
+    offload_world_sized, CollKind, Command, CommandPath, Completion, OffloadHandle, OffloadRank,
 };
 pub use pool::{Handle, RequestPool};
 // Collective element types/operators appear in this crate's public API

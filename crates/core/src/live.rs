@@ -16,16 +16,16 @@
 //! Blocking collectives are *converted to nonblocking schedules* inside the
 //! offload thread (paper §3.3): a barrier or allreduce issued by one
 //! application thread never prevents the offload thread from servicing
-//! other threads' commands. The schedules are the same round-based
-//! constructions used by the simulated MPI (`mpisim::nbc`) — one
-//! implementation of the algorithms, two executors.
+//! other threads' commands. Schedule, planner and runner are
+//! [`mpisim::nbc`]'s ([`NbcRun`]); this thread's contribution is polling
+//! them from the service loop.
 
 use check::thread::JoinHandle;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpisim::nbc::{self, DataSrc, RecvAction, Round};
-use mpisim::types::{combine, Bytes, Dtype, ReduceOp};
+use mpisim::nbc::NbcRun;
+use mpisim::types::{Dtype, ReduceOp};
 use rtmpi::{OpOutcome, Transport, TransportError};
 
 use crate::backoff::{BackoffMetrics, WaitPolicy, WakeSignal};
@@ -76,56 +76,9 @@ pub enum Command {
     Shutdown,
 }
 
-/// Offloadable collective operations — the full `Comm` collective surface.
-/// Each maps onto a round-based nonblocking schedule from [`mpisim::nbc`]
-/// (see [`nbc_plan`]); the same plans drive the direct-mode inline executor
-/// in `approaches::live`.
-pub enum CollKind {
-    Barrier,
-    /// Element-wise allreduce of `data` (raw little-endian lanes of
-    /// `dtype`). Rabenseifner reduce-scatter + allgather kicks in for large
-    /// payloads on power-of-two worlds (`mpisim::nbc::allreduce_rounds_sized`).
-    Allreduce {
-        dtype: Dtype,
-        op: ReduceOp,
-        data: Vec<u8>,
-    },
-    /// Element-wise reduce to `root`; the result buffer is meaningful on
-    /// the root only (other ranks get their partial back).
-    Reduce {
-        root: usize,
-        dtype: Dtype,
-        op: ReduceOp,
-        data: Vec<u8>,
-    },
-    /// Personalized all-to-all of `block`-byte blocks.
-    Alltoall {
-        input: Vec<u8>,
-        block: usize,
-    },
-    /// Broadcast from `root` (payload on root only).
-    Bcast {
-        root: usize,
-        payload: Vec<u8>,
-    },
-    /// Allgather of equal contributions.
-    Allgather {
-        mine: Vec<u8>,
-    },
-    /// Gather of equal `mine` blocks to `root` (root gets `size × block`
-    /// bytes; other ranks get their own block back).
-    Gather {
-        root: usize,
-        mine: Vec<u8>,
-    },
-    /// Scatter of `block`-byte blocks from `root`'s `input` (empty on
-    /// non-roots); every rank gets its block.
-    Scatter {
-        root: usize,
-        input: Vec<u8>,
-        block: usize,
-    },
-}
+/// Offloadable collective operations and their one planner: plain
+/// re-exports of [`mpisim::nbc`]'s under this crate's historical names.
+pub use mpisim::nbc::{plan as nbc_plan, Coll as CollKind};
 
 /// Which command path carries commands from application threads to the
 /// offload thread.
@@ -543,22 +496,6 @@ struct InflightOp<R> {
     issued: Option<Instant>,
 }
 
-/// One in-flight receive of a collective round: the transport request,
-/// what to do with the payload, and the payload once it has arrived.
-type NbcRecv<R> = (R, RecvAction, Option<Arc<[u8]>>);
-
-struct LiveNbc<R> {
-    rounds: Vec<Round>,
-    cur: usize,
-    /// Receives of the current round; the payload is filled in as each
-    /// completes so round actions can be applied once all are present.
-    inflight: Vec<NbcRecv<R>>,
-    acc: Vec<u8>,
-    input: Option<Vec<u8>>,
-    tag: u32,
-    slot: Handle,
-}
-
 fn completion_of(out: Result<OpOutcome, TransportError>) -> Completion {
     match out {
         Ok(OpOutcome::Sent) => Completion::Sent,
@@ -596,10 +533,10 @@ fn offload_main<T: Transport>(
     let needs_progress = mpi.needs_progress();
     let op_timeout = mpi.op_timeout();
     let mut inflight: Vec<InflightOp<T::Req>> = Vec::new();
-    // Collective-round sends whose outcomes nobody waits on; swept so the
-    // transport can retire their state.
-    let mut loose_sends: Vec<T::Req> = Vec::new();
-    let mut nbcs: Vec<LiveNbc<T::Req>> = Vec::new();
+    // Collective schedules with the waiter's slot. The slot completes (and
+    // becomes `None`) when the last round folds; the run stays here until
+    // its round sends have drained, so the transport can retire them.
+    let mut nbcs: Vec<(NbcRun<T>, Option<Handle>)> = Vec::new();
     let mut coll_seq: u32 = 0;
     let mut open = true;
     let mut streak: u64 = 0;
@@ -645,7 +582,7 @@ fn offload_main<T: Transport>(
                 converted.inc();
                 coll_seq = coll_seq.wrapping_add(1);
                 let tag = TAG_INTERNAL_BASE + (coll_seq % rtmpi::TAG_COLL_SPAN);
-                nbcs.push(start_live_nbc(&mut mpi, kind, tag, slot, &mut loose_sends));
+                nbcs.push((NbcRun::start(&mut mpi, tag, kind), Some(slot)));
             }
             Command::Shutdown => open = false,
         });
@@ -697,35 +634,32 @@ fn offload_main<T: Transport>(
                 i += 1;
             }
         }
-        loose_sends.retain(|req| mpi.try_take(req).is_none());
         // 4. Advance collective schedules.
         let mut i = 0;
         while i < nbcs.len() {
-            match advance_live_nbc(&mut mpi, &mut nbcs[i], &mut loose_sends) {
-                Ok(true) => {
-                    let done = nbcs.swap_remove(i);
-                    pool.complete(done.slot, Completion::Collective(Arc::from(done.acc)));
-                    advanced = true;
-                }
+            let (run, slot) = &mut nbcs[i];
+            let polled = run.poll(&mut mpi);
+            let settled = polled.is_err() || run.result_ready();
+            if let Some(slot) = slot.take_if(|_| settled) {
+                let done = match &polled {
+                    Ok(_) => Completion::Collective(Arc::from(run.result())),
+                    Err(e) => Completion::Failed(e.clone()),
+                };
+                pool.complete(slot, done);
+                advanced = true;
+            }
+            match polled {
                 Ok(false) => i += 1,
-                Err(e) => {
-                    let dead = nbcs.swap_remove(i);
-                    pool.complete(dead.slot, Completion::Failed(e));
-                    advanced = true;
+                Ok(true) => {
+                    nbcs.swap_remove(i);
                 }
+                Err(_) => nbcs.swap_remove(i).0.abort(&mut mpi),
             }
         }
         // 5. Exit or idle.
         if !open && inflight.is_empty() && nbcs.is_empty() && chan.is_empty() {
-            // Flush loose collective sends so the transport comes back
-            // with no dangling protocol state.
-            while !loose_sends.is_empty() {
-                if needs_progress {
-                    mpi.progress();
-                }
-                loose_sends.retain(|req| mpi.try_take(req).is_none());
-                check::thread::yield_now();
-            }
+            // `nbcs` empty means every round send has drained too: the
+            // transport comes back with no dangling protocol state.
             return mpi;
         }
         if advanced {
@@ -734,7 +668,7 @@ fn offload_main<T: Transport>(
                 streak = 0;
                 no_advance_streak.set(0);
             }
-        } else if inflight.is_empty() && nbcs.is_empty() && loose_sends.is_empty() {
+        } else if inflight.is_empty() && nbcs.is_empty() {
             // Fully idle: nothing in flight needs polling, so the only
             // possible wake source is a new command — park on the doorbell
             // (spin → yield → park). Safe for the wire backend too: sends
@@ -753,194 +687,6 @@ fn offload_main<T: Transport>(
             check::thread::yield_now();
         }
     }
-}
-
-/// Compile a collective into its initial accumulator, retained input
-/// buffer, and round schedule. This is the one mapping from the `Comm`
-/// collective surface onto the [`mpisim::nbc`] round generators — shared by
-/// the offload thread's executor here and the direct-mode inline executor
-/// in `approaches::live`, so the two live paths cannot drift apart on
-/// algorithm selection (e.g. when Rabenseifner kicks in).
-pub fn nbc_plan(p: usize, r: usize, kind: CollKind) -> (Vec<u8>, Option<Vec<u8>>, Vec<Round>) {
-    match kind {
-        CollKind::Barrier => (Vec::new(), None, nbc::barrier_rounds(p, r)),
-        CollKind::Allreduce { dtype, op, data } => {
-            let rounds = nbc::allreduce_rounds_sized(p, r, dtype, op, data.len());
-            (data, None, rounds)
-        }
-        CollKind::Reduce {
-            root,
-            dtype,
-            op,
-            data,
-        } => {
-            let rounds = nbc::reduce_rounds(p, r, root, dtype, op);
-            (data, None, rounds)
-        }
-        CollKind::Alltoall { input, block } => {
-            assert_eq!(input.len(), p * block);
-            let mut acc = vec![0u8; p * block];
-            acc[r * block..(r + 1) * block].copy_from_slice(&input[r * block..(r + 1) * block]);
-            (acc, Some(input), nbc::alltoall_rounds(p, r, block))
-        }
-        CollKind::Bcast { root, payload } => {
-            let acc = if r == root { payload } else { Vec::new() };
-            (acc, None, nbc::bcast_rounds(p, r, root))
-        }
-        CollKind::Allgather { mine } => {
-            let block = mine.len();
-            let mut acc = vec![0u8; p * block];
-            acc[r * block..(r + 1) * block].copy_from_slice(&mine);
-            (acc, None, nbc::allgather_rounds(p, r, block))
-        }
-        CollKind::Gather { root, mine } => {
-            let block = mine.len();
-            let acc = if r == root {
-                let mut acc = vec![0u8; p * block];
-                acc[r * block..(r + 1) * block].copy_from_slice(&mine);
-                acc
-            } else {
-                // Non-roots send their accumulator up and keep it.
-                mine
-            };
-            (acc, None, nbc::gather_rounds(p, r, root, block))
-        }
-        CollKind::Scatter { root, input, block } => {
-            if r == root {
-                assert_eq!(input.len(), p * block);
-                let acc = input[r * block..(r + 1) * block].to_vec();
-                (acc, Some(input), nbc::scatter_rounds(p, r, root, block))
-            } else {
-                // Replaced by the root's block on arrival.
-                (Vec::new(), None, nbc::scatter_rounds(p, r, root, block))
-            }
-        }
-    }
-}
-
-/// Apply one completed round receive to the accumulator — the reduction /
-/// placement step of the schedule, shared with the direct-mode executor.
-pub fn nbc_apply(acc: &mut Vec<u8>, action: &RecvAction, data: &[u8]) {
-    match action {
-        RecvAction::Discard => {}
-        RecvAction::ReplaceAcc => *acc = data.to_vec(),
-        RecvAction::CombineAcc { dtype, op } => combine(*dtype, *op, acc, data),
-        RecvAction::CombineAt { offset, dtype, op } => {
-            let end = offset + data.len();
-            combine(*dtype, *op, &mut acc[*offset..end], data);
-        }
-        RecvAction::StoreAt(off) => acc[*off..off + data.len()].copy_from_slice(data),
-    }
-}
-
-/// Materialize a round send's payload from the schedule state, shared with
-/// the direct-mode executor.
-pub fn nbc_resolve(acc: &[u8], input: Option<&Vec<u8>>, src: &DataSrc) -> Vec<u8> {
-    match src {
-        DataSrc::Acc => acc.to_vec(),
-        DataSrc::AccChunk(r) => acc[r.clone()].to_vec(),
-        DataSrc::InputChunk(r) => input.expect("input buffer")[r.clone()].to_vec(),
-        DataSrc::Fixed(b) => match b {
-            Bytes::Real(v) => v.as_ref().clone(),
-            Bytes::Synthetic(n) => vec![0; *n],
-        },
-    }
-}
-
-fn start_live_nbc<T: Transport>(
-    mpi: &mut T,
-    kind: CollKind,
-    tag: u32,
-    slot: Handle,
-    loose_sends: &mut Vec<T::Req>,
-) -> LiveNbc<T::Req> {
-    let (acc, input, rounds) = nbc_plan(mpi.size(), mpi.rank(), kind);
-    let mut inst = LiveNbc {
-        rounds,
-        cur: 0,
-        inflight: Vec::new(),
-        acc,
-        input,
-        tag,
-        slot,
-    };
-    post_live_round(mpi, &mut inst, loose_sends);
-    inst
-}
-
-/// Post the sends and receives of round `cur` (no-op past the end).
-fn post_live_round<T: Transport>(
-    mpi: &mut T,
-    inst: &mut LiveNbc<T::Req>,
-    loose_sends: &mut Vec<T::Req>,
-) {
-    if inst.cur >= inst.rounds.len() {
-        return;
-    }
-    let round = inst.rounds[inst.cur].clone();
-    for send in &round.sends {
-        let data = resolve_live(inst, &send.data);
-        let req = mpi.isend(send.peer, inst.tag, Arc::from(data));
-        if mpi.try_take(&req).is_none() {
-            loose_sends.push(req);
-        }
-    }
-    for recv in &round.recvs {
-        let req = mpi.irecv(Some(recv.peer), Some(inst.tag));
-        inst.inflight.push((req, recv.action.clone(), None));
-    }
-}
-
-/// Returns `Ok(true)` when the schedule has fully completed, cascading
-/// through as many rounds as complete immediately.
-fn advance_live_nbc<T: Transport>(
-    mpi: &mut T,
-    inst: &mut LiveNbc<T::Req>,
-    loose_sends: &mut Vec<T::Req>,
-) -> Result<bool, TransportError> {
-    loop {
-        if inst.cur >= inst.rounds.len() {
-            return Ok(true);
-        }
-        if !poll_nbc_inflight(mpi, inst)? {
-            return Ok(false);
-        }
-        apply_live_actions(inst);
-        inst.cur += 1;
-        post_live_round(mpi, inst, loose_sends);
-    }
-}
-
-/// Poll this round's receives, stashing payloads as they complete.
-/// `Ok(true)` when every receive has its payload.
-fn poll_nbc_inflight<T: Transport>(
-    mpi: &mut T,
-    inst: &mut LiveNbc<T::Req>,
-) -> Result<bool, TransportError> {
-    let mut all = true;
-    for (req, _, data) in inst.inflight.iter_mut() {
-        if data.is_some() {
-            continue;
-        }
-        match mpi.try_take(req) {
-            Some(Ok(OpOutcome::Received(_, d))) => *data = Some(d),
-            Some(Ok(OpOutcome::Sent)) => unreachable!("receive completed as a send"),
-            Some(Err(e)) => return Err(e),
-            None => all = false,
-        }
-    }
-    Ok(all)
-}
-
-fn apply_live_actions<R>(inst: &mut LiveNbc<R>) {
-    for (_, action, data) in std::mem::take(&mut inst.inflight) {
-        let data = data.expect("completed recv has data");
-        nbc_apply(&mut inst.acc, &action, &data);
-    }
-}
-
-fn resolve_live<R>(inst: &LiveNbc<R>, src: &DataSrc) -> Vec<u8> {
-    nbc_resolve(&inst.acc, inst.input.as_ref(), src)
 }
 
 #[cfg(test)]
@@ -1196,6 +942,37 @@ mod tests {
                 assert_eq!(v, expect, "lane {l}");
             }
         }
+    }
+
+    /// A peer whose collective arguments differ (or who puts anything on
+    /// a reserved tag) controls the length of a round payload. A misfit
+    /// used to panic the offload thread inside the fold, parking the
+    /// waiter forever; it must fail that collective and nothing else.
+    #[test]
+    fn misfitting_round_payload_fails_the_collective_not_the_thread() {
+        let mut world = rtmpi::world(2);
+        let peer = world.pop().expect("rank 1");
+        let rank0 = offload_rank(world.pop().expect("rank 0"));
+        let mpi = rank0.handle();
+        // Rank 1 answers rank 0's first collective (sequence 1) with three
+        // bytes where the 2-lane f64 allreduce expects sixteen.
+        peer.send(0, TAG_INTERNAL_BASE + 1, Arc::from(vec![1u8, 2, 3]));
+        let h = mpi.start_collective(CollKind::Allreduce {
+            dtype: Dtype::F64,
+            op: ReduceOp::Sum,
+            data: vec![0; 16],
+        });
+        assert_eq!(
+            mpi.wait_result(h)
+                .expect_err("misfit must fail the collective"),
+            TransportError::RoundMismatch { peer: 1, len: 3 }
+        );
+        // The offload thread is still serving.
+        mpi.send(1, 5, Arc::from(vec![4u8, 2]));
+        let (_, ping) = peer.recv(Some(0), Some(5));
+        peer.send(0, 6, ping);
+        assert_eq!(mpi.recv(Some(1), Some(6)).1.to_vec(), vec![4, 2]);
+        rank0.finalize();
     }
 
     #[test]

@@ -15,12 +15,23 @@
 //! recursive-doubling allreduce (power-of-two sizes; reduce+bcast
 //! composition otherwise), ring allgather, pairwise-exchange all-to-all,
 //! linear gather/scatter.
+//!
+//! Two executors run these schedules. The discrete-event engine
+//! ([`NbcInstance`], `crate::engine`) is the virtual-time reference. Over
+//! a real [`rtmpi::Transport`] there is exactly one: [`NbcRun`], compiled
+//! by [`plan`] from a [`Coll`]. The offload thread, the direct
+//! (baseline/iprobe) modes, the wire fixtures, the protocol model checker
+//! and the benchmark's peers all step the same runner and differ only in
+//! who calls [`NbcRun::poll`], and when.
 
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
+
+use rtmpi::{OpOutcome, Transport, TransportError};
 
 use crate::engine::ReqInner;
-use crate::types::{Bytes, Dtype, Rank, ReduceOp, Tag};
+use crate::types::{combine, Bytes, Dtype, Rank, ReduceOp, Tag};
 
 /// Where the payload of an internal send comes from.
 #[derive(Clone, Debug)]
@@ -432,6 +443,312 @@ pub fn scatter_rounds(p: usize, r: Rank, root: Rank, block: usize) -> Vec<Round>
     }
 }
 
+/// A collective operation with its arguments — the full `Comm` collective
+/// surface. [`plan`] maps each onto the round generators above.
+#[derive(Clone, Debug)]
+pub enum Coll {
+    Barrier,
+    /// Element-wise allreduce of `data` (raw little-endian lanes of
+    /// `dtype`). Rabenseifner reduce-scatter + allgather kicks in for large
+    /// payloads on power-of-two worlds ([`allreduce_rounds_sized`]).
+    Allreduce {
+        dtype: Dtype,
+        op: ReduceOp,
+        data: Vec<u8>,
+    },
+    /// Element-wise reduce to `root`; the result buffer is meaningful on
+    /// the root only (other ranks get their partial back).
+    Reduce {
+        root: usize,
+        dtype: Dtype,
+        op: ReduceOp,
+        data: Vec<u8>,
+    },
+    /// Personalized all-to-all of `block`-byte blocks.
+    Alltoall {
+        input: Vec<u8>,
+        block: usize,
+    },
+    /// Broadcast from `root` (payload on root only).
+    Bcast {
+        root: usize,
+        payload: Vec<u8>,
+    },
+    /// Allgather of equal contributions.
+    Allgather {
+        mine: Vec<u8>,
+    },
+    /// Gather of equal `mine` blocks to `root` (root gets `size × block`
+    /// bytes; other ranks get their own block back).
+    Gather {
+        root: usize,
+        mine: Vec<u8>,
+    },
+    /// Scatter of `block`-byte blocks from `root`'s `input` (empty on
+    /// non-roots); every rank gets its block.
+    Scatter {
+        root: usize,
+        input: Vec<u8>,
+        block: usize,
+    },
+}
+
+/// Compile a collective into its initial accumulator, retained input
+/// buffer, and round schedule for world size `p`, rank `r`. This is the
+/// one mapping from the collective surface onto the round generators, so
+/// no two live paths can drift apart on algorithm selection (e.g. when
+/// Rabenseifner kicks in).
+pub fn plan(p: usize, r: usize, coll: Coll) -> (Vec<u8>, Option<Vec<u8>>, Vec<Round>) {
+    /// A `p`-block buffer with this rank's block pre-placed.
+    fn own_block_placed(p: usize, r: usize, mine: &[u8]) -> Vec<u8> {
+        let block = mine.len();
+        let mut acc = vec![0u8; p * block];
+        acc[r * block..(r + 1) * block].copy_from_slice(mine);
+        acc
+    }
+    match coll {
+        Coll::Barrier => (Vec::new(), None, barrier_rounds(p, r)),
+        Coll::Allreduce { dtype, op, data } => {
+            let rounds = allreduce_rounds_sized(p, r, dtype, op, data.len());
+            (data, None, rounds)
+        }
+        Coll::Reduce {
+            root,
+            dtype,
+            op,
+            data,
+        } => (data, None, reduce_rounds(p, r, root, dtype, op)),
+        Coll::Alltoall { input, block } => {
+            assert_eq!(input.len(), p * block);
+            let acc = own_block_placed(p, r, &input[r * block..(r + 1) * block]);
+            (acc, Some(input), alltoall_rounds(p, r, block))
+        }
+        Coll::Bcast { root, payload } => {
+            let acc = if r == root { payload } else { Vec::new() };
+            (acc, None, bcast_rounds(p, r, root))
+        }
+        Coll::Allgather { mine } => {
+            let rounds = allgather_rounds(p, r, mine.len());
+            (own_block_placed(p, r, &mine), None, rounds)
+        }
+        Coll::Gather { root, mine } => {
+            let rounds = gather_rounds(p, r, root, mine.len());
+            // Non-roots send their accumulator up and keep it.
+            let acc = if r == root {
+                own_block_placed(p, r, &mine)
+            } else {
+                mine
+            };
+            (acc, None, rounds)
+        }
+        Coll::Scatter { root, input, block } => {
+            let rounds = scatter_rounds(p, r, root, block);
+            if r == root {
+                assert_eq!(input.len(), p * block);
+                let acc = input[r * block..(r + 1) * block].to_vec();
+                (acc, Some(input), rounds)
+            } else {
+                // Replaced by the root's block on arrival.
+                (Vec::new(), None, rounds)
+            }
+        }
+    }
+}
+
+/// Materialize a round send's payload from the schedule state.
+fn resolve(acc: &[u8], input: Option<&[u8]>, src: &DataSrc) -> Arc<[u8]> {
+    match src {
+        DataSrc::Acc => Arc::from(acc),
+        DataSrc::AccChunk(r) => Arc::from(&acc[r.clone()]),
+        DataSrc::InputChunk(r) => {
+            let input = input.expect("plan retains the input of every schedule that sends from it");
+            Arc::from(&input[r.clone()])
+        }
+        DataSrc::Fixed(b) => Arc::from(b.to_vec()),
+    }
+}
+
+/// Fold one landed round payload into the accumulator — the reduction /
+/// placement step of the schedule. `data` comes from a peer (whose
+/// collective arguments may differ from ours, or who may put anything on a
+/// reserved tag), so its length is checked against the action first: a
+/// misfit is an error that leaves the accumulator untouched.
+fn apply(acc: &mut Vec<u8>, recv: &RecvSpec, data: &[u8]) -> Result<(), TransportError> {
+    let room = acc.len();
+    let fits_at = |off: usize| off.checked_add(data.len()).is_some_and(|end| end <= room);
+    let fits = match &recv.action {
+        RecvAction::Discard | RecvAction::ReplaceAcc => true,
+        RecvAction::CombineAcc { .. } => data.len() == room,
+        RecvAction::CombineAt { offset, dtype, .. } => {
+            fits_at(*offset) && data.len().is_multiple_of(dtype.size())
+        }
+        RecvAction::StoreAt(off) => fits_at(*off),
+    };
+    if !fits {
+        return Err(TransportError::RoundMismatch {
+            peer: recv.peer,
+            len: data.len(),
+        });
+    }
+    match &recv.action {
+        RecvAction::Discard => {}
+        RecvAction::ReplaceAcc => *acc = data.to_vec(),
+        RecvAction::CombineAcc { dtype, op } => combine(*dtype, *op, acc, data),
+        RecvAction::CombineAt { offset, dtype, op } => {
+            combine(*dtype, *op, &mut acc[*offset..offset + data.len()], data);
+        }
+        RecvAction::StoreAt(off) => acc[*off..off + data.len()].copy_from_slice(data),
+    }
+    Ok(())
+}
+
+/// One posted round receive: its request, and the payload once it landed.
+type RoundRecv<T> = (<T as Transport>::Req, Option<Arc<[u8]>>);
+
+/// One in-flight collective on one rank over a real transport: the libNBC
+/// execution model reduced to its essence. Each round posts its sends and
+/// receives together; the next round is posted only when every receive of
+/// the current one has landed and been folded into the accumulator.
+/// Nothing here blocks or drives the transport: [`poll`] inspects request
+/// state and returns, the caller owns the progress loop — and thereby the
+/// paper's central question of *who* polls.
+///
+/// [`poll`]: NbcRun::poll
+pub struct NbcRun<T: Transport> {
+    rounds: Vec<Round>,
+    cur: usize,
+    /// The current round's receives, in `rounds[cur].recvs` order; the
+    /// round folds once all have landed.
+    inflight: Vec<RoundRecv<T>>,
+    /// Round sends not yet retired by the transport, across rounds. The
+    /// run is done only when these drain — a still-pending reserved-tag
+    /// send must not outlive the collective that issued it.
+    sends: Vec<T::Req>,
+    acc: Vec<u8>,
+    input: Option<Vec<u8>>,
+    tag: Tag,
+}
+
+impl<T: Transport> NbcRun<T> {
+    /// Compile `coll` for this rank and post round 0. `tag` must be in
+    /// the reserved collective space; every rank derives it from the same
+    /// base plus its collective sequence number, so concurrent collectives
+    /// cannot cross-match.
+    pub fn start(mpi: &mut T, tag: Tag, coll: Coll) -> Self {
+        debug_assert!(
+            tag >= rtmpi::TAG_RESERVED_BASE,
+            "collective tag must be reserved"
+        );
+        let (acc, input, rounds) = plan(mpi.size(), mpi.rank(), coll);
+        let mut run = NbcRun {
+            rounds,
+            cur: 0,
+            inflight: Vec::new(),
+            sends: Vec::new(),
+            acc,
+            input,
+            tag,
+        };
+        run.post_round(mpi);
+        run
+    }
+
+    /// Post the sends and receives of round `cur` (no-op past the end).
+    fn post_round(&mut self, mpi: &mut T) {
+        let Some(round) = self.rounds.get(self.cur) else {
+            return;
+        };
+        for send in &round.sends {
+            let data = resolve(&self.acc, self.input.as_deref(), &send.data);
+            let req = mpi.isend(send.peer, self.tag, data);
+            if mpi.try_take(&req).is_none() {
+                self.sends.push(req);
+            }
+        }
+        for recv in &round.recvs {
+            let req = mpi.irecv(Some(recv.peer), Some(self.tag));
+            self.inflight.push((req, None));
+        }
+    }
+
+    /// Advance as far as completed requests allow, cascading through any
+    /// rounds that finish immediately. Never blocks, never calls
+    /// `progress` — the caller owns the polling cadence. `Ok(true)` means
+    /// every round has folded *and* every round send has been retired, so
+    /// the transport carries no state of this collective any more. The
+    /// first failed round op (e.g. `PeerLost`) or misfitting round payload
+    /// surfaces as `Err`, after which only [`Self::abort`] is meaningful.
+    pub fn poll(&mut self, mpi: &mut T) -> Result<bool, TransportError> {
+        loop {
+            let mut i = 0;
+            while i < self.sends.len() {
+                match mpi.try_take(&self.sends[i]) {
+                    Some(Ok(_)) => {
+                        self.sends.swap_remove(i);
+                    }
+                    Some(Err(e)) => return Err(e),
+                    None => i += 1,
+                }
+            }
+            let Some(round) = self.rounds.get(self.cur) else {
+                return Ok(self.sends.is_empty());
+            };
+            let mut all = true;
+            for (req, data) in self.inflight.iter_mut() {
+                if data.is_some() {
+                    continue;
+                }
+                match mpi.try_take(req) {
+                    Some(Ok(OpOutcome::Received(_, d))) => *data = Some(d),
+                    Some(Ok(OpOutcome::Sent)) => unreachable!("receive completed as a send"),
+                    Some(Err(e)) => return Err(e),
+                    None => all = false,
+                }
+            }
+            if !all {
+                return Ok(false);
+            }
+            for (recv, (_, data)) in round.recvs.iter().zip(self.inflight.drain(..)) {
+                let data = data.expect("a round folds only once all its receives landed");
+                apply(&mut self.acc, recv, &data)?;
+            }
+            self.cur += 1;
+            self.post_round(mpi);
+        }
+    }
+
+    /// Has every round folded? From then on [`Self::result`] is final even
+    /// while [`Self::poll`] still reports round sends draining — the point
+    /// at which the offload thread completes the waiter's slot.
+    pub fn result_ready(&self) -> bool {
+        self.cur >= self.rounds.len()
+    }
+
+    /// The accumulator: the collective's result once every round folded.
+    pub fn result(&self) -> &[u8] {
+        &self.acc
+    }
+
+    /// [`Self::result`] by value, for a finished run.
+    pub fn into_result(self) -> Vec<u8> {
+        self.acc
+    }
+
+    /// Cancel everything still outstanding (cleanup after an `Err`), so
+    /// the transport does not carry orphaned requests into the next
+    /// operation.
+    pub fn abort(self, mpi: &mut T) {
+        for (req, data) in &self.inflight {
+            if data.is_none() {
+                mpi.cancel(req);
+            }
+        }
+        for req in &self.sends {
+            mpi.cancel(req);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,5 +932,251 @@ mod tests {
         assert!(allgather_rounds(1, 0, 8).is_empty());
         assert!(gather_rounds(1, 0, 0, 8).is_empty());
         assert!(scatter_rounds(1, 0, 0, 8).is_empty());
+    }
+
+    /// Counts requests issued against outcomes taken, so a finished run
+    /// can be shown to leave nothing behind on the transport.
+    struct Counting {
+        t: rtmpi::RtMpi,
+        open: usize,
+    }
+
+    impl Transport for Counting {
+        type Req = rtmpi::RtRequest;
+
+        fn rank(&self) -> usize {
+            self.t.rank()
+        }
+        fn size(&self) -> usize {
+            self.t.size()
+        }
+        fn isend(&mut self, dst: usize, tag: Tag, data: Arc<[u8]>) -> Self::Req {
+            self.open += 1;
+            self.t.isend(dst, tag, data)
+        }
+        fn irecv(&mut self, src: Option<usize>, tag: Option<Tag>) -> Self::Req {
+            self.open += 1;
+            self.t.irecv(src, tag)
+        }
+        fn progress(&mut self) -> bool {
+            panic!("the runner never drives the transport")
+        }
+        fn is_done(&mut self, req: &Self::Req) -> bool {
+            Transport::is_done(&mut self.t, req)
+        }
+        fn try_take(&mut self, req: &Self::Req) -> Option<Result<OpOutcome, TransportError>> {
+            let out = Transport::try_take(&mut self.t, req);
+            self.open -= usize::from(out.is_some());
+            out
+        }
+        fn needs_progress(&self) -> bool {
+            false
+        }
+        fn iprobe(&mut self, src: Option<usize>, tag: Option<Tag>) -> Option<rtmpi::Status> {
+            self.t.iprobe(src, tag)
+        }
+    }
+
+    /// The single runner over every kind: all ranks of an in-process world
+    /// stepped round-robin on one thread, results against closed forms,
+    /// and `poll == Ok(true)` leaving no request un-taken.
+    #[test]
+    fn runner_completes_every_kind_at_2_to_5_ranks() {
+        use crate::types::f64s_to_bytes;
+        const B: usize = 3;
+        for p in [2usize, 3, 4, 5] {
+            let root = p - 1;
+            // The block rank `s` holds for rank `d`.
+            let blk = |s: usize, d: usize| [(s * 16 + d) as u8; B];
+            let lanes = |r: usize, n: usize| {
+                f64s_to_bytes(&(0..n).map(|l| (r + l) as f64).collect::<Vec<_>>())
+            };
+            let sums = |n: usize| {
+                let sum = |l: usize| (0..p).map(|r| (r + l) as f64).sum();
+                f64s_to_bytes(&(0..n).map(sum).collect::<Vec<f64>>())
+            };
+            let gathered: Vec<u8> = (0..p).flat_map(|s| blk(s, 0)).collect();
+            let allreduce = |n: usize| -> Box<dyn Fn(usize) -> Coll> {
+                Box::new(move |r| Coll::Allreduce {
+                    dtype: Dtype::F64,
+                    op: ReduceOp::Sum,
+                    data: lanes(r, n),
+                })
+            };
+            let big = ALLREDUCE_RSAG_THRESHOLD / 8;
+            type Row<'a> = (
+                &'a str,
+                Box<dyn Fn(usize) -> Coll + 'a>,
+                Box<dyn Fn(usize) -> Option<Vec<u8>> + 'a>,
+            );
+            let table: Vec<Row> = vec![
+                (
+                    "barrier",
+                    Box::new(|_| Coll::Barrier),
+                    Box::new(|_| Some(Vec::new())),
+                ),
+                (
+                    "bcast",
+                    Box::new(|r| Coll::Bcast {
+                        root,
+                        payload: if r == root { vec![9, 8, 7] } else { Vec::new() },
+                    }),
+                    Box::new(|_| Some(vec![9, 8, 7])),
+                ),
+                (
+                    "reduce",
+                    Box::new(|r| Coll::Reduce {
+                        root,
+                        dtype: Dtype::F64,
+                        op: ReduceOp::Sum,
+                        data: lanes(r, 2),
+                    }),
+                    // Only the root's accumulator is specified.
+                    Box::new(|r| (r == root).then(|| sums(2))),
+                ),
+                ("allreduce", allreduce(2), Box::new(|_| Some(sums(2)))),
+                (
+                    "allreduce-16KiB",
+                    allreduce(big),
+                    Box::new(|_| Some(sums(big))),
+                ),
+                (
+                    "allgather",
+                    Box::new(|r| Coll::Allgather {
+                        mine: blk(r, 0).to_vec(),
+                    }),
+                    Box::new(|_| Some(gathered.clone())),
+                ),
+                (
+                    "alltoall",
+                    Box::new(|r| Coll::Alltoall {
+                        input: (0..p).flat_map(|d| blk(r, d)).collect(),
+                        block: B,
+                    }),
+                    Box::new(|r| Some((0..p).flat_map(|s| blk(s, r)).collect())),
+                ),
+                (
+                    "gather",
+                    Box::new(|r| Coll::Gather {
+                        root,
+                        mine: blk(r, 0).to_vec(),
+                    }),
+                    Box::new(|r| {
+                        Some(if r == root {
+                            gathered.clone()
+                        } else {
+                            blk(r, 0).to_vec()
+                        })
+                    }),
+                ),
+                (
+                    "scatter",
+                    Box::new(|r| Coll::Scatter {
+                        root,
+                        input: if r == root {
+                            (0..p).flat_map(|d| blk(root, d)).collect()
+                        } else {
+                            Vec::new()
+                        },
+                        block: B,
+                    }),
+                    Box::new(|r| Some(blk(root, r).to_vec())),
+                ),
+            ];
+            if p == 4 {
+                // The large row really is the Rabenseifner branch.
+                assert_eq!(plan(4, 0, table[4].1(0)).2.len(), 4);
+            }
+            let mut world: Vec<Counting> = rtmpi::world(p)
+                .into_iter()
+                .map(|t| Counting { t, open: 0 })
+                .collect();
+            for (row, (name, coll, expect)) in table.iter().enumerate() {
+                let tag = rtmpi::TAG_COLL_BASE + row as Tag;
+                let mut runs: Vec<_> = world
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(r, t)| Some(NbcRun::start(t, tag, coll(r))))
+                    .collect();
+                let mut sweeps = 0;
+                while runs.iter().any(Option::is_some) {
+                    for (r, slot) in runs.iter_mut().enumerate() {
+                        let Some(run) = slot else { continue };
+                        if !run.poll(&mut world[r]).expect("in-process ops never fail") {
+                            continue;
+                        }
+                        assert!(run.result_ready());
+                        assert_eq!(world[r].open, 0, "{name} p={p} rank {r} left requests");
+                        if let Some(want) = expect(r) {
+                            assert_eq!(run.result(), &want[..], "{name} p={p} rank {r}");
+                        }
+                        *slot = None;
+                    }
+                    sweeps += 1;
+                    assert!(sweeps <= 64, "{name} p={p} wedged");
+                }
+            }
+        }
+    }
+
+    /// A round payload that does not fit its action is refused with the
+    /// accumulator untouched — it used to index out of bounds or trip
+    /// `combine`'s length assert on the polling thread.
+    #[test]
+    fn apply_refuses_misfitting_payloads() {
+        let (dtype, op) = (Dtype::F64, ReduceOp::Sum);
+        let misfits = [
+            (RecvAction::CombineAcc { dtype, op }, 8),
+            (
+                RecvAction::CombineAt {
+                    offset: 8,
+                    dtype,
+                    op,
+                },
+                16,
+            ),
+            (
+                RecvAction::CombineAt {
+                    offset: 0,
+                    dtype,
+                    op,
+                },
+                4,
+            ),
+            (
+                RecvAction::CombineAt {
+                    offset: usize::MAX,
+                    dtype,
+                    op,
+                },
+                8,
+            ),
+            (RecvAction::StoreAt(9), 8),
+            (RecvAction::StoreAt(usize::MAX), 1),
+        ];
+        let from_peer = |action| RecvSpec { peer: 3, action };
+        for (action, len) in misfits {
+            let mut acc = vec![1u8; 16];
+            assert_eq!(
+                apply(&mut acc, &from_peer(action.clone()), &vec![0; len]),
+                Err(TransportError::RoundMismatch { peer: 3, len }),
+                "{action:?}"
+            );
+            assert_eq!(acc, vec![1u8; 16]);
+        }
+        // Any length is fine where the schedule does not fix one.
+        let mut acc = vec![1u8; 16];
+        for (action, data, want) in [
+            (RecvAction::Discard, vec![0; 99], vec![1; 16]),
+            (
+                RecvAction::StoreAt(8),
+                vec![7; 8],
+                [[1; 8], [7; 8]].concat(),
+            ),
+            (RecvAction::ReplaceAcc, vec![5; 2], vec![5; 2]),
+        ] {
+            assert_eq!(apply(&mut acc, &from_peer(action), &data), Ok(()));
+            assert_eq!(acc, want);
+        }
     }
 }

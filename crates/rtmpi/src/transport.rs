@@ -33,6 +33,11 @@ pub enum TransportError {
     /// The operation stayed pending past the transport's configured
     /// timeout — the backstop when a peer hangs without dying.
     Timeout { waited_ms: u64 },
+    /// The peer answered a collective round with a payload whose length
+    /// does not fit the schedule (its collective arguments differ from
+    /// ours, or it put a stray frame on a reserved tag). The collective
+    /// fails; the accumulator was not touched by the misfit.
+    RoundMismatch { peer: usize, len: usize },
 }
 
 impl std::fmt::Display for TransportError {
@@ -42,6 +47,10 @@ impl std::fmt::Display for TransportError {
             TransportError::Timeout { waited_ms } => {
                 write!(f, "Timeout: operation pending after {waited_ms} ms")
             }
+            TransportError::RoundMismatch { peer, len } => write!(
+                f,
+                "RoundMismatch: rank {peer} sent a {len}-byte collective round that does not fit the schedule"
+            ),
         }
     }
 }

@@ -24,9 +24,9 @@
 //!   (unexpected-message queue, MPI FIFO matching via [`rtmpi::MatchQueue`],
 //!   eager/rendezvous protocol, peer-death detection), generic over the
 //!   fabric.
-//! * [`nbcrun`] — one nonblocking collective as a round schedule driven
-//!   over any [`rtmpi::Transport`] (shared by the live engine, the victim
-//!   binaries, and the protocol model checker).
+//! * [`nbcrun`] — re-exports of `mpisim::nbc`'s collective runner (the
+//!   one executor of NBC round schedules over any [`rtmpi::Transport`])
+//!   under the path the victim binaries and the model checker import.
 //! * [`shm`] — the shared-memory data plane (`WIRE_SHM=1`): per-pair
 //!   memfd segments passed over the UDS handshake, SPSC rings running the
 //!   model-checked `shmring` protocol, zero syscalls and zero per-message

@@ -1,249 +1,5 @@
-//! A steppable nonblocking-collective runner over any [`rtmpi::Transport`].
-//!
-//! This is the libNBC execution model reduced to its essence: a collective
-//! compiles to a vector of [`Round`]s (from the [`mpisim::nbc`]
-//! generators, the same schedules the simulator and the offload executor
-//! use), each round posts its sends and receives together, and the next
-//! round is posted only when every receive of the current one has landed
-//! and been folded into the accumulator. Nothing here blocks: [`poll`]
-//! inspects request state and returns; the caller owns the progress loop
-//! (and thereby the paper's central question of *who* polls).
-//!
-//! Two drivers exist on purpose:
-//! * `wire-victim`'s `kill-allreduce` mode runs a schedule over a process
-//!   world to prove peer death surfaces as [`TransportError::PeerLost`]
-//!   mid-collective rather than a hang;
-//! * `check::proto` runs the same schedules over the model fabric and
-//!   explores every frame interleaving the transport contract allows.
-//!
-//! The offload crate keeps its own executor (`offload::live`) because its
-//! rounds interleave with the application send/recv queue on one service
-//! thread; the schedules themselves come from the same generators, so the
-//! algorithms cannot drift.
-//!
-//! [`poll`]: NbcRun::poll
+//! The one NBC schedule runner lives in [`mpisim::nbc`]; these re-exports
+//! keep the path the wire fixtures, `check::proto` and `opbench` import.
 
-use std::sync::Arc;
-
-use mpisim::nbc::{self, DataSrc, RecvAction, Round};
-use mpisim::types::{combine, Bytes};
-use rtmpi::{OpOutcome, Tag, Transport, TransportError};
-
+pub use mpisim::nbc::{Coll, NbcRun};
 pub use mpisim::types::{Dtype, ReduceOp};
-
-/// The collectives the runner knows how to compile (the subset the wire
-/// fixtures and the protocol model checker exercise).
-#[derive(Clone, Debug)]
-pub enum Coll {
-    Barrier,
-    Bcast {
-        root: usize,
-        payload: Vec<u8>,
-    },
-    Reduce {
-        root: usize,
-        dtype: Dtype,
-        op: ReduceOp,
-        data: Vec<u8>,
-    },
-    Allreduce {
-        dtype: Dtype,
-        op: ReduceOp,
-        data: Vec<u8>,
-    },
-    Allgather {
-        mine: Vec<u8>,
-    },
-    Alltoall {
-        input: Vec<u8>,
-        block: usize,
-    },
-}
-
-/// Compile a collective into (initial accumulator, retained input, round
-/// schedule) for world size `p`, rank `r`.
-fn plan(p: usize, r: usize, coll: Coll) -> (Vec<u8>, Option<Vec<u8>>, Vec<Round>) {
-    match coll {
-        Coll::Barrier => (Vec::new(), None, nbc::barrier_rounds(p, r)),
-        Coll::Bcast { root, payload } => {
-            let acc = if r == root { payload } else { Vec::new() };
-            (acc, None, nbc::bcast_rounds(p, r, root))
-        }
-        Coll::Reduce {
-            root,
-            dtype,
-            op,
-            data,
-        } => (data, None, nbc::reduce_rounds(p, r, root, dtype, op)),
-        Coll::Allreduce { dtype, op, data } => {
-            let rounds = nbc::allreduce_rounds_sized(p, r, dtype, op, data.len());
-            (data, None, rounds)
-        }
-        Coll::Allgather { mine } => {
-            let block = mine.len();
-            let mut acc = vec![0u8; p * block];
-            acc[r * block..(r + 1) * block].copy_from_slice(&mine);
-            (acc, None, nbc::allgather_rounds(p, r, block))
-        }
-        Coll::Alltoall { input, block } => {
-            assert_eq!(input.len(), p * block);
-            let mut acc = vec![0u8; p * block];
-            acc[r * block..(r + 1) * block].copy_from_slice(&input[r * block..(r + 1) * block]);
-            (acc, Some(input), nbc::alltoall_rounds(p, r, block))
-        }
-    }
-}
-
-/// One posted round receive: request, fold action, landed payload.
-type InflightRecv<T> = (<T as Transport>::Req, RecvAction, Option<Arc<[u8]>>);
-
-/// One in-flight collective on one rank (see module docs).
-pub struct NbcRun<T: Transport> {
-    rounds: Vec<Round>,
-    cur: usize,
-    inflight: Vec<InflightRecv<T>>,
-    /// Round sends not yet acknowledged by the transport. The schedule is
-    /// complete only when these drain — a still-pending reserved-tag send
-    /// must not outlive the collective that issued it.
-    sends: Vec<T::Req>,
-    acc: Vec<u8>,
-    input: Option<Vec<u8>>,
-    tag: Tag,
-}
-
-impl<T: Transport> NbcRun<T> {
-    /// Compile `coll` for this rank and post round 0. `tag` must be in
-    /// the reserved collective space (callers derive it from
-    /// [`rtmpi::TAG_COLL_BASE`] plus a sequence number, exactly like the
-    /// offload executor, so concurrent collectives cannot cross-match).
-    pub fn start(mpi: &mut T, tag: Tag, coll: Coll) -> Self {
-        debug_assert!(
-            tag >= rtmpi::TAG_RESERVED_BASE,
-            "collective tag must be reserved"
-        );
-        let (acc, input, rounds) = plan(mpi.size(), mpi.rank(), coll);
-        let mut run = NbcRun {
-            rounds,
-            cur: 0,
-            inflight: Vec::new(),
-            sends: Vec::new(),
-            acc,
-            input,
-            tag,
-        };
-        run.post_round(mpi);
-        run
-    }
-
-    fn resolve(&self, src: &DataSrc) -> Vec<u8> {
-        match src {
-            DataSrc::Acc => self.acc.clone(),
-            DataSrc::AccChunk(r) => self.acc[r.clone()].to_vec(),
-            DataSrc::InputChunk(r) => self
-                .input
-                .as_ref()
-                .map_or_else(Vec::new, |i| i[r.clone()].to_vec()),
-            DataSrc::Fixed(b) => match b {
-                Bytes::Real(v) => v.as_ref().clone(),
-                Bytes::Synthetic(n) => vec![0; *n],
-            },
-        }
-    }
-
-    /// Post the sends and receives of round `cur` (no-op past the end).
-    fn post_round(&mut self, mpi: &mut T) {
-        if self.cur >= self.rounds.len() {
-            return;
-        }
-        let round = self.rounds[self.cur].clone();
-        for send in &round.sends {
-            let data = self.resolve(&send.data);
-            let req = mpi.isend(send.peer, self.tag, Arc::from(data));
-            if mpi.try_take(&req).is_none() {
-                self.sends.push(req);
-            }
-        }
-        for recv in &round.recvs {
-            let req = mpi.irecv(Some(recv.peer), Some(self.tag));
-            self.inflight.push((req, recv.action.clone(), None));
-        }
-    }
-
-    /// Advance as far as completed requests allow, cascading through any
-    /// rounds that finish immediately. Never blocks, never calls
-    /// `progress` — the caller owns the polling cadence. `Ok(true)` means
-    /// the schedule is complete *and* every round send has drained; the
-    /// first failed round op (e.g. `PeerLost`) surfaces as `Err`.
-    pub fn poll(&mut self, mpi: &mut T) -> Result<bool, TransportError> {
-        loop {
-            // Reap acknowledged sends regardless of round state.
-            let mut i = 0;
-            while i < self.sends.len() {
-                match mpi.try_take(&self.sends[i]) {
-                    Some(Ok(_)) => {
-                        self.sends.swap_remove(i);
-                    }
-                    Some(Err(e)) => return Err(e),
-                    None => i += 1,
-                }
-            }
-            if self.cur >= self.rounds.len() {
-                return Ok(self.sends.is_empty());
-            }
-            // This round's receives: stash payloads as they land.
-            let mut all = true;
-            for (req, _, data) in self.inflight.iter_mut() {
-                if data.is_some() {
-                    continue;
-                }
-                match mpi.try_take(req) {
-                    Some(Ok(OpOutcome::Received(_, d))) => *data = Some(d),
-                    Some(Ok(OpOutcome::Sent)) => {
-                        unreachable!("receive completed as a send")
-                    }
-                    Some(Err(e)) => return Err(e),
-                    None => all = false,
-                }
-            }
-            if !all {
-                return Ok(false);
-            }
-            for (_, action, data) in std::mem::take(&mut self.inflight) {
-                let data = data.unwrap_or_else(|| Arc::from(&[][..]));
-                apply(&mut self.acc, &action, &data);
-            }
-            self.cur += 1;
-            self.post_round(mpi);
-        }
-    }
-
-    /// The accumulator (the collective's result once [`Self::poll`]
-    /// returned `Ok(true)`).
-    pub fn result(&self) -> &[u8] {
-        &self.acc
-    }
-
-    /// Cancel everything still outstanding (cleanup after an `Err`).
-    pub fn abort(self, mpi: &mut T) {
-        for (req, _, _) in &self.inflight {
-            mpi.cancel(req);
-        }
-        for req in &self.sends {
-            mpi.cancel(req);
-        }
-    }
-}
-
-/// Fold one landed round payload into the accumulator.
-fn apply(acc: &mut Vec<u8>, action: &RecvAction, data: &[u8]) {
-    match action {
-        RecvAction::Discard => {}
-        RecvAction::ReplaceAcc => *acc = data.to_vec(),
-        RecvAction::CombineAcc { dtype, op } => combine(*dtype, *op, acc, data),
-        RecvAction::CombineAt { offset, dtype, op } => {
-            let end = offset + data.len();
-            combine(*dtype, *op, &mut acc[*offset..end], data);
-        }
-        RecvAction::StoreAt(off) => acc[*off..off + data.len()].copy_from_slice(data),
-    }
-}
