@@ -140,86 +140,73 @@ echo "== multi-process wire smoke (4 ranks over UDS) =="
 timeout 60 target/release/offload-run -n 4 --timeout 50 halo_exchange \
   || { echo "wire smoke lane FAILED"; exit 1; }
 
-# Cluster observability smoke: the same panel with the stats plane on.
-# Every rank ships periodic snapshots to the launcher, which writes the
-# aggregated JSON report; stats-check gates on all 4 ranks being present
-# and every rank showing asynchronously-completed rendezvous handshakes
-# (the offload phase's signature — WIRE_EAGER_MAX keeps the faces on the
-# rendezvous path regardless of the example's message sizing).
-echo
-echo "== cluster stats plane smoke (4 ranks, aggregated JSON report) =="
-timeout 60 env WIRE_EAGER_MAX=4096 \
-  target/release/offload-run -n 4 --timeout 50 \
-  --stats-interval 50 --stats-out /tmp/stats.json halo_exchange \
-  || { echo "stats plane lane FAILED (launch)"; exit 1; }
-target/release/stats-check /tmp/stats.json --ranks 4 \
-  --positive wire.rndv_handshake_async \
-  || { echo "stats plane lane FAILED (report validation)"; exit 1; }
+# Stats-gated launcher lanes: launch a job under offload-run with the
+# stats plane on (every rank ships periodic snapshots to the launcher,
+# which writes the aggregated JSON report), then gate on the report with
+# stats-check — what the engine counted, not what timing suggests.
+#
+# stats_lane <name> <launch args…> -- <stats-check args…>
+# The per-lane fixed parts come from the table row read just before the
+# call: BANNER, the outer `timeout` LIMIT (the backstop against a wedged
+# launcher), extra environment ENVS, whether the launch must end `ok` or
+# `fail` (EXPECT), and what the lane's two failures are called.
+stats_lane() {
+  local name="$1" report="/tmp/${1// /_}.json" launch=()
+  shift
+  while [ "$1" != "--" ]; do launch+=("$1"); shift; done
+  shift
+  echo
+  echo "== $BANNER =="
+  local launched=ok
+  # shellcheck disable=SC2086
+  timeout "$LIMIT" env $ENVS target/release/offload-run \
+    --stats-interval 50 --stats-out "$report" "${launch[@]}" || launched=fail
+  if [ "$launched" != "$EXPECT" ]; then
+    echo "$name lane FAILED ($LAUNCH_FAILURE)"
+    exit 1
+  fi
+  target/release/stats-check "$report" "$@" \
+    || { echo "$name lane FAILED ($REPORT_FAILURE)"; exit 1; }
+}
 
-# Scale-out observability smoke: a 64-rank world packed 16 ranks/process
-# (4 OS processes) with the stats plane in relay-tree mode (arity 8 →
-# heap height 3, collector depth 2). stats-check gates on the relay
-# section covering all 64 ranks at depth ≥ 2 with in-flight merges
-# actually recorded (obs.relay_merged) — proving the collector heard the
-# whole world through O(k) connections, not 64 stars.
-echo
-echo "== relay tree smoke (64 ranks packed 16/process, depth-2 gated) =="
-timeout 120 target/release/offload-run -n 64 --packed 16 --relay 8 \
-  --timeout 90 --stats-interval 50 --stats-out /tmp/relay_stats.json \
-  packed-world \
-  || { echo "relay tree lane FAILED (launch)"; exit 1; }
-target/release/stats-check /tmp/relay_stats.json --ranks 64 \
-  --positive obs.relay_merged --relay-depth 2 \
-  || { echo "relay tree lane FAILED (report validation)"; exit 1; }
-
-# Black-box postmortem smoke: SIGKILL a depth-1 relay rank mid-run
-# (unpacked — every rank its own process, so only the victim dies) and
-# assert the launcher (a) reports the job failed, and (b) recovered the
-# victim's flight-recorder timeline from its persisted .obb file into the
-# report: ≥ 32 events with strictly increasing sequence numbers.
-echo
-echo "== black-box postmortem smoke (SIGKILL rank 1, dump recovered) =="
-if timeout 120 target/release/offload-run -n 12 --relay 3 \
-  --timeout 90 --stats-interval 50 --stats-out /tmp/kill_stats.json \
-  --kill-rank 1 --kill-after-ms 600 packed-world; then
-  echo "black-box lane FAILED (launcher reported success despite SIGKILL)"
-  exit 1
-fi
-target/release/stats-check /tmp/kill_stats.json --ranks 12 \
-  --blackbox-dead 32 \
-  || { echo "black-box lane FAILED (postmortem validation)"; exit 1; }
-
-# NBC wire smoke: the full collective surface (barrier/bcast/reduce/
-# allreduce/allgather/alltoall/gather/scatter) as round schedules over
-# real sockets under every live strategy, element-verified in-process;
-# stats-check gates on every rank having issued round sends in the
-# reserved tag space (wire.coll_tx) with zero protocol errors — the
-# frames were counted by the engine itself, not inferred from timing.
-echo
-echo "== NBC wire smoke (4 ranks, all collectives, stats-gated) =="
 run cargo build --release --example nbc_smoke --example cnn_training
-timeout 60 target/release/offload-run -n 4 --timeout 50 \
-  --stats-interval 50 --stats-out /tmp/nbc_stats.json nbc_smoke \
-  || { echo "NBC wire smoke lane FAILED (launch)"; exit 1; }
-target/release/stats-check /tmp/nbc_stats.json --ranks 4 \
-  --positive wire.coll_tx \
-  || { echo "NBC wire smoke lane FAILED (report validation)"; exit 1; }
 
-# Shared-memory data-plane smoke: the same collective surface with every
-# post-bootstrap frame riding the per-pair shm rings (WIRE_SHM=1 via the
-# launcher's --shm). stats-check gates on every rank actually using the
-# ring (wire.shm_frames > 0), with zero staging copies on the eager path
-# (wire.eager_alloc == 0) and zero degraded pairs (wire.shm_fallback ==
-# 0) — the zero-copy claim is counted by the engine, not inferred.
-echo
-echo "== shm data-plane smoke (4 ranks, WIRE_SHM=1, zero-alloc gated) =="
-timeout 60 target/release/offload-run -n 4 --timeout 50 --shm \
-  --stats-interval 50 --stats-out /tmp/shm_stats.json nbc_smoke \
-  || { echo "shm smoke lane FAILED (nbc launch)"; exit 1; }
-target/release/stats-check /tmp/shm_stats.json --ranks 4 \
-  --positive wire.shm_frames --positive wire.coll_tx \
-  --zero wire.eager_alloc --zero wire.shm_fallback \
-  || { echo "shm smoke lane FAILED (report validation)"; exit 1; }
+# stats plane: the halo panel; all 4 ranks present and every rank showing
+#   asynchronously-completed rendezvous handshakes (the offload phase's
+#   signature — WIRE_EAGER_MAX keeps the faces on the rendezvous path
+#   regardless of the example's message sizing).
+# relay tree: a 64-rank world packed 16 ranks/process (4 OS processes) in
+#   relay-tree mode (arity 8 → heap height 3, collector depth 2); the relay
+#   section must cover all 64 ranks at depth ≥ 2 with in-flight merges
+#   actually recorded (obs.relay_merged) — the collector heard the whole
+#   world through O(k) connections, not 64 stars.
+# black-box: SIGKILL a depth-1 relay rank mid-run (unpacked — every rank
+#   its own process, so only the victim dies); the launcher must (a)
+#   report the job failed and (b) have recovered the victim's flight-
+#   recorder timeline from its persisted .obb file into the report: ≥ 32
+#   events with strictly increasing sequence numbers.
+# NBC wire smoke: the full collective surface (barrier/bcast/reduce/
+#   allreduce/allgather/alltoall/gather/scatter) as round schedules over
+#   real sockets under every live strategy, element-verified in-process;
+#   every rank issued round sends in the reserved tag space
+#   (wire.coll_tx) with zero protocol errors.
+# shm smoke: the same collective surface with every post-bootstrap frame
+#   riding the per-pair shm rings (WIRE_SHM=1 via --shm); every rank used
+#   the ring (wire.shm_frames > 0), with zero staging copies on the eager
+#   path (wire.eager_alloc == 0) and zero degraded pairs
+#   (wire.shm_fallback == 0).
+#
+# name | banner | timeout s | env | launch must | launch failure | report failure | launch args -- stats-check args
+while IFS='|' read -r name BANNER LIMIT ENVS EXPECT LAUNCH_FAILURE REPORT_FAILURE args; do
+  # shellcheck disable=SC2086
+  stats_lane "$name" $args </dev/null
+done <<'LANES'
+stats plane|cluster stats plane smoke (4 ranks, aggregated JSON report)|60|WIRE_EAGER_MAX=4096|ok|launch|report validation|-n 4 --timeout 50 halo_exchange -- --ranks 4 --positive wire.rndv_handshake_async
+relay tree|relay tree smoke (64 ranks packed 16/process, depth-2 gated)|120||ok|launch|report validation|-n 64 --packed 16 --relay 8 --timeout 90 packed-world -- --ranks 64 --positive obs.relay_merged --relay-depth 2
+black-box|black-box postmortem smoke (SIGKILL rank 1, dump recovered)|120||fail|launcher reported success despite SIGKILL|postmortem validation|-n 12 --relay 3 --timeout 90 --kill-rank 1 --kill-after-ms 600 packed-world -- --ranks 12 --blackbox-dead 32
+NBC wire smoke|NBC wire smoke (4 ranks, all collectives, stats-gated)|60||ok|launch|report validation|-n 4 --timeout 50 nbc_smoke -- --ranks 4 --positive wire.coll_tx
+shm smoke|shm data-plane smoke (4 ranks, WIRE_SHM=1, zero-alloc gated)|60||ok|nbc launch|report validation|-n 4 --timeout 50 --shm nbc_smoke -- --ranks 4 --positive wire.shm_frames --positive wire.coll_tx --zero wire.eager_alloc --zero wire.shm_fallback
+LANES
 timeout 60 target/release/offload-run -n 4 --timeout 50 --shm halo_exchange \
   || { echo "shm smoke lane FAILED (halo_exchange)"; exit 1; }
 # Graceful degradation: forcing the handshake to decline must leave the
@@ -319,11 +306,12 @@ fi
 # Weak-memory lane (gated: Miri is not in every toolchain): the model lane
 # above explores interleavings under sequential consistency only, so Miri
 # remains the lane that catches relaxed-memory and aliasing bugs. Covers
-# the lock-free core plus the engine modules that drive it (live::, sim::).
+# the lock-free core plus the engine modules that drive it (service::,
+# live::, sim::).
 # -Zmiri-disable-isolation lets the parking condvar read the monotonic
 # clock for its timeout backstop.
 if cargo miri --version >/dev/null 2>&1; then
-  MIRI_FILTER="queue:: lane:: pool:: backoff:: live:: sim::"
+  MIRI_FILTER="queue:: lane:: pool:: backoff:: service:: live:: sim::"
   # shellcheck disable=SC2086
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p offload --lib -- $MIRI_FILTER \

@@ -4,49 +4,43 @@
 //! discrete-event simulator.
 //!
 //! The application-visible surface is deliberately the one the paper's
-//! unmodified apps use — isend / irecv / wait / barrier — and the three
-//! strategies differ *only* in who drives transport progress, and when:
+//! unmodified apps use — isend / irecv / wait / barrier — and every
+//! strategy runs the same service loop ([`offload::Service`]: progress the
+//! transport, sweep in-flight operations, advance collective schedules).
+//! The three differ *only* in who calls its `step`, and when:
 //!
-//! * [`LiveApproach::Baseline`]: nobody polls until the application blocks
-//!   in [`LiveComm::wait`] — over the wire backend an incoming rendezvous
-//!   RTS therefore sits unanswered until the wait, the behaviour the paper
-//!   attacks.
-//! * [`LiveApproach::Iprobe`]: the application sprinkles
-//!   [`LiveComm::progress_hint`] into its compute loop (the MPI_Iprobe
-//!   workaround) — progress happens, but on the application's clock and
-//!   the application's core.
-//! * [`LiveApproach::Offload`]: commands go to the dedicated offload
-//!   thread (`offload::OffloadRank`), whose service loop polls the
-//!   transport continuously — rendezvous handshakes complete during
-//!   application compute without the application doing anything.
+//! * [`LiveApproach::Baseline`]: the application thread, and only while it
+//!   blocks in [`LiveComm::wait`] / [`LiveComm::coll_wait`] — over the wire
+//!   backend an incoming rendezvous RTS therefore sits unanswered until
+//!   the wait, the behaviour the paper attacks.
+//! * [`LiveApproach::Iprobe`]: the application thread, also whenever the
+//!   application sprinkles [`LiveComm::progress_hint`] into its compute
+//!   loop (the MPI_Iprobe workaround) — progress happens, but on the
+//!   application's clock and the application's core.
+//! * [`LiveApproach::Offload`]: the dedicated offload thread
+//!   (`offload::OffloadRank`), continuously — rendezvous handshakes
+//!   complete during application compute without the application doing
+//!   anything, and the application never steps.
 //!
-//! Blocking waits honour the transport's op timeout and surface peer
-//! death as [`TransportError`] instead of hanging — the launcher-level
-//! robustness story depends on this.
+//! Every request of every strategy is an [`offload::Handle`] into a
+//! request pool. Blocking waits honour the transport's op timeout and
+//! surface peer death as [`TransportError`] instead of hanging — the
+//! launcher-level robustness story depends on this.
 //!
 //! **Collectives.** All three strategies expose the full `Comm` collective
 //! surface (barrier, bcast, reduce, allreduce incl. Rabenseifner,
 //! allgather, alltoall, gather, scatter) as nonblocking schedules:
-//! [`LiveComm::icollective`] posts the first round and returns a
-//! [`LiveCollReq`]; [`LiveComm::coll_wait`] drives it to completion. Every
-//! strategy steps the same runner ([`mpisim::nbc::NbcRun`]): the offload
-//! thread polls it from its service loop, the direct modes from the
-//! application thread here. Rounds travel in the reserved tag space
-//! ([`rtmpi::TAG_DIRECT_COLL_BASE`] for direct mode,
-//! [`rtmpi::TAG_COLL_BASE`] for the offload thread), which wildcard
-//! receives can never match — an app `ANY_TAG` recv posted mid-barrier
-//! stays pending until real app traffic arrives. Who makes the rounds
-//! progress is exactly the strategy split: baseline only inside
-//! `coll_wait` (in-wait attribution), iprobe also on `progress_hint`, and
-//! offload continuously on the dedicated thread (async attribution).
+//! [`LiveComm::icollective`] posts the first round and returns a handle;
+//! [`LiveComm::coll_wait`] completes it. Rounds travel in the reserved tag
+//! space ([`rtmpi::TAG_COLL_BASE`]), which wildcard receives can never
+//! match — an app `ANY_TAG` recv posted mid-barrier stays pending until
+//! real app traffic arrives.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use mpisim::nbc::NbcRun;
-use mpisim::types::{Dtype, ReduceOp};
-use offload::{Completion, OffloadHandle, OffloadRank};
-use rtmpi::{OpOutcome, Status, Transport, TransportError};
+use mpisim::types::{bytes_to_f64s, f64s_to_bytes, Dtype, ReduceOp};
+use offload::{Completion, Handle, OffloadHandle, OffloadRank, Op, RequestPool, Service};
+use rtmpi::{Status, Transport, TransportError};
 
 // The collective surface of [`LiveComm`] speaks `CollKind`; re-export it
 // so application drivers need no direct `offload` dependency.
@@ -85,23 +79,12 @@ pub struct LiveComm<T: Transport> {
     inner: Inner<T>,
     rank: usize,
     size: usize,
-    /// In-flight direct-mode collective schedules (slot-indexed by
-    /// [`LiveCollReq::Direct`]); always empty in offload mode. The
-    /// application thread owns these runs and they advance only when *it*
-    /// touches MPI — the point of the baseline/iprobe comparison. `Err`
-    /// is the sticky failure of a hint-driven advance (the run already
-    /// aborted), surfaced at the wait.
-    direct_nbcs: Vec<Option<Result<NbcRun<T>, TransportError>>>,
-    /// Collective sequence number — every rank issues collectives in the
-    /// same program order (the MPI ordering rule), so equal sequence
-    /// numbers name the same collective instance across ranks and the
-    /// derived round tag agrees without negotiation.
-    coll_seq: u32,
 }
 
 enum Inner<T: Transport> {
-    /// Baseline / iprobe: the application thread owns the transport.
-    Direct { t: T, probe_on_hint: bool },
+    /// Baseline / iprobe: the application thread owns the service and
+    /// steps it itself.
+    Direct { svc: Service<T>, step_on_hint: bool },
     /// Offload: the dedicated thread owns it; we hold the command handle.
     Offload {
         world: OffloadRank<T>,
@@ -109,18 +92,21 @@ enum Inner<T: Transport> {
     },
 }
 
-/// Request handle for [`LiveComm`] operations.
-pub enum LiveReq<T: Transport> {
-    Direct(T::Req),
-    Offload(offload::Handle),
-}
-
-/// Request handle for an in-flight [`LiveComm`] collective.
-pub enum LiveCollReq {
-    /// Index into the direct-mode schedule slots.
-    Direct(usize),
-    /// The offload thread's pool handle.
-    Offload(offload::Handle),
+/// Step `svc` on the calling (application) thread until `done`. This is
+/// the baseline's defining moment: progress happens *here*, because the
+/// application finally blocked — and is attributed in-wait.
+fn drive<T: Transport>(svc: &mut Service<T>, done: impl Fn(&Service<T>) -> bool) {
+    svc.set_in_wait(true);
+    while !done(svc) {
+        // Completion needs the peer to act; give it the core instead of
+        // burning our whole quantum re-polling an unchanged transport
+        // (ruinous on oversubscribed machines, where the peer can't run
+        // until we yield).
+        if !svc.step() {
+            std::thread::yield_now();
+        }
+    }
+    svc.set_in_wait(false);
 }
 
 impl<T: Transport> LiveComm<T> {
@@ -128,27 +114,21 @@ impl<T: Transport> LiveComm<T> {
     pub fn start(approach: LiveApproach, t: T) -> Self {
         let (rank, size) = (t.rank(), t.size());
         let inner = match approach {
-            LiveApproach::Baseline => Inner::Direct {
-                t,
-                probe_on_hint: false,
-            },
-            LiveApproach::Iprobe => Inner::Direct {
-                t,
-                probe_on_hint: true,
-            },
             LiveApproach::Offload => {
                 let world = offload::offload_rank(t);
                 let handle = world.handle();
                 Inner::Offload { world, handle }
             }
+            direct => Inner::Direct {
+                svc: Service::new(
+                    t,
+                    Arc::new(RequestPool::with_capacity(offload::DEFAULT_CAP)),
+                    &obs::Registry::default(),
+                ),
+                step_on_hint: direct == LiveApproach::Iprobe,
+            },
         };
-        LiveComm {
-            inner,
-            rank,
-            size,
-            direct_nbcs: Vec::new(),
-            coll_seq: 0,
-        }
+        LiveComm { inner, rank, size }
     }
 
     pub fn rank(&self) -> usize {
@@ -159,104 +139,77 @@ impl<T: Transport> LiveComm<T> {
         self.size
     }
 
-    /// Nonblocking send.
-    pub fn isend(&mut self, dst: usize, tag: u32, data: Arc<[u8]>) -> LiveReq<T> {
+    /// Allocate a reply slot and issue `op`: to the offload thread's lanes,
+    /// or straight into our own service.
+    fn post(&mut self, op: Op) -> Handle {
         match &mut self.inner {
-            Inner::Direct { t, .. } => LiveReq::Direct(t.isend(dst, tag, data)),
-            Inner::Offload { handle, .. } => LiveReq::Offload(handle.isend(dst, tag, data)),
-        }
-    }
-
-    /// Nonblocking receive (`None` filters are wildcards).
-    pub fn irecv(&mut self, src: Option<usize>, tag: Option<u32>) -> LiveReq<T> {
-        match &mut self.inner {
-            Inner::Direct { t, .. } => {
+            Inner::Direct { svc, .. } => {
+                // Only this thread frees slots: waiting for a vacancy, as
+                // `alloc_blocking` does, would wait forever.
+                let cap = offload::DEFAULT_CAP;
+                let slot = svc.pool().alloc().unwrap_or_else(|| {
+                    panic!("request pool exhausted: {cap} requests posted and not waited on")
+                });
                 // A post is an application-initiated MPI call: a buffered
                 // RTS accepted right here is synchronous progress, not the
                 // work of an async actor — mark it so the transport's
                 // handshake attribution stays honest.
-                t.set_in_wait(true);
-                let r = t.irecv(src, tag);
-                t.set_in_wait(false);
-                LiveReq::Direct(r)
+                svc.set_in_wait(true);
+                svc.submit(op, slot);
+                svc.set_in_wait(false);
+                slot
             }
-            Inner::Offload { handle, .. } => LiveReq::Offload(handle.irecv(src, tag)),
+            Inner::Offload { handle, .. } => handle.post(op),
         }
+    }
+
+    /// Nonblocking send.
+    pub fn isend(&mut self, dst: usize, tag: u32, data: Arc<[u8]>) -> Handle {
+        self.post(Op::Isend { dst, tag, data })
+    }
+
+    /// Nonblocking receive (`None` filters are wildcards).
+    pub fn irecv(&mut self, src: Option<usize>, tag: Option<u32>) -> Handle {
+        self.post(Op::Irecv { src, tag })
     }
 
     /// Give the library a chance to progress, from application compute.
     /// Baseline: deliberately a no-op (that is the baseline's flaw).
-    /// Iprobe: polls the transport once and advances any in-flight
-    /// collective schedules — rounds complete on the application's clock.
+    /// Iprobe: one pass of the service loop — the transport is polled and
+    /// in-flight operations and collective rounds complete on the
+    /// application's clock.
     /// Offload: a no-op — the offload thread is already polling.
     pub fn progress_hint(&mut self) {
         if let Inner::Direct {
-            t,
-            probe_on_hint: true,
+            svc,
+            step_on_hint: true,
         } = &mut self.inner
         {
-            t.progress();
-            for slot in self.direct_nbcs.iter_mut().flatten() {
-                let Ok(run) = slot else { continue };
-                if let Err(e) = run.poll(t) {
-                    if let Ok(run) = std::mem::replace(slot, Err(e)) {
-                        run.abort(t);
-                    }
-                }
+            svc.step();
+        }
+    }
+
+    /// Block until `h` completes and take its completion. `retire`: in
+    /// the direct modes, also until no delivered collective still has
+    /// round sends in flight.
+    fn complete(&mut self, h: Handle, retire: bool) -> Result<Completion, TransportError> {
+        match &mut self.inner {
+            Inner::Direct { svc, .. } => {
+                drive(svc, |s| s.pool().is_done(h) && !(retire && s.is_draining()));
+                let done = svc.pool().wait_take(h);
+                done.expect("completion value present").into_result()
             }
+            Inner::Offload { handle, .. } => handle.wait_result(h),
         }
     }
 
     /// Blocking wait; `Ok(None)` for sends, `Ok(Some(..))` for receives.
     /// Honours the transport's op timeout; surfaces peer death.
-    pub fn wait(&mut self, req: LiveReq<T>) -> Result<WaitOutcome, TransportError> {
-        match (&mut self.inner, req) {
-            (Inner::Direct { t, .. }, LiveReq::Direct(r)) => {
-                // The baseline's defining moment: progress happens *here*,
-                // because the application finally blocked.
-                t.set_in_wait(true);
-                let deadline = t.op_timeout().map(|d| Instant::now() + d);
-                let out = loop {
-                    if let Some(out) = t.try_take(&r) {
-                        break out;
-                    }
-                    let advanced = t.progress();
-                    if let Some(out) = t.try_take(&r) {
-                        break out;
-                    }
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            t.cancel(&r);
-                            break Err(TransportError::Timeout {
-                                waited_ms: t
-                                    .op_timeout()
-                                    .map(|d| d.as_millis() as u64)
-                                    .unwrap_or(0),
-                            });
-                        }
-                    }
-                    // Completion needs the peer to act; give it the core
-                    // instead of burning our whole quantum re-polling an
-                    // unchanged transport (ruinous on oversubscribed
-                    // machines, where the peer can't run until we yield).
-                    if !advanced {
-                        std::thread::yield_now();
-                    }
-                };
-                t.set_in_wait(false);
-                match out {
-                    Ok(OpOutcome::Sent) => Ok(None),
-                    Ok(OpOutcome::Received(st, d)) => Ok(Some((st, d))),
-                    Err(e) => Err(e),
-                }
-            }
-            (Inner::Offload { handle, .. }, LiveReq::Offload(h)) => match handle.wait_result(h)? {
-                Completion::Sent => Ok(None),
-                Completion::Received(st, d) => Ok(Some((st, d))),
-                Completion::Collective(_) => unreachable!("p2p wait got a collective"),
-                Completion::Failed(e) => Err(e),
-            },
-            _ => panic!("request handed to a different LiveComm"),
+    pub fn wait(&mut self, req: Handle) -> Result<WaitOutcome, TransportError> {
+        match self.complete(req, false)? {
+            Completion::Sent => Ok(None),
+            Completion::Received(st, d) => Ok(Some((st, d))),
+            other => panic!("point-to-point wait completed as {other:?}"),
         }
     }
 
@@ -278,82 +231,25 @@ impl<T: Transport> LiveComm<T> {
 
     /// Begin a nonblocking collective (the `MPI_Ibarrier`/`MPI_Iallreduce`
     /// family). Every rank must issue its collectives in the same order
-    /// with matching arguments. Direct modes compile the schedule and post
-    /// round 0 here (an application-initiated MPI call, so handshake
-    /// attribution marks it in-wait); offload mode hands the kind to the
-    /// dedicated thread.
-    pub fn icollective(&mut self, kind: CollKind) -> LiveCollReq {
-        match &mut self.inner {
-            Inner::Direct { t, .. } => {
-                self.coll_seq = self.coll_seq.wrapping_add(1);
-                let tag = rtmpi::TAG_DIRECT_COLL_BASE + (self.coll_seq % rtmpi::TAG_COLL_SPAN);
-                t.set_in_wait(true);
-                let run = NbcRun::start(t, tag, kind);
-                t.set_in_wait(false);
-                let idx = match self.direct_nbcs.iter().position(Option::is_none) {
-                    Some(i) => i,
-                    None => {
-                        self.direct_nbcs.push(None);
-                        self.direct_nbcs.len() - 1
-                    }
-                };
-                self.direct_nbcs[idx] = Some(Ok(run));
-                LiveCollReq::Direct(idx)
-            }
-            Inner::Offload { handle, .. } => LiveCollReq::Offload(handle.start_collective(kind)),
-        }
+    /// with matching arguments. The service compiles the schedule and
+    /// posts round 0 when the command reaches it: here in the direct
+    /// modes, on the dedicated thread in offload mode.
+    pub fn icollective(&mut self, kind: CollKind) -> Handle {
+        self.post(Op::Collective(kind))
     }
 
     /// Complete a collective started with [`icollective`], returning its
     /// result buffer (empty for barrier). Honours the transport's op
     /// timeout; surfaces peer death mid-schedule as an error, with the
-    /// schedule's remaining operations cancelled.
+    /// schedule's remaining operations cancelled. In the direct modes it
+    /// returns only once the schedule's round sends have retired too —
+    /// nobody would flush them while the application computes.
     ///
     /// [`icollective`]: LiveComm::icollective
-    pub fn coll_wait(&mut self, req: LiveCollReq) -> Result<Vec<u8>, TransportError> {
-        match (&mut self.inner, req) {
-            (Inner::Direct { t, .. }, LiveCollReq::Direct(idx)) => {
-                let mut run = self.direct_nbcs[idx]
-                    .take()
-                    .expect("collective waited at most once")?;
-                t.set_in_wait(true);
-                let deadline = t.op_timeout().map(|d| Instant::now() + d);
-                let res = loop {
-                    match run.poll(t) {
-                        Ok(true) => break Ok(()),
-                        Ok(false) => {}
-                        Err(e) => break Err(e),
-                    }
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            break Err(TransportError::Timeout {
-                                waited_ms: t
-                                    .op_timeout()
-                                    .map(|d| d.as_millis() as u64)
-                                    .unwrap_or(0),
-                            });
-                        }
-                    }
-                    if !t.progress() {
-                        std::thread::yield_now();
-                    }
-                };
-                t.set_in_wait(false);
-                match res {
-                    Ok(()) => Ok(run.into_result()),
-                    Err(e) => {
-                        run.abort(t);
-                        Err(e)
-                    }
-                }
-            }
-            (Inner::Offload { handle, .. }, LiveCollReq::Offload(h)) => {
-                match handle.wait_result(h)? {
-                    Completion::Collective(out) => Ok(out.to_vec()),
-                    other => panic!("collective completed as {other:?}"),
-                }
-            }
-            _ => panic!("collective request handed to a different LiveComm"),
+    pub fn coll_wait(&mut self, req: Handle) -> Result<Vec<u8>, TransportError> {
+        match self.complete(req, true)? {
+            Completion::Collective(out) => Ok(out),
+            other => panic!("collective completed as {other:?}"),
         }
     }
 
@@ -382,12 +278,8 @@ impl<T: Transport> LiveComm<T> {
 
     /// Blocking f64 sum allreduce.
     pub fn allreduce_f64_sum(&mut self, mine: &[f64]) -> Result<Vec<f64>, TransportError> {
-        let bytes: Vec<u8> = mine.iter().flat_map(|x| x.to_le_bytes()).collect();
-        let out = self.allreduce(Dtype::F64, ReduceOp::Sum, bytes)?;
-        Ok(out
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte lane")))
-            .collect())
+        let out = self.allreduce(Dtype::F64, ReduceOp::Sum, f64s_to_bytes(mine))?;
+        Ok(bytes_to_f64s(&out))
     }
 
     /// Blocking reduce to `root` (result meaningful on the root only).
@@ -445,7 +337,7 @@ impl<T: Transport> LiveComm<T> {
     /// keeps one).
     pub fn obs(&self) -> (Option<obs::Registry>, Option<obs::Registry>) {
         match &self.inner {
-            Inner::Direct { t, .. } => (None, t.obs_registry()),
+            Inner::Direct { svc, .. } => (None, svc.transport().obs_registry()),
             Inner::Offload { handle, .. } => {
                 (Some(handle.obs().clone()), handle.transport_obs().cloned())
             }
@@ -453,16 +345,15 @@ impl<T: Transport> LiveComm<T> {
     }
 
     /// Tear down the strategy and hand the transport back, so one process
-    /// can run several approaches sequentially over the same mesh. Every
-    /// collective must have been waited first — an abandoned schedule
-    /// would leave posted receives on the reclaimed transport.
+    /// can run several approaches sequentially over the same mesh. What is
+    /// still in flight is first driven to completion (or to its timeout),
+    /// so the reclaimed transport carries no posted operation.
     pub fn finalize(self) -> T {
-        debug_assert!(
-            self.direct_nbcs.iter().all(Option::is_none),
-            "finalize with an unwaited collective in flight"
-        );
         match self.inner {
-            Inner::Direct { t, .. } => t,
+            Inner::Direct { mut svc, .. } => {
+                drive(&mut svc, Service::is_idle);
+                svc.into_transport()
+            }
             Inner::Offload { world, .. } => world.finalize_reclaim(),
         }
     }
@@ -721,6 +612,58 @@ mod tests {
     fn wildcard_recv_during_barrier_wire_loopback() {
         wildcard_recv_survives_barrier(wire::loopback(2));
         wildcard_recv_survives_barrier(wire::loopback(4));
+    }
+
+    /// A live-but-silent peer: rank 1 never enters the barrier. The one
+    /// deadline rule must turn rank 0's `coll_wait` into `Timeout` under
+    /// every strategy — the offload thread used to put a deadline on
+    /// point-to-point operations only and hung here — abort the schedule,
+    /// and leave the mesh usable for the ping-pong that follows.
+    #[test]
+    fn silent_peer_times_a_collective_out_under_every_approach() {
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+        let cfg = wire::WireConfig {
+            timeout: Duration::from_millis(200),
+            ..wire::WireConfig::default()
+        };
+        let gate = Arc::new(Barrier::new(2));
+        let (done_tx, done_rx) = mpsc::channel();
+        for t in wire::loopback_configured(2, cfg) {
+            let (gate, done_tx) = (gate.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                let mut t = t;
+                for a in LiveApproach::ALL {
+                    let mut comm = LiveComm::start(a, t);
+                    if comm.rank() == 0 {
+                        let h = comm.icollective(CollKind::Barrier);
+                        let err = comm.coll_wait(h).expect_err("rank 1 never joins");
+                        assert_eq!(
+                            err.to_string(),
+                            "Timeout: operation pending after 200 ms",
+                            "{a:?}"
+                        );
+                        gate.wait(); // only now does rank 1 start talking
+                        comm.send(1, 7, Arc::from(vec![4u8, 2])).expect("ping");
+                        let (_, pong) = comm.recv(Some(1), Some(8)).expect("pong");
+                        assert_eq!(pong.to_vec(), vec![4, 2], "{a:?}");
+                    } else {
+                        gate.wait();
+                        let (_, ping) = comm.recv(Some(0), Some(7)).expect("ping");
+                        comm.send(0, 8, ping).expect("pong");
+                    }
+                    // Returns only once nothing is in flight: the timed-out
+                    // schedule's receives were cancelled, not left posted.
+                    t = comm.finalize();
+                }
+                done_tx.send(()).expect("test still listening");
+            });
+        }
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a rank hung on the silent peer (or panicked)");
+        }
     }
 
     #[test]

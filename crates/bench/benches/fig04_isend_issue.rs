@@ -4,15 +4,14 @@
 //! THREAD_MULTIPLE penalty; offload is flat at the command-queue cost.
 //!
 //! A second, live panel probes the *scaling* axis of the same question:
-//! with many application threads issuing concurrently through the real
-//! offload thread, the sharded per-thread lanes must beat a single shared
-//! MPMC ring — and the obs columns (queue-full retries, the service loop's
-//! idle yields, park/wake counts) show the mechanism, not just the rate.
+//! many application threads issuing concurrently through their submission
+//! lanes to the real offload thread — the obs columns (lane-full retries,
+//! the service loop's idle yields, park/wake counts) show the mechanism,
+//! not just the rate.
 
 use approaches::Approach;
 use bench::{benchjson, emit, size_label, sizes_pow2, us, Direction, PanelSnapshot};
 use harness::{isend_issue_cost, live_isend_issue_rate, Table};
-use offload::CommandPath;
 use simnet::MachineProfile;
 
 /// Sizes snapshotted for the perf-trajectory gate (eager / pre-rendezvous
@@ -23,7 +22,7 @@ fn main() {
     let approaches = [Approach::Baseline, Approach::CommSelf, Approach::Offload];
     let mut snap = PanelSnapshot::new(
         "fig04_isend_issue",
-        "Fig 4 — MPI_Isend issue time + live shared-vs-lanes issue rate",
+        "Fig 4 — MPI_Isend issue time + live issue rate",
     );
     let mut t = Table::new(vec!["size", "baseline us", "comm-self us", "offload us"]);
     for &size in &sizes_pow2(64, 2 << 20) {
@@ -53,11 +52,10 @@ fn main() {
         &t,
     );
 
-    // Live panel: real threads against the real offload thread, shared
-    // MPMC command ring vs per-thread submission lanes. Quick (gate) mode
-    // trims the sweep: wall-clock throughput on a loaded CI box is
-    // recorded as `info`, so the trimmed shape loses nothing the gate
-    // would use.
+    // Live panel: real threads against the real offload thread. Quick
+    // (gate) mode trims the sweep: wall-clock throughput on a loaded CI
+    // box is recorded as `info`, so the trimmed shape loses nothing the
+    // gate would use.
     let (msgs, thread_sweep): (usize, &[usize]) = if bench::quick_mode() {
         (500, &[1, 2])
     } else {
@@ -65,45 +63,24 @@ fn main() {
     };
     let mut lt = Table::new(vec![
         "app threads",
-        "shared Kops/s",
-        "lanes Kops/s",
-        "lanes/shared",
-        "shared push_full",
-        "lanes push_full",
-        "shared idle_yields",
-        "lanes idle_yields",
-        "lanes parks",
-        "lanes wakes",
+        "Kops/s",
+        "push_full",
+        "idle_yields",
+        "parks",
+        "wakes",
     ]);
     for &threads in thread_sweep {
-        let shared = live_isend_issue_rate(threads, msgs, CommandPath::SharedQueue);
-        let lanes = live_isend_issue_rate(threads, msgs, CommandPath::Lanes);
-        snap.push_series(
-            format!("issue_rate_kops.shared.t{threads}"),
-            "Kops/s",
-            Direction::Info,
-            vec![shared.issues_per_sec / 1e3],
-        );
+        let lanes = live_isend_issue_rate(threads, msgs);
         snap.push_series(
             format!("issue_rate_kops.lanes.t{threads}"),
             "Kops/s",
             Direction::Info,
             vec![lanes.issues_per_sec / 1e3],
         );
-        snap.push_series(
-            format!("lanes_vs_shared.t{threads}"),
-            "ratio",
-            Direction::Info,
-            vec![lanes.issues_per_sec / shared.issues_per_sec],
-        );
         lt.row(vec![
             threads.to_string(),
-            format!("{:.1}", shared.issues_per_sec / 1e3),
             format!("{:.1}", lanes.issues_per_sec / 1e3),
-            format!("{:.2}", lanes.issues_per_sec / shared.issues_per_sec),
-            shared.snapshot.counter("queue.push_full").to_string(),
             lanes.snapshot.counter("lanes.push_full").to_string(),
-            shared.snapshot.counter("offload.idle_yields").to_string(),
             lanes.snapshot.counter("offload.idle_yields").to_string(),
             lanes.snapshot.counter("offload.parks").to_string(),
             lanes.snapshot.counter("offload.wakes").to_string(),
@@ -111,7 +88,7 @@ fn main() {
     }
     emit(
         "fig04_isend_issue_live",
-        "Fig 4 (live panel) — isend issue throughput, shared MPMC ring vs per-thread lanes",
+        "Fig 4 (live panel) — isend issue throughput through per-thread lanes",
         &lt,
     );
     benchjson::emit_snapshot(&snap);

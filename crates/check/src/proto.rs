@@ -1111,13 +1111,6 @@ fn pre_index(actions: &[Action], a: &Action) -> usize {
 
 // -------------------------------------------------------------- seeding
 
-/// Serialize access to the process-global fault flags (and the panic
-/// hook) across `cargo test` threads.
-pub fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Count how many schedules a quiet panic-hook window has suppressed —
 /// exploration *expects* panics when a seeded fault is armed, and the
 /// default hook would spam stderr for each one.
@@ -1355,7 +1348,6 @@ mod tests {
 
     #[test]
     fn explorer_finds_seeded_stray_cts_panic() {
-        let _guard = fault_lock();
         let prev = wire::faults::set_stray_cts_panic(true);
         let _disarm = Disarm(wire::faults::set_stray_cts_panic, prev);
         // A duplicated CTS is exactly a stray CTS at the sender; with the
@@ -1385,7 +1377,6 @@ mod tests {
 
     #[test]
     fn seeded_stray_cts_fixed_tree_is_clean() {
-        let _guard = fault_lock();
         // Flag off (the fixed tree): the identical exploration passes.
         let spec = WorldSpec::ring(2, 64, 300);
         let cfg = Config {
@@ -1427,7 +1418,6 @@ mod tests {
 
     #[test]
     fn explorer_finds_seeded_wildcard_reserved_tag_leak() {
-        let _guard = fault_lock();
         let prev = rtmpi::faults::set_wildcard_reserved_leak(true);
         let _disarm = Disarm(rtmpi::faults::set_wildcard_reserved_leak, prev);
         let spec = wildcard_vs_barrier_world();
@@ -1447,7 +1437,6 @@ mod tests {
 
     #[test]
     fn seeded_wildcard_leak_fixed_tree_is_clean() {
-        let _guard = fault_lock();
         let spec = wildcard_vs_barrier_world();
         explore(&spec, &random(400)).unwrap_or_else(|f| panic!("{f}"));
     }

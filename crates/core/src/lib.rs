@@ -10,12 +10,13 @@
 //! The crate has two faces over one design:
 //!
 //! * **Real data structures + real threads** ([`queue`], [`lane`],
-//!   [`pool`], [`live`]): per-application-thread SPSC submission lanes
-//!   (with a Vyukov MPMC ring as overflow and as the comparison baseline),
-//!   the generation-tagged request pool with done flags, the shared
-//!   adaptive spin→yield→park wait policy ([`backoff`]), and a real
-//!   dedicated offload thread per rank over the in-process [`rtmpi`]
-//!   message layer. This is the artifact itself — stress-tested with
+//!   [`pool`], [`service`], [`live`]): per-application-thread SPSC
+//!   submission lanes (with a Vyukov MPMC ring as their overflow), the
+//!   generation-tagged request pool with done flags, the shared adaptive
+//!   spin→yield→park wait policy ([`backoff`]), the one service loop
+//!   ([`Service`]: submit → progress → sweep → advance collectives) over
+//!   any [`rtmpi::Transport`], and a real dedicated offload thread per
+//!   rank that steps it. This is the artifact itself — stress-tested with
 //!   actual concurrent threads.
 //! * **The calibrated simulation model** ([`sim`]): the identical main
 //!   loop as a discrete-event task, charging per-operation costs from a
@@ -43,13 +44,13 @@ pub mod lane;
 pub mod live;
 pub mod pool;
 pub mod queue;
+pub mod service;
 pub mod sim;
 
 pub use backoff::{BackoffMetrics, WaitPolicy, WakeSignal};
 pub use lane::{LaneMetrics, LaneSet, SpscRing};
 pub use live::{
-    nbc_plan, offload_rank, offload_rank_configured, offload_world, offload_world_configured,
-    offload_world_sized, CollKind, Command, CommandPath, Completion, OffloadHandle, OffloadRank,
+    offload_rank, offload_world, offload_world_sized, OffloadHandle, OffloadRank, DEFAULT_CAP,
 };
 pub use pool::{Handle, RequestPool};
 // Collective element types/operators appear in this crate's public API
@@ -57,4 +58,5 @@ pub use pool::{Handle, RequestPool};
 // transport-level consumers need no direct `mpisim` dependency.
 pub use mpisim::types::{Dtype, ReduceOp};
 pub use queue::MpmcQueue;
+pub use service::{nbc_plan, CollKind, Completion, Op, Service};
 pub use sim::{OffReq, SimColl, SimOffload};

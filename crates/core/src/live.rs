@@ -1,96 +1,31 @@
 //! Live mode: the offload infrastructure on real OS threads (paper §3).
 //!
-//! One dedicated offload thread per rank services the lock-free command
-//! queue and is the only thread that touches the message layer. The
-//! message layer is any [`rtmpi::Transport`]: the in-process mailboxes
+//! One dedicated offload thread per rank drains the lock-free command
+//! lanes ([`crate::lane`]) into the rank's [`Service`] and steps it in a
+//! loop; it is the only thread that touches the message layer. The message
+//! layer is any [`rtmpi::Transport`]: the in-process mailboxes
 //! (`rtmpi::RtMpi`, push-style, nothing to poll) or the socket wire
-//! backend (`crates/wire`, a real pending protocol that advances only
-//! when the owner polls it — which is exactly what this thread does, and
+//! backend (`crates/wire`, a real pending protocol that advances only when
+//! the owner polls it — which is exactly what this thread does, and
 //! exactly what the paper's asynchronous-progress argument is about).
 //! Application threads — any number, concurrently, i.e. full
 //! `MPI_THREAD_MULTIPLE` semantics — serialize their calls into
-//! [`Command`]s, allocate a request-pool slot for the reply, and either
+//! [`Op`]s, allocate a request-pool slot for the reply, and either
 //! return immediately (nonblocking) or spin on the slot's done flag
 //! (blocking), never entering the message layer themselves.
-//!
-//! Blocking collectives are *converted to nonblocking schedules* inside the
-//! offload thread (paper §3.3): a barrier or allreduce issued by one
-//! application thread never prevents the offload thread from servicing
-//! other threads' commands. Schedule, planner and runner are
-//! [`mpisim::nbc`]'s ([`NbcRun`]); this thread's contribution is polling
-//! them from the service loop.
 
 use check::thread::JoinHandle;
 use std::sync::Arc;
-use std::time::Instant;
 
-use mpisim::nbc::NbcRun;
-use mpisim::types::{Dtype, ReduceOp};
-use rtmpi::{OpOutcome, Transport, TransportError};
+use mpisim::types::{bytes_to_f64s, f64s_to_bytes, Dtype, ReduceOp};
+use rtmpi::{Transport, TransportError};
 
-use crate::backoff::{BackoffMetrics, WaitPolicy, WakeSignal};
+use crate::backoff::BackoffMetrics;
 use crate::lane::{LaneMetrics, LaneSet};
 use crate::pool::{Handle, PoolMetrics, RequestPool};
-use crate::queue::{MpmcQueue, QueueMetrics};
+use crate::service::Service;
 
-/// Application tags must stay below this (internal collective tag space).
-/// The offload thread's schedules tag their rounds inside
-/// `[rtmpi::TAG_COLL_BASE, TAG_COLL_BASE + TAG_COLL_SPAN)`; direct-mode
-/// schedules (`approaches::live`) use the sibling range above it. Wildcard
-/// receives never match either (see `rtmpi::matchq`).
-pub const TAG_INTERNAL_BASE: u32 = rtmpi::TAG_COLL_BASE;
-
-/// Result of a completed offloaded operation.
-#[derive(Clone, Debug)]
-pub enum Completion {
-    /// A send was handed to the message layer.
-    Sent,
-    /// A receive completed.
-    Received(rtmpi::Status, Arc<[u8]>),
-    /// A collective completed; payload is its result buffer (empty for
-    /// barrier).
-    Collective(Arc<[u8]>),
-    /// The transport could not complete the operation: the peer died or
-    /// the configured per-op timeout expired. Surfaced instead of hanging.
-    Failed(TransportError),
-}
-
-/// A serialized MPI call (what travels on the command queue).
-pub enum Command {
-    Isend {
-        dst: usize,
-        tag: u32,
-        data: Arc<[u8]>,
-        slot: Handle,
-    },
-    Irecv {
-        src: Option<usize>,
-        tag: Option<u32>,
-        slot: Handle,
-    },
-    Collective {
-        kind: CollKind,
-        slot: Handle,
-    },
-    /// Finish outstanding work, then exit the offload thread.
-    Shutdown,
-}
-
-/// Offloadable collective operations and their one planner: plain
-/// re-exports of [`mpisim::nbc`]'s under this crate's historical names.
-pub use mpisim::nbc::{plan as nbc_plan, Coll as CollKind};
-
-/// Which command path carries commands from application threads to the
-/// offload thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommandPath {
-    /// One shared Vyukov MPMC ring — every producer CASes the same cursor.
-    /// Kept as the comparison baseline for the fig04 contention study.
-    SharedQueue,
-    /// Per-application-thread SPSC lanes with an MPMC overflow ring — the
-    /// sharded path (default). See [`crate::lane`].
-    Lanes,
-}
+pub use crate::service::{nbc_plan, CollKind, Completion, Op};
 
 /// Per-lane drain budget of the offload thread's sweep (the fairness rule:
 /// no lane hands over more than this many commands before every other lane
@@ -101,77 +36,22 @@ const DRAIN_BUDGET: usize = 64;
 /// catches further producer threads.
 const DEFAULT_LANES: usize = 8;
 
-/// The command channel behind [`OffloadHandle`]: either path, plus the
-/// doorbell the idle offload thread parks on.
-enum CmdChannel {
-    Shared {
-        queue: Box<MpmcQueue<Command>>,
-        doorbell: WakeSignal,
-    },
-    Lanes(Box<LaneSet<Command>>),
-}
+/// Lane depth and request-pool size of [`offload_world`] and
+/// [`offload_rank`].
+pub const DEFAULT_CAP: usize = 1024;
 
-impl CmdChannel {
-    fn push_blocking(&self, cmd: Command) {
-        match self {
-            CmdChannel::Shared { queue, doorbell } => {
-                queue.push_blocking(cmd);
-                doorbell.notify();
-            }
-            CmdChannel::Lanes(lanes) => lanes.push_blocking(cmd),
-        }
-    }
-
-    /// Drain up to `budget` commands per lane (or `budget` total for the
-    /// shared queue) into `f`; returns how many were taken.
-    fn drain(&self, budget: usize, mut f: impl FnMut(Command)) -> usize {
-        match self {
-            CmdChannel::Shared { queue, .. } => {
-                let mut n = 0;
-                while n < budget {
-                    match queue.pop() {
-                        Some(cmd) => {
-                            f(cmd);
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                n
-            }
-            CmdChannel::Lanes(lanes) => lanes.drain(budget, f),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            CmdChannel::Shared { queue, .. } => queue.is_empty(),
-            CmdChannel::Lanes(lanes) => lanes.is_empty(),
-        }
-    }
-
-    fn approx_len(&self) -> usize {
-        match self {
-            CmdChannel::Shared { queue, .. } => queue.approx_len(),
-            CmdChannel::Lanes(lanes) => lanes.approx_len(),
-        }
-    }
-
-    /// Park the (fully idle) offload thread until a producer pushes.
-    fn wait_nonempty(&self, policy: &WaitPolicy, metrics: &BackoffMetrics) {
-        match self {
-            CmdChannel::Shared { queue, doorbell } => {
-                doorbell.wait_until(policy, metrics, || (!queue.is_empty()).then_some(()));
-            }
-            CmdChannel::Lanes(lanes) => lanes.wait_nonempty(metrics),
-        }
-    }
+/// What travels on the command lanes.
+enum Command {
+    /// A call, and the request-pool slot its completion goes to.
+    Post(Op, Handle),
+    /// Finish outstanding work, then exit the offload thread.
+    Shutdown,
 }
 
 /// Cloneable per-rank handle used by application threads.
 #[derive(Clone)]
 pub struct OffloadHandle {
-    chan: Arc<CmdChannel>,
+    lanes: Arc<LaneSet<Command>>,
     pool: Arc<RequestPool<Completion>>,
     registry: obs::Registry,
     transport_obs: Option<obs::Registry>,
@@ -194,27 +74,15 @@ pub struct OffloadRank<T: Transport = rtmpi::RtMpi> {
 /// fresh `rtmpi` world. This is the `MPI_Init` interposition point of the
 /// paper's `LD_PRELOAD` library.
 pub fn offload_world(n: usize) -> Vec<OffloadRank> {
-    offload_world_sized(n, 1024, 1024)
+    offload_world_sized(n, DEFAULT_CAP, DEFAULT_CAP)
 }
 
-/// As [`offload_world`] with explicit command-queue and request-pool sizes.
+/// As [`offload_world`] with explicit sizes: `queue_cap` for each SPSC
+/// lane and the overflow ring, `pool_cap` for the request pool.
 pub fn offload_world_sized(n: usize, queue_cap: usize, pool_cap: usize) -> Vec<OffloadRank> {
-    offload_world_configured(n, queue_cap, pool_cap, CommandPath::Lanes)
-}
-
-/// As [`offload_world_sized`] with an explicit [`CommandPath`] — the knob
-/// the fig04 contention study flips to compare the sharded lanes against
-/// the single shared MPMC ring. For `Lanes`, `queue_cap` sizes each SPSC
-/// lane and the overflow ring.
-pub fn offload_world_configured(
-    n: usize,
-    queue_cap: usize,
-    pool_cap: usize,
-    path: CommandPath,
-) -> Vec<OffloadRank> {
     rtmpi::world(n)
         .into_iter()
-        .map(|mpi| offload_rank_configured(mpi, queue_cap, pool_cap, path))
+        .map(|mpi| OffloadRank::spawn(mpi, queue_cap, pool_cap))
         .collect()
 }
 
@@ -222,54 +90,40 @@ pub fn offload_world_configured(
 /// entry point for the wire backend, where each rank builds exactly one
 /// transport from its environment).
 pub fn offload_rank<T: Transport>(transport: T) -> OffloadRank<T> {
-    offload_rank_configured(transport, 1024, 1024, CommandPath::Lanes)
+    OffloadRank::spawn(transport, DEFAULT_CAP, DEFAULT_CAP)
 }
 
-/// As [`offload_rank`] with explicit sizes and [`CommandPath`].
-pub fn offload_rank_configured<T: Transport>(
-    transport: T,
-    queue_cap: usize,
-    pool_cap: usize,
-    path: CommandPath,
-) -> OffloadRank<T> {
-    let registry = obs::Registry::default();
-    let chan = Arc::new(match path {
-        CommandPath::SharedQueue => CmdChannel::Shared {
-            queue: Box::new(MpmcQueue::with_metrics(
-                queue_cap,
-                QueueMetrics::registered(&registry, "queue"),
-            )),
-            doorbell: WakeSignal::new(),
-        },
-        CommandPath::Lanes => CmdChannel::Lanes(Box::new(LaneSet::with_metrics(
+impl<T: Transport> OffloadRank<T> {
+    fn spawn(transport: T, queue_cap: usize, pool_cap: usize) -> Self {
+        let registry = obs::Registry::default();
+        let lanes = Arc::new(LaneSet::with_metrics(
             DEFAULT_LANES,
             queue_cap,
             queue_cap,
             LaneMetrics::registered(&registry, "lanes"),
-        ))),
-    });
-    let pool = Arc::new(RequestPool::with_metrics(
-        pool_cap,
-        PoolMetrics::registered(&registry, "pool"),
-    ));
-    let handle = OffloadHandle {
-        chan: chan.clone(),
-        pool: pool.clone(),
-        registry: registry.clone(),
-        transport_obs: transport.obs_registry(),
-        rank: transport.rank(),
-        size: transport.size(),
-    };
-    let thread = check::thread::spawn_named(format!("offload-{}", transport.rank()), move || {
-        offload_main(transport, chan, pool, registry)
-    });
-    OffloadRank {
-        handle,
-        thread: Some(thread),
+        ));
+        let pool = Arc::new(RequestPool::with_metrics(
+            pool_cap,
+            PoolMetrics::registered(&registry, "pool"),
+        ));
+        let handle = OffloadHandle {
+            lanes: lanes.clone(),
+            pool: pool.clone(),
+            registry: registry.clone(),
+            transport_obs: transport.obs_registry(),
+            rank: transport.rank(),
+            size: transport.size(),
+        };
+        let thread =
+            check::thread::spawn_named(format!("offload-{}", transport.rank()), move || {
+                offload_main(Service::new(transport, pool, &registry), &lanes, &registry)
+            });
+        OffloadRank {
+            handle,
+            thread: Some(thread),
+        }
     }
-}
 
-impl<T: Transport> OffloadRank<T> {
     pub fn handle(&self) -> OffloadHandle {
         self.handle.clone()
     }
@@ -291,7 +145,7 @@ impl<T: Transport> OffloadRank<T> {
 
     fn shutdown_join(&mut self) -> Option<T> {
         let t = self.thread.take()?;
-        self.handle.chan.push_blocking(Command::Shutdown);
+        self.handle.lanes.push_blocking(Command::Shutdown);
         Some(t.join().expect("offload thread exits cleanly"))
     }
 }
@@ -311,26 +165,25 @@ impl OffloadHandle {
         self.size
     }
 
-    /// Nonblocking send: serialize, enqueue, return. The visible cost is
-    /// one pool allocation plus one queue push — independent of message
-    /// size (paper Fig 4).
-    pub fn isend(&self, dst: usize, tag: u32, data: Arc<[u8]>) -> Handle {
-        assert!(tag < TAG_INTERNAL_BASE, "application tag too large");
+    /// Allocate a reply slot (waiting for a vacancy if the pool is
+    /// exhausted) and enqueue `op` with it. The visible cost of every
+    /// nonblocking call: one pool allocation plus one lane push —
+    /// independent of message size (paper Fig 4).
+    pub fn post(&self, op: Op) -> Handle {
         let slot = self.pool.alloc_blocking();
-        self.chan.push_blocking(Command::Isend {
-            dst,
-            tag,
-            data,
-            slot,
-        });
+        self.lanes.push_blocking(Command::Post(op, slot));
         slot
+    }
+
+    /// Nonblocking send: serialize, enqueue, return.
+    pub fn isend(&self, dst: usize, tag: u32, data: Arc<[u8]>) -> Handle {
+        assert!(tag < rtmpi::TAG_RESERVED_BASE, "application tag too large");
+        self.post(Op::Isend { dst, tag, data })
     }
 
     /// Nonblocking receive.
     pub fn irecv(&self, src: Option<usize>, tag: Option<u32>) -> Handle {
-        let slot = self.pool.alloc_blocking();
-        self.chan.push_blocking(Command::Irecv { src, tag, slot });
-        slot
+        self.post(Op::Irecv { src, tag })
     }
 
     /// `MPI_Test`: a single done-flag check — no MPI entry at all.
@@ -349,10 +202,7 @@ impl OffloadHandle {
     ///
     /// [`wait`]: OffloadHandle::wait
     pub fn wait_result(&self, h: Handle) -> Result<Completion, TransportError> {
-        match self.wait(h) {
-            Completion::Failed(e) => Err(e),
-            c => Ok(c),
-        }
+        self.wait(h).into_result()
     }
 
     /// Blocking send.
@@ -377,18 +227,16 @@ impl OffloadHandle {
     /// `MPI_Iallreduce`-family entry point. The offload thread converts it
     /// to a round schedule and drives it asynchronously; complete it with
     /// [`wait`] / [`wait_result`] (a [`Completion::Collective`] carries the
-    /// result buffer, [`Completion::Failed`] surfaces peer death mid-
-    /// schedule instead of hanging).
+    /// result buffer, [`Completion::Failed`] surfaces peer death or a
+    /// silent peer mid-schedule instead of hanging).
     ///
     /// [`wait`]: OffloadHandle::wait
     /// [`wait_result`]: OffloadHandle::wait_result
     pub fn start_collective(&self, kind: CollKind) -> Handle {
-        let slot = self.pool.alloc_blocking();
-        self.chan.push_blocking(Command::Collective { kind, slot });
-        slot
+        self.post(Op::Collective(kind))
     }
 
-    fn collective(&self, kind: CollKind) -> Arc<[u8]> {
+    fn collective(&self, kind: CollKind) -> Vec<u8> {
         let slot = self.start_collective(kind);
         match self.wait(slot) {
             Completion::Collective(out) => out,
@@ -404,16 +252,11 @@ impl OffloadHandle {
     /// Offloaded allreduce over raw `dtype` lanes.
     pub fn allreduce(&self, dtype: Dtype, op: ReduceOp, data: Vec<u8>) -> Vec<u8> {
         self.collective(CollKind::Allreduce { dtype, op, data })
-            .to_vec()
     }
 
     /// Offloaded f64 sum allreduce.
     pub fn allreduce_f64_sum(&self, mine: &[f64]) -> Vec<f64> {
-        let bytes: Vec<u8> = mine.iter().flat_map(|x| x.to_le_bytes()).collect();
-        let out = self.allreduce(Dtype::F64, ReduceOp::Sum, bytes);
-        out.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte lane")))
-            .collect()
+        bytes_to_f64s(&self.allreduce(Dtype::F64, ReduceOp::Sum, f64s_to_bytes(mine)))
     }
 
     /// Offloaded reduce to `root` (result meaningful on the root only).
@@ -424,32 +267,27 @@ impl OffloadHandle {
             op,
             data,
         })
-        .to_vec()
     }
 
     /// Offloaded all-to-all.
     pub fn alltoall(&self, input: Vec<u8>, block: usize) -> Vec<u8> {
         assert_eq!(input.len(), self.size * block);
-        let out = self.collective(CollKind::Alltoall { input, block });
-        out.to_vec()
+        self.collective(CollKind::Alltoall { input, block })
     }
 
     /// Offloaded broadcast.
     pub fn bcast(&self, root: usize, payload: Vec<u8>) -> Vec<u8> {
-        let out = self.collective(CollKind::Bcast { root, payload });
-        out.to_vec()
+        self.collective(CollKind::Bcast { root, payload })
     }
 
     /// Offloaded allgather.
     pub fn allgather(&self, mine: Vec<u8>) -> Vec<u8> {
-        let out = self.collective(CollKind::Allgather { mine });
-        out.to_vec()
+        self.collective(CollKind::Allgather { mine })
     }
 
     /// Offloaded gather to `root` (root gets `size × block` bytes).
     pub fn gather(&self, root: usize, mine: Vec<u8>) -> Vec<u8> {
-        let out = self.collective(CollKind::Gather { root, mine });
-        out.to_vec()
+        self.collective(CollKind::Gather { root, mine })
     }
 
     /// Offloaded scatter from `root` (`input` empty on non-roots; `block`
@@ -458,16 +296,15 @@ impl OffloadHandle {
         if self.rank == root {
             assert_eq!(input.len(), self.size * block);
         }
-        let out = self.collective(CollKind::Scatter { root, input, block });
-        out.to_vec()
+        self.collective(CollKind::Scatter { root, input, block })
     }
 
     /// Queue depth (diagnostics).
     pub fn queued_commands(&self) -> usize {
-        self.chan.approx_len()
+        self.lanes.approx_len()
     }
 
-    /// This rank's metrics registry (queue/pool/offload-loop metrics).
+    /// This rank's metrics registry (lane/pool/offload-loop metrics).
     ///
     /// Snapshots taken here observe the offload thread live; take one
     /// before and one after a phase and [`obs::Snapshot::diff`] them.
@@ -483,41 +320,15 @@ impl OffloadHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The offload thread.
-// ---------------------------------------------------------------------------
-
-/// An application-issued operation the transport has not completed yet.
-struct InflightOp<R> {
-    slot: Handle,
-    req: R,
-    /// Set only when the transport has an op timeout configured (keeps
-    /// clock reads out of the in-process fast path entirely).
-    issued: Option<Instant>,
-}
-
-fn completion_of(out: Result<OpOutcome, TransportError>) -> Completion {
-    match out {
-        Ok(OpOutcome::Sent) => Completion::Sent,
-        Ok(OpOutcome::Received(st, d)) => Completion::Received(st, d),
-        Err(e) => Completion::Failed(e),
-    }
-}
-
+/// The offload thread: drain the lanes into the service, step it, and
+/// idle by what is left — until `Shutdown` has drained.
 fn offload_main<T: Transport>(
-    mut mpi: T,
-    chan: Arc<CmdChannel>,
-    pool: Arc<RequestPool<Completion>>,
-    reg: obs::Registry,
+    mut svc: Service<T>,
+    lanes: &LaneSet<Command>,
+    reg: &obs::Registry,
 ) -> T {
-    // Metric handles are resolved once; per-iteration cost is a couple of
-    // relaxed atomic ops (and nothing at all in no-op builds).
     let drained_hist = reg.histogram("offload.drained_per_wakeup");
-    let sweeps = reg.counter("offload.testany_sweeps");
-    let converted = reg.counter("offload.coll_converted");
     let service_iters = reg.counter("offload.service_iters");
-    let progress_polls = reg.counter("offload.progress_polls");
-    let op_timeouts = reg.counter("offload.op_timeouts");
     // Consecutive service iterations with work in flight but no
     // advancement; the high-water mark is this loop's stall evidence
     // (the offload-side complement of the engine's stall watchdog).
@@ -528,139 +339,19 @@ fn offload_main<T: Transport>(
         parks: reg.counter("offload.parks"),
         wakes: reg.counter("offload.wakes"),
     };
-    let policy = WaitPolicy::default();
-
-    let needs_progress = mpi.needs_progress();
-    let op_timeout = mpi.op_timeout();
-    let mut inflight: Vec<InflightOp<T::Req>> = Vec::new();
-    // Collective schedules with the waiter's slot. The slot completes (and
-    // becomes `None`) when the last round folds; the run stays here until
-    // its round sends have drained, so the transport can retire them.
-    let mut nbcs: Vec<(NbcRun<T>, Option<Handle>)> = Vec::new();
-    let mut coll_seq: u32 = 0;
-    let mut open = true;
-    let mut streak: u64 = 0;
+    let (mut open, mut streak) = (true, 0u64);
     loop {
-        let mut advanced = false;
-        // Clock reads only happen on transports with a configured timeout
-        // (i.e. never for the in-process substrate, incl. under Miri).
-        let issued_at = op_timeout.map(|_| Instant::now());
-        // 1. Drain the command channel (round-robin, budgeted per lane).
-        let drained = chan.drain(DRAIN_BUDGET, |cmd| match cmd {
-            Command::Isend {
-                dst,
-                tag,
-                data,
-                slot,
-            } => {
-                let req = mpi.isend(dst, tag, data);
-                // In-process sends complete at hand-off; wire sends stay
-                // pending until flushed and (rendezvous) acknowledged.
-                match mpi.try_take(&req) {
-                    Some(out) => pool.complete(slot, completion_of(out)),
-                    None => inflight.push(InflightOp {
-                        slot,
-                        req,
-                        issued: issued_at,
-                    }),
-                }
-            }
-            Command::Irecv { src, tag, slot } => {
-                let req = mpi.irecv(src, tag);
-                match mpi.try_take(&req) {
-                    Some(out) => pool.complete(slot, completion_of(out)),
-                    None => inflight.push(InflightOp {
-                        slot,
-                        req,
-                        issued: issued_at,
-                    }),
-                }
-            }
-            Command::Collective { kind, slot } => {
-                // Blocking collective converted to a nonblocking
-                // schedule (paper §3.3).
-                converted.inc();
-                coll_seq = coll_seq.wrapping_add(1);
-                let tag = TAG_INTERNAL_BASE + (coll_seq % rtmpi::TAG_COLL_SPAN);
-                nbcs.push((NbcRun::start(&mut mpi, tag, kind), Some(slot)));
-            }
+        // Round-robin, budgeted per lane.
+        let drained = lanes.drain(DRAIN_BUDGET, |cmd| match cmd {
+            Command::Post(op, slot) => svc.submit(op, slot),
             Command::Shutdown => open = false,
         });
         if drained > 0 {
-            advanced = true;
             drained_hist.record(drained as u64);
         }
-        // 2. Drive the transport's pending protocol state. For the wire
-        // backend this *is* the paper's asynchronous progress: rendezvous
-        // handshakes complete here, during application compute, instead of
-        // inside MPI_Wait.
-        if needs_progress {
-            progress_polls.inc();
-            if mpi.progress() {
-                advanced = true;
-            }
-        }
-        // 3. Sweep in-flight operations (the MPI_Testany analogue).
-        if !inflight.is_empty() {
-            sweeps.inc();
-        }
-        let mut i = 0;
-        while i < inflight.len() {
-            let op = &inflight[i];
-            let completed = match mpi.try_take(&op.req) {
-                Some(out) => {
-                    pool.complete(op.slot, completion_of(out));
-                    true
-                }
-                None => match (op_timeout, op.issued) {
-                    (Some(limit), Some(t0)) if t0.elapsed() >= limit => {
-                        mpi.cancel(&op.req);
-                        op_timeouts.inc();
-                        pool.complete(
-                            op.slot,
-                            Completion::Failed(TransportError::Timeout {
-                                waited_ms: limit.as_millis() as u64,
-                            }),
-                        );
-                        true
-                    }
-                    _ => false,
-                },
-            };
-            if completed {
-                inflight.swap_remove(i);
-                advanced = true;
-            } else {
-                i += 1;
-            }
-        }
-        // 4. Advance collective schedules.
-        let mut i = 0;
-        while i < nbcs.len() {
-            let (run, slot) = &mut nbcs[i];
-            let polled = run.poll(&mut mpi);
-            let settled = polled.is_err() || run.result_ready();
-            if let Some(slot) = slot.take_if(|_| settled) {
-                let done = match &polled {
-                    Ok(_) => Completion::Collective(Arc::from(run.result())),
-                    Err(e) => Completion::Failed(e.clone()),
-                };
-                pool.complete(slot, done);
-                advanced = true;
-            }
-            match polled {
-                Ok(false) => i += 1,
-                Ok(true) => {
-                    nbcs.swap_remove(i);
-                }
-                Err(_) => nbcs.swap_remove(i).0.abort(&mut mpi),
-            }
-        }
-        // 5. Exit or idle.
-        if !open && inflight.is_empty() && nbcs.is_empty() && chan.is_empty() {
-            // `nbcs` empty means every round send has drained too: the
-            // transport comes back with no dangling protocol state.
-            return mpi;
+        let advanced = svc.step() | (drained > 0);
+        if !open && svc.is_idle() && lanes.is_empty() {
+            return svc.into_transport();
         }
         if advanced {
             service_iters.inc();
@@ -668,15 +359,11 @@ fn offload_main<T: Transport>(
                 streak = 0;
                 no_advance_streak.set(0);
             }
-        } else if inflight.is_empty() && nbcs.is_empty() {
-            // Fully idle: nothing in flight needs polling, so the only
-            // possible wake source is a new command — park on the doorbell
-            // (spin → yield → park). Safe for the wire backend too: sends
-            // complete only after their bytes are flushed, so an empty
-            // in-flight set means no outbox bytes are stuck, and inbound
-            // traffic waits in kernel buffers until a receive command
-            // arrives (which rings the doorbell).
-            chan.wait_nonempty(&policy, &idle_backoff);
+        } else if svc.is_idle() {
+            // Nothing in flight needs polling, so the only possible wake
+            // source is a new command — park on the doorbell (spin →
+            // yield → park).
+            lanes.wait_nonempty(&idle_backoff);
         } else {
             // Work is in flight but did not advance: completion depends on
             // peers (push-style mailboxes) or on polling the sockets, so
@@ -799,31 +486,6 @@ mod tests {
         let r = h.isend(1, 1, Arc::from(vec![1, 2, 3]));
         let _ = h.wait(r); // first wait: takes the completion, frees the slot
         let _ = h.wait(r); // second wait: stale generation
-    }
-
-    /// Both command paths run the same traffic correctly — the fig04
-    /// comparison knob must not change semantics.
-    #[test]
-    fn shared_queue_path_still_works() {
-        let ranks = offload_world_configured(2, 64, 64, CommandPath::SharedQueue);
-        let h0 = ranks[0].handle();
-        let h1 = ranks[1].handle();
-        let a = thread::spawn(move || {
-            for i in 0..100u8 {
-                h0.send(1, 1, Arc::from(vec![i]));
-            }
-        });
-        let b = thread::spawn(move || {
-            (0..100)
-                .map(|_| h1.recv(Some(0), Some(1)).1[0])
-                .collect::<Vec<_>>()
-        });
-        a.join().expect("sender");
-        let got = b.join().expect("receiver");
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        for r in ranks {
-            r.finalize();
-        }
     }
 
     /// The offload thread parks when fully idle instead of burning a core,
@@ -956,7 +618,7 @@ mod tests {
         let mpi = rank0.handle();
         // Rank 1 answers rank 0's first collective (sequence 1) with three
         // bytes where the 2-lane f64 allreduce expects sixteen.
-        peer.send(0, TAG_INTERNAL_BASE + 1, Arc::from(vec![1u8, 2, 3]));
+        peer.send(0, rtmpi::TAG_COLL_BASE + 1, Arc::from(vec![1u8, 2, 3]));
         let h = mpi.start_collective(CollKind::Allreduce {
             dtype: Dtype::F64,
             op: ReduceOp::Sum,

@@ -102,30 +102,30 @@ fn collectives_from_one_thread_while_others_send() {
 
 #[test]
 fn tiny_pool_forces_backpressure_not_corruption() {
-    // Pool of 2 slots, hundreds of ops: alloc_blocking must spin-wait
-    // rather than alias slots.
-    let ranks = offload_world_sized(2, 4, 2);
-    let h0 = ranks[0].handle();
-    let h1 = ranks[1].handle();
-    let sender = thread::spawn(move || {
-        for i in 0..300u32 {
-            h0.send(1, 1, Arc::from(vec![(i % 256) as u8]));
+    // More ops than the channel and the pool hold — 300 through 4-slot
+    // lanes and a 2-slot pool, 100 through 64 and 64: pushes and
+    // alloc_blocking must wait rather than alias slots, and one sender's
+    // messages must arrive in the order they were sent.
+    for (queue_cap, pool_cap, n) in [(4, 2, 300u32), (64, 64, 100)] {
+        let ranks = offload_world_sized(2, queue_cap, pool_cap);
+        let h0 = ranks[0].handle();
+        let h1 = ranks[1].handle();
+        let sender = thread::spawn(move || {
+            for i in 0..n {
+                h0.send(1, 1, Arc::from(vec![(i % 256) as u8]));
+            }
+        });
+        let receiver = thread::spawn(move || {
+            (0..n)
+                .map(|_| h1.recv(Some(0), Some(1)).1[0])
+                .collect::<Vec<_>>()
+        });
+        sender.join().expect("sender");
+        let got = receiver.join().expect("receiver");
+        assert_eq!(got, (0..n).map(|i| (i % 256) as u8).collect::<Vec<_>>());
+        for r in ranks {
+            r.finalize();
         }
-    });
-    let receiver = thread::spawn(move || {
-        let mut sum = 0u64;
-        for _ in 0..300 {
-            let (_, d) = h1.recv(Some(0), Some(1));
-            sum += d[0] as u64;
-        }
-        sum
-    });
-    sender.join().expect("sender");
-    let sum = receiver.join().expect("receiver");
-    let expect: u64 = (0..300u64).map(|i| i % 256).sum();
-    assert_eq!(sum, expect);
-    for r in ranks {
-        r.finalize();
     }
 }
 
@@ -174,7 +174,7 @@ fn pool_occupancy_high_water_stays_within_capacity() {
         snap.counter("pool.frees"),
         "every slot allocated was freed by a wait"
     );
-    // The default command path is the sharded lane set.
+    // Commands travel the sharded lane set.
     assert!(snap.counter("lanes.push_ok") >= (APP_THREADS * MSGS) as u64);
     assert!(
         snap.histogram("offload.drained_per_wakeup").count > 0,

@@ -521,19 +521,14 @@ pub struct LiveIssueResult {
 
 /// Live companion to Fig 4's issue-cost question, aimed at the *scaling*
 /// axis rather than the per-call cost: `threads` application threads on
-/// rank 0 each stream `msgs` windowed 64-byte isends through the chosen
-/// [`offload::CommandPath`] while rank 1 drains them with matching
-/// receiver threads. A single shared MPMC ring makes every producer CAS on
-/// the same cache line; per-thread lanes shard that contention away, which
-/// the returned `push_full` / `idle_yields` / park counters make visible.
-pub fn live_isend_issue_rate(
-    threads: usize,
-    msgs: usize,
-    path: offload::CommandPath,
-) -> LiveIssueResult {
+/// rank 0 each stream `msgs` windowed 64-byte isends through their
+/// submission lanes while rank 1 drains them with matching receiver
+/// threads. The returned `push_full` / `idle_yields` / park counters show
+/// what the rate alone does not.
+pub fn live_isend_issue_rate(threads: usize, msgs: usize) -> LiveIssueResult {
     use std::sync::{Arc, Barrier};
     const WINDOW: usize = 32;
-    let ranks = offload::offload_world_configured(2, 256, 256, path);
+    let ranks = offload::offload_world_sized(2, 256, 256);
     let h0 = ranks[0].handle();
     let h1 = ranks[1].handle();
     let start = Arc::new(Barrier::new(threads + 1));

@@ -34,6 +34,12 @@
 //!   demands a justification per use). The rest of the transport stays
 //!   safe Rust, so reviewing the shared-memory trust boundary means
 //!   reading exactly one file.
+//! * `service-loop-confinement` — non-test code in `crates/core/src` and
+//!   `crates/approaches/src` calls `Transport::{progress, try_take,
+//!   cancel}` only inside `crates/core/src/service.rs`. The paper's
+//!   strategies differ in who *steps* the one service loop; a second place
+//!   that polls a transport and retires its requests is a second loop,
+//!   with its own copy of the timeout and bookkeeping rules to drift.
 //!
 //! ## Allowlist
 //!
@@ -86,6 +92,7 @@ pub const RULES: &[&str] = &[
     "reserved-tag-literal",
     "peer-input-hardening",
     "unsafe-confinement",
+    "service-loop-confinement",
 ];
 
 /// How many lines above a flagged use a justifying comment may sit.
@@ -158,6 +165,9 @@ struct Scope {
     peer_input: bool,
     /// `crates/wire` outside `src/shm.rs` — must stay safe Rust.
     wire_safe_zone: bool,
+    /// The live offload layers outside `offload::service` — must step the
+    /// service, never drive a transport themselves.
+    steps_service_only: bool,
 }
 
 fn scope_of(path: &str) -> Scope {
@@ -173,6 +183,9 @@ fn scope_of(path: &str) -> Scope {
         owns_reserved_span: path.starts_with("crates/rtmpi"),
         peer_input: peer_input_files.contains(&path),
         wire_safe_zone: path.starts_with("crates/wire/src") && path != "crates/wire/src/shm.rs",
+        steps_service_only: (path.starts_with("crates/core/src")
+            || path.starts_with("crates/approaches/src"))
+            && path != "crates/core/src/service.rs",
     }
 }
 
@@ -279,6 +292,20 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                         format!(
                             "`{needle}` in crates/wire outside src/shm.rs; the mmap \
                              surface is confined to that one file"
+                        ),
+                    );
+                }
+            }
+        }
+        if !in_test && scope.steps_service_only {
+            for needle in [".progress(", ".try_take(", ".cancel("] {
+                if line.contains(needle) {
+                    push(
+                        "service-loop-confinement",
+                        format!(
+                            "`{needle}` outside crates/core/src/service.rs: submit to and \
+                             step the one `offload::Service` instead of driving a \
+                             transport from a second loop"
                         ),
                     );
                 }
@@ -614,6 +641,29 @@ mod tests {
         // Other crates are out of scope, and wire test code is exempt.
         assert!(scan_source("crates/core/src/q.rs", "mmap(p, n);\n").is_empty());
         assert!(scan_source("crates/wire/tests/launcher.rs", mmap).is_empty());
+    }
+
+    #[test]
+    fn transport_is_driven_only_from_the_service_module() {
+        for call in ["t.progress();", "t.try_take(&r);", "t.cancel(&r);"] {
+            let src = format!("let x = {call}\n");
+            for path in ["crates/core/src/live.rs", "crates/approaches/src/live.rs"] {
+                assert_eq!(
+                    rules_fired(path, &src),
+                    ["service-loop-confinement"],
+                    "{call} in {path}"
+                );
+            }
+            // The service module is the one place, and the transports'
+            // own crates, tests and benches are out of scope.
+            assert!(scan_source("crates/core/src/service.rs", &src).is_empty());
+            assert!(scan_source("crates/mpisim/src/nbc.rs", &src).is_empty());
+            assert!(scan_source("crates/core/tests/live_stress.rs", &src).is_empty());
+        }
+        // Stepping the service is not driving the transport.
+        assert!(scan_source("crates/approaches/src/live.rs", "svc.step();\n").is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    fn f() { t.progress(); }\n}\n";
+        assert!(scan_source("crates/core/src/live.rs", in_tests).is_empty());
     }
 
     #[test]

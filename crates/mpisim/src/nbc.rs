@@ -729,9 +729,12 @@ impl<T: Transport> NbcRun<T> {
         &self.acc
     }
 
-    /// [`Self::result`] by value, for a finished run.
-    pub fn into_result(self) -> Vec<u8> {
-        self.acc
+    /// Move [`Self::result`] out, once [`Self::result_ready`]: no round
+    /// reads the accumulator any more, so the run keeps draining its round
+    /// sends without it. A second call yields an empty buffer.
+    pub fn take_result(&mut self) -> Vec<u8> {
+        debug_assert!(self.result_ready(), "result taken before the last fold");
+        std::mem::take(&mut self.acc)
     }
 
     /// Cancel everything still outstanding (cleanup after an `Err`), so

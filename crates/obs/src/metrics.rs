@@ -398,7 +398,10 @@ mod imp {
 
         #[inline]
         pub fn add(&self, d: u64) {
-            let now = self.0.value.fetch_add(d, Relaxed) + d;
+            // Wrapping: a consumer's `sub` may land before the producer's
+            // `add` for the same item (the lanes' occupancy gauge), leaving
+            // the level transiently below zero.
+            let now = self.0.value.fetch_add(d, Relaxed).wrapping_add(d);
             self.0.high.fetch_max(now, Relaxed);
         }
 
@@ -666,6 +669,12 @@ mod tests {
         let r = reg.snapshot().gauge("depth");
         assert_eq!(r.value, 2);
         assert_eq!(r.high_water, 8);
+        // A `sub` that overtakes its `add` must not trip the overflow
+        // check of a debug build; the level comes back to where it was.
+        g.sub(3);
+        g.add(3);
+        let r = reg.snapshot().gauge("depth");
+        assert_eq!((r.value, r.high_water), (2, 8));
     }
 
     #[test]

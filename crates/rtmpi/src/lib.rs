@@ -44,21 +44,17 @@ pub type Tag = u32;
 /// stay below it, and — crucially — wildcard (`ANY_TAG`) receives never
 /// match reserved tags, so an application `ANY_TAG` recv can never steal a
 /// collective round or barrier token mid-flight. This is *the* shared
-/// constant: `mpisim`, the offload engine, and `approaches::live` all
+/// constant: `mpisim` and the live service loop (`offload::Service`)
 /// derive their reserved ranges from here.
 pub const TAG_RESERVED_BASE: Tag = 0x7000_0000;
 
-/// Reserved sub-range used by the offload thread's collective schedules
-/// (`offload::live`): `[TAG_COLL_BASE, TAG_COLL_BASE + TAG_COLL_SPAN)`.
+/// Reserved sub-range used by the live service loop's collective
+/// schedules (`offload::Service`, whichever thread steps it):
+/// `[TAG_COLL_BASE, TAG_COLL_BASE + TAG_COLL_SPAN)`.
 pub const TAG_COLL_BASE: Tag = TAG_RESERVED_BASE;
 
-/// Reserved sub-range used by direct-mode (application-thread) collective
-/// schedules in `approaches::live`:
-/// `[TAG_DIRECT_COLL_BASE, TAG_DIRECT_COLL_BASE + TAG_COLL_SPAN)`.
-pub const TAG_DIRECT_COLL_BASE: Tag = TAG_RESERVED_BASE + TAG_COLL_SPAN;
-
-/// Width of each reserved collective sub-range; per-collective tags are
-/// `base + (seq % TAG_COLL_SPAN)`.
+/// Width of the reserved collective sub-range; per-collective tags are
+/// `TAG_COLL_BASE + (seq % TAG_COLL_SPAN)`.
 pub const TAG_COLL_SPAN: Tag = 0x1000_0000;
 
 /// Completion status of a receive.

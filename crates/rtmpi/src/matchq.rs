@@ -175,16 +175,22 @@ mod tests {
 
     #[test]
     fn wildcard_tag_excludes_reserved_internal_space() {
-        use crate::{TAG_COLL_SPAN, TAG_DIRECT_COLL_BASE, TAG_RESERVED_BASE};
-        // ANY_TAG never matches reserved tags, from either sub-range...
+        use crate::{TAG_COLL_BASE, TAG_COLL_SPAN, TAG_RESERVED_BASE};
+        // ANY_TAG never matches reserved tags, inside the collective
+        // sub-range or above it...
         assert!(!filter_matches(None, None, 0, TAG_RESERVED_BASE));
         assert!(!filter_matches(Some(0), None, 0, TAG_RESERVED_BASE + 17));
-        assert!(!filter_matches(None, None, 2, TAG_DIRECT_COLL_BASE));
         assert!(!filter_matches(
             None,
             None,
             2,
-            TAG_DIRECT_COLL_BASE + TAG_COLL_SPAN - 1
+            TAG_COLL_BASE + TAG_COLL_SPAN
+        ));
+        assert!(!filter_matches(
+            None,
+            None,
+            2,
+            TAG_COLL_BASE + 2 * TAG_COLL_SPAN - 1
         ));
         // ...while exact filters on reserved tags (what collective-round
         // receives post) still match, and the app range is untouched.
@@ -201,13 +207,13 @@ mod tests {
     fn wildcard_recv_skips_buffered_internal_arrival() {
         let mut q: MatchQueue<(), u8> = MatchQueue::new();
         // A barrier token arrives before the wildcard recv is served...
-        q.push_unexpected(1, crate::TAG_DIRECT_COLL_BASE, 0xB0);
+        q.push_unexpected(1, crate::TAG_COLL_BASE + 7, 0xB0);
         q.push_unexpected(1, 5, 0xA0);
         // ...the ANY_SOURCE/ANY_TAG recv must take the *app* message.
         assert_eq!(q.take_unexpected(None, None).map(|u| u.msg), Some(0xA0));
         // The token stays for the exact-tag internal receive.
         assert_eq!(
-            q.take_unexpected(Some(1), Some(crate::TAG_DIRECT_COLL_BASE))
+            q.take_unexpected(Some(1), Some(crate::TAG_COLL_BASE + 7))
                 .map(|u| u.msg),
             Some(0xB0)
         );

@@ -1,25 +1,27 @@
 //! Seeded, known-fixed wire bugs kept reinjectable for the protocol model
-//! checker (`check::proto`) — see `rtmpi::faults` for the rationale.
-//! Compiled only under `model-faults`, armed only by explicit test calls.
+//! checker (`check::proto`) — see `rtmpi::faults` for the rationale, and
+//! for why the flags are thread-local. Compiled only under
+//! `model-faults`, armed only by explicit test calls.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
-/// Fault: panic on a CTS frame whose `xid` no rendezvous send owns (the
-/// pre-PR7 behaviour — a duplicated or late CTS took the whole rank down
-/// instead of being counted in `wire.protocol_errors`).
-pub static STRAY_CTS_PANIC: AtomicBool = AtomicBool::new(false);
-
-/// Arm/disarm the stray-CTS panic. Returns the previous state so tests
-/// can restore it.
-pub fn set_stray_cts_panic(on: bool) -> bool {
-    // ORDERING: SeqCst — test-only toggle, never on a hot path.
-    STRAY_CTS_PANIC.swap(on, Ordering::SeqCst)
+thread_local! {
+    /// Fault: panic on a CTS frame whose `xid` no rendezvous send owns (the
+    /// pre-PR7 behaviour — a duplicated or late CTS took the whole rank
+    /// down instead of being counted in `wire.protocol_errors`).
+    static STRAY_CTS_PANIC: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Engine hook: called from the stray-CTS branch; panics iff armed.
+/// Arm/disarm the stray-CTS panic on this thread. Returns the previous
+/// state so tests can restore it.
+pub fn set_stray_cts_panic(on: bool) -> bool {
+    STRAY_CTS_PANIC.replace(on)
+}
+
+/// Engine hook: called from the stray-CTS branch; panics iff armed on
+/// this thread.
 pub fn maybe_stray_cts_panic(xid: u32) {
-    // ORDERING: SeqCst — test-only read, never on a hot path.
-    if STRAY_CTS_PANIC.load(Ordering::SeqCst) {
+    if STRAY_CTS_PANIC.get() {
         panic!("seeded fault: CTS for unknown rendezvous xid {xid}");
     }
 }
