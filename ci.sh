@@ -288,6 +288,9 @@ run env OFFLOAD_MODEL_SEED="${OFFLOAD_MODEL_SEED:-1592598549}" \
 # rust-src component). TSan watches the *native* executions of the core
 # queue/lane/pool/backoff tests — a different lens from the model lane:
 # real weak-memory interleavings on real threads, no schedule bound.
+# rtmpi rides the same lane: its request (a done flag, a counted-waiter
+# condvar, an outcome cell inside a `Send` handle) is hand-rolled
+# synchronisation on the in-process op path.
 if rustup run nightly cargo --version >/dev/null 2>&1 \
    && rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then
   run env CARGO_TARGET_DIR=target/tsan \
@@ -297,17 +300,22 @@ if rustup run nightly cargo --version >/dev/null 2>&1 \
       -- queue:: lane:: pool:: backoff:: \
     || { echo "thread-sanitizer lane FAILED — a real data race, not an"; \
          echo "environment problem; do not re-run with the lane skipped."; exit 1; }
-  gated ran tsan
+  run env CARGO_TARGET_DIR=target/tsan \
+    RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+    rustup run nightly cargo test -p rtmpi --lib \
+      -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
+    || { echo "thread-sanitizer lane FAILED (rtmpi) — a real data race"; exit 1; }
+  gated ran "tsan[offload,rtmpi]"
 else
   echo "== nightly + rust-src not available; skipping thread-sanitizer lane =="
-  gated skipped tsan
+  gated skipped "tsan[offload,rtmpi]"
 fi
 
 # Weak-memory lane (gated: Miri is not in every toolchain): the model lane
 # above explores interleavings under sequential consistency only, so Miri
 # remains the lane that catches relaxed-memory and aliasing bugs. Covers
 # the lock-free core plus the engine modules that drive it (service::,
-# live::, sim::).
+# live::, sim::), and the in-process substrate under them (rtmpi).
 # -Zmiri-disable-isolation lets the parking condvar read the monotonic
 # clock for its timeout backstop.
 if cargo miri --version >/dev/null 2>&1; then
@@ -321,6 +329,11 @@ if cargo miri --version >/dev/null 2>&1; then
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p offload --lib --no-default-features -- $MIRI_FILTER \
     || { echo "cargo miri lane FAILED (--no-default-features)"; exit 1; }
+  # The in-process substrate's request: inline outcomes in a cell, one
+  # shared node per pending receive, the guarded notify.
+  run env MIRIFLAGS="-Zmiri-disable-isolation" \
+    cargo miri test -p rtmpi --lib \
+    || { echo "cargo miri lane FAILED (rtmpi)"; exit 1; }
   # The shm data plane's safe layers: the registered-buffer pool and the
   # ring protocol over its std facade (the mmap'd-segment module itself is
   # foreign memory Miri cannot model; its discipline is confined to
@@ -332,10 +345,10 @@ if cargo miri --version >/dev/null 2>&1; then
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p shmring --test plain -- --skip threaded_stream \
     || { echo "cargo miri lane FAILED (shmring)"; exit 1; }
-  gated ran miri
+  gated ran "miri[offload,rtmpi,wire,shmring]"
 else
   echo "== cargo miri not installed; skipping weak-memory lane =="
-  gated skipped miri
+  gated skipped "miri[offload,rtmpi,wire,shmring]"
 fi
 
 # Perf-trajectory gate: quick panels under the pinned CI shape, diffed

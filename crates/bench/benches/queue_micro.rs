@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks of the *real* offload data structures — the
 //! numbers that calibrate the DES cost model (`cmd_enqueue_ns`,
 //! `pool_alloc_ns`, `done_check_ns`), plus the lock-free-vs-mutex ablation
-//! for the command queue (DESIGN.md §6.1).
+//! for the command queue (DESIGN.md §6.1) and the submission lanes against
+//! the shared ring at one producer (DESIGN.md §10).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use offload::{MpmcQueue, RequestPool};
+use offload::{LaneSet, MpmcQueue, RequestPool};
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -16,6 +17,18 @@ fn bench_queue(c: &mut Criterion) {
         b.iter(|| {
             q.push(black_box(7)).map_err(|_| ()).expect("room");
             black_box(q.pop())
+        })
+    });
+    // The lanes at one producer, same thread on both ends: a push into the
+    // thread's own SPSC ring, then the consumer's sweep over all eight
+    // lanes and the overflow ring.
+    let lanes: LaneSet<u64> = LaneSet::new(8, 1024, 1024);
+    g.bench_function("lane-push-drain", |b| {
+        b.iter(|| {
+            lanes.push(black_box(7)).expect("room");
+            black_box(lanes.drain(64, |v| {
+                black_box(v);
+            }))
         })
     });
     let m: Mutex<VecDeque<u64>> = Mutex::new(VecDeque::with_capacity(1024));

@@ -14,7 +14,7 @@
 
 use check::sync::atomic::{AtomicBool, Ordering};
 use check::thread;
-use offload::{BackoffMetrics, LaneSet, MpmcQueue, RequestPool, WaitPolicy, WakeSignal};
+use offload::{BackoffMetrics, LaneSet, MpmcQueue, RequestPool, SpscRing, WaitPolicy, WakeSignal};
 use std::sync::Arc;
 
 /// A DFS budget for the two queue tests, whose retry loops give them a
@@ -57,6 +57,70 @@ fn mpmc_seq_handoff_is_race_free_and_fifo() {
         }
         producer.join().unwrap();
         assert_eq!(got, vec![1, 2, 3], "single-producer FIFO violated");
+    });
+}
+
+/// The lane ring's cursors, across counter wraparound: a two-slot ring
+/// whose cursors start one below `usize::MAX` carries five values, so every
+/// slot is reused and the producer's private copy of `head` goes stale and
+/// is refreshed several times. In every schedule:
+///
+/// * a stale copy of `head` never lets `push` overwrite a slot the
+///   consumer has not read, and the consumer (which reads `tail` afresh
+///   each batch) never reads a slot the producer has not published —
+///   either would be a data race on the slot cell (or a lost or repeated
+///   value);
+/// * the copy itself is touched by the producer only (it is a facade
+///   cell, so the race detector checks exactly that);
+/// * `Err(full)` comes only from a ring that was full — its length, read
+///   by the producer just before the call, can only have shrunk since —
+///   and `None` only from one that was empty;
+/// * order holds across the wrap, through `pop` and `pop_batch` alike.
+#[test]
+fn spsc_cached_cursors_hold_across_wraparound() {
+    check::model_with(capped_dfs(), || {
+        let ring = Arc::new(SpscRing::with_start_pos(2, usize::MAX - 1));
+        let producer = {
+            let ring = ring.clone();
+            thread::spawn(move || {
+                for v in 1..=5u64 {
+                    loop {
+                        let before = ring.len();
+                        match ring.push(v) {
+                            Ok(()) => break,
+                            Err(back) => {
+                                assert_eq!(back, v);
+                                assert_eq!(before, 2, "full reported by a ring with room");
+                                thread::yield_now();
+                            }
+                        }
+                    }
+                }
+            })
+        };
+        let mut got = Vec::new();
+        let mut batched = false;
+        while got.len() < 5 {
+            let before = ring.len();
+            let took = if batched {
+                let (took, found) = ring.pop_batch(2, |v| got.push(v));
+                assert!(found >= before, "backlog only grows under the consumer");
+                took
+            } else {
+                let popped = ring.pop();
+                got.extend(popped);
+                usize::from(popped.is_some())
+            };
+            if before > 0 {
+                assert!(took > 0, "empty reported by a ring holding {before}");
+            } else if took == 0 {
+                thread::yield_now();
+            }
+            batched = !batched;
+        }
+        producer.join().unwrap();
+        assert_eq!(got, vec![1, 2, 3, 4, 5], "FIFO violated across the wrap");
+        assert!(ring.is_empty());
     });
 }
 

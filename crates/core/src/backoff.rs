@@ -169,10 +169,14 @@ impl WakeSignal {
         metrics: &BackoffMetrics,
         mut ready: impl FnMut() -> Option<R>,
     ) -> R {
-        // Phase 1: bounded spin.
+        // Phase 1: bounded spin. A condition that holds at the first look
+        // — every post into a pool and a lane with room — records nothing:
+        // counting zero spins would still be a locked read-modify-write.
         for i in 0..policy.spins {
             if let Some(r) = ready() {
-                metrics.spins.add(u64::from(i));
+                if i > 0 {
+                    metrics.spins.add(u64::from(i));
+                }
                 return r;
             }
             check::hint::spin_loop();

@@ -35,9 +35,12 @@ use check::sync::CachePadded;
 use crate::backoff::{BackoffMetrics, WaitPolicy, WakeSignal};
 
 const NIL: u32 = u32::MAX;
+/// What an allocated slot's `next` holds: no slot index (the capacity
+/// check keeps them below it) and not the end of the list.
+const LIVE: u32 = u32::MAX - 1;
 
 struct PoolSlot<T> {
-    /// Free-list link (valid while the slot is free).
+    /// Free-list link while the slot is free, [`LIVE`] while allocated.
     next: AtomicU32,
     /// Bumped on every `free`; handles must match.
     generation: AtomicU32,
@@ -50,8 +53,9 @@ struct PoolSlot<T> {
 /// Flight-recorder signals of one pool: allocation traffic, exhaustion
 /// events, occupancy (with high-water mark), and stale-handle detections —
 /// each generation-tag mismatch is one caught would-be ABA/use-after-free.
-/// Recording costs a couple of `Relaxed` atomics; zero-sized no-ops when
-/// `obs`'s `enabled` feature is off.
+/// Recording costs `alloc` and `free` one `Relaxed` read-modify-write each
+/// (their own counter; the occupancy level is the difference of the two,
+/// stored); zero-sized no-ops when `obs`'s `enabled` feature is off.
 #[derive(Clone, Default)]
 pub struct PoolMetrics {
     pub allocs: obs::Counter,
@@ -91,7 +95,6 @@ pub struct RequestPool<T> {
     policy: WaitPolicy,
     /// Packed head: upper 32 bits = pop tag, lower 32 = slot index or NIL.
     head: CachePadded<AtomicU64>,
-    outstanding: CachePadded<AtomicU32>,
 }
 
 // SAFETY: a slot's value cell has exactly one writer (the completer, before
@@ -129,7 +132,7 @@ impl<T> RequestPool<T> {
     /// Create a pool whose signals feed pre-registered metric handles
     /// (see [`PoolMetrics::registered`]).
     pub fn with_metrics(cap: usize, metrics: PoolMetrics) -> Self {
-        assert!(cap > 0 && cap < NIL as usize);
+        assert!(cap > 0 && cap < LIVE as usize);
         let slots: Box<[PoolSlot<T>]> = (0..cap)
             .map(|i| PoolSlot {
                 next: AtomicU32::new(if i + 1 < cap { (i + 1) as u32 } else { NIL }),
@@ -145,7 +148,6 @@ impl<T> RequestPool<T> {
             vacancy: WakeSignal::new(),
             policy: WaitPolicy::default(),
             head: CachePadded::new(AtomicU64::new(pack(0, 0))),
-            outstanding: CachePadded::new(AtomicU32::new(0)),
         }
     }
 
@@ -157,10 +159,22 @@ impl<T> RequestPool<T> {
         &self.metrics
     }
 
-    /// Currently allocated slots.
+    /// Currently allocated slots. A scan of the slot array, for tests and
+    /// diagnostics: the op path keeps no counter for it.
     pub fn outstanding(&self) -> usize {
-        // ORDERING: Relaxed — diagnostic gauge read, no publication.
-        self.outstanding.load(Ordering::Relaxed) as usize
+        // ORDERING: Relaxed — diagnostic read, no publication; exact once
+        // the threads that allocate and free have been joined.
+        let is_live = |s: &&PoolSlot<T>| s.next.load(Ordering::Relaxed) == LIVE;
+        self.slots.iter().filter(is_live).count()
+    }
+
+    /// Store the occupancy level: allocations minus frees, read in that
+    /// order so a racing reader can under- but never over-state a level
+    /// the pool really had (the high-water mark stays within capacity).
+    fn record_occupancy(&self) {
+        let allocs = self.metrics.allocs.get();
+        let level = allocs.saturating_sub(self.metrics.frees.get());
+        self.metrics.occupancy.set(level);
     }
 
     /// Replace the wait policy used by `alloc_blocking` and `wait_take`.
@@ -197,14 +211,13 @@ impl<T> RequestPool<T> {
             ) {
                 Ok(_) => {
                     let slot = &self.slots[idx as usize];
-                    // ORDERING: Relaxed ×3 — the slot is exclusively ours
-                    // after the CAS; handing the Handle to another thread
-                    // is the caller's (synchronized) job. `outstanding` is
-                    // a diagnostic counter.
-                    slot.done.store(false, Ordering::Relaxed);
-                    let was = self.outstanding.fetch_add(1, Ordering::Relaxed);
+                    // ORDERING: Relaxed — the slot is exclusively ours
+                    // after the CAS (its `done` flag was lowered by `free`
+                    // or never raised); handing the Handle to another
+                    // thread is the caller's (synchronized) job.
+                    slot.next.store(LIVE, Ordering::Relaxed);
                     self.metrics.allocs.inc();
-                    self.metrics.occupancy.set(was as u64 + 1);
+                    self.record_occupancy();
                     return Some(Handle {
                         idx,
                         // ORDERING: Relaxed — slot is exclusively ours
@@ -318,10 +331,8 @@ impl<T> RequestPool<T> {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    // ORDERING: Relaxed — diagnostic gauge.
-                    let was = self.outstanding.fetch_sub(1, Ordering::Relaxed);
                     self.metrics.frees.inc();
-                    self.metrics.occupancy.set(was.saturating_sub(1) as u64);
+                    self.record_occupancy();
                     self.vacancy.notify();
                     return;
                 }

@@ -40,6 +40,14 @@
 //!   strategies differ in who *steps* the one service loop; a second place
 //!   that polls a transport and retires its requests is a second loop,
 //!   with its own copy of the timeout and bookkeeping rules to drift.
+//! * `guarded-notify` — in non-test code of `crates/rtmpi/src` and
+//!   `crates/core/src` (the in-process op path), a `Condvar`
+//!   `notify_one`/`notify_all` sits within 6 lines below a waiter-count
+//!   check (a line comparing a `waiters` count with zero). std's futex
+//!   condvar has no waiter check of its own, so an unguarded notify is a
+//!   `futex(WAKE)` syscall per operation that usually nobody is waiting
+//!   for — what `rtmpi`'s request completion cost before it counted its
+//!   waiters. Sites that always have waiters go on the allowlist.
 //!
 //! ## Allowlist
 //!
@@ -93,10 +101,19 @@ pub const RULES: &[&str] = &[
     "peer-input-hardening",
     "unsafe-confinement",
     "service-loop-confinement",
+    "guarded-notify",
 ];
 
 /// How many lines above a flagged use a justifying comment may sit.
 const COMMENT_WINDOW: usize = 8;
+
+/// How many lines above a condvar notify its waiter-count check may sit.
+const NOTIFY_GUARD_WINDOW: usize = 6;
+
+/// Is `line` a waiter-count check: a `waiters` count compared with zero?
+fn is_waiter_check(line: &str) -> bool {
+    line.contains("waiters") && ["> 0", "!= 0", "== 0"].iter().any(|cmp| line.contains(cmp))
+}
 
 /// Reserved tag span (mirrors `rtmpi::TAG_RESERVED_BASE` and its width —
 /// the literal lives here and in `rtmpi` only, which is the rule's point).
@@ -168,6 +185,8 @@ struct Scope {
     /// The live offload layers outside `offload::service` — must step the
     /// service, never drive a transport themselves.
     steps_service_only: bool,
+    /// The in-process op path — a condvar notify needs a waiter check.
+    guards_notifies: bool,
 }
 
 fn scope_of(path: &str) -> Scope {
@@ -186,6 +205,8 @@ fn scope_of(path: &str) -> Scope {
         steps_service_only: (path.starts_with("crates/core/src")
             || path.starts_with("crates/approaches/src"))
             && path != "crates/core/src/service.rs",
+        guards_notifies: path.starts_with("crates/rtmpi/src")
+            || path.starts_with("crates/core/src"),
     }
 }
 
@@ -197,6 +218,7 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
     // Line numbers of the most recent justifying comments (0 = never).
     let mut last_safety = 0usize;
     let mut last_ordering = 0usize;
+    let mut last_waiter_check = 0usize;
     // Everything from a column-0 `#[cfg(test)]` down is test code (the
     // workspace convention puts unit-test modules at the end of a file).
     // Integration tests and benches are test code from line one.
@@ -309,6 +331,25 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                         ),
                     );
                 }
+            }
+        }
+        if !in_test && scope.guards_notifies {
+            if is_waiter_check(line) {
+                last_waiter_check = nr;
+            }
+            let guarded = last_waiter_check != 0 && nr - last_waiter_check <= NOTIFY_GUARD_WINDOW;
+            if !guarded
+                && [".notify_one(", ".notify_all("]
+                    .iter()
+                    .any(|n| line.contains(n))
+            {
+                push(
+                    "guarded-notify",
+                    "condvar notify without a waiter-count check just above: an \
+                     unconditional notify is a futex wake per operation; count the \
+                     waiters and notify only when there are some"
+                        .into(),
+                );
             }
         }
         if !in_test && scope.peer_input {
@@ -664,6 +705,49 @@ mod tests {
         assert!(scan_source("crates/approaches/src/live.rs", "svc.step();\n").is_empty());
         let in_tests = "#[cfg(test)]\nmod tests {\n    fn f() { t.progress(); }\n}\n";
         assert!(scan_source("crates/core/src/live.rs", in_tests).is_empty());
+    }
+
+    #[test]
+    fn condvar_notify_on_the_op_path_needs_a_waiter_check() {
+        let bare = "st.done = true;\ncv.notify_all();\n";
+        for path in ["crates/rtmpi/src/lib.rs", "crates/core/src/backoff.rs"] {
+            assert_eq!(rules_fired(path, bare), ["guarded-notify"], "{path}");
+        }
+        assert_eq!(
+            rules_fired("crates/core/src/x.rs", "cv.notify_one();\n"),
+            ["guarded-notify"]
+        );
+        // Guarded: the count is compared with zero a few lines above.
+        let flag = "let wake = st.waiters > 0;\ndrop(st);\nif wake {\n    cv.notify_all();\n}\n";
+        assert!(scan_source("crates/rtmpi/src/lib.rs", flag).is_empty());
+        let inline = "if self.waiters.load(o) != 0 {\n    self.cv.notify_all();\n}\n";
+        assert!(scan_source("crates/core/src/x.rs", inline).is_empty());
+        // A check too far above no longer covers the notify...
+        let far = format!(
+            "let wake = st.waiters > 0;\n{}cv.notify_all();\n",
+            "\n".repeat(6)
+        );
+        assert_eq!(
+            rules_fired("crates/rtmpi/src/lib.rs", &far),
+            ["guarded-notify"]
+        );
+        // ...a mention of the count that compares nothing is no check...
+        let mention = "st.waiters += 1;\ncv.notify_all();\n";
+        assert_eq!(
+            rules_fired("crates/rtmpi/src/lib.rs", mention),
+            ["guarded-notify"]
+        );
+        // ...and comments are not code.
+        let comment = "// waiters > 0 here, surely\ncv.notify_all();\n";
+        assert_eq!(
+            rules_fired("crates/rtmpi/src/lib.rs", comment),
+            ["guarded-notify"]
+        );
+        // Other crates, and test code, are out of scope.
+        assert!(scan_source("crates/wire/src/engine.rs", bare).is_empty());
+        assert!(scan_source("crates/rtmpi/tests/t.rs", bare).is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    fn f() { cv.notify_all(); }\n}\n";
+        assert!(scan_source("crates/core/src/x.rs", in_tests).is_empty());
     }
 
     #[test]

@@ -390,19 +390,28 @@ mod imp {
     pub struct Gauge(Arc<GaugeCore>);
 
     impl Gauge {
+        /// Raise the high-water mark to `v`. A level at or below the mark
+        /// (every update but the rare record) costs a plain load, not a
+        /// read-modify-write; a racing raise is settled by the `fetch_max`.
+        #[inline]
+        fn raise(&self, v: u64) {
+            if v > self.0.high.load(Relaxed) {
+                self.0.high.fetch_max(v, Relaxed);
+            }
+        }
+
         #[inline]
         pub fn set(&self, v: u64) {
             self.0.value.store(v, Relaxed);
-            self.0.high.fetch_max(v, Relaxed);
+            self.raise(v);
         }
 
         #[inline]
         pub fn add(&self, d: u64) {
-            // Wrapping: a consumer's `sub` may land before the producer's
-            // `add` for the same item (the lanes' occupancy gauge), leaving
-            // the level transiently below zero.
-            let now = self.0.value.fetch_add(d, Relaxed).wrapping_add(d);
-            self.0.high.fetch_max(now, Relaxed);
+            // Wrapping: a `sub` may land before the `add` it answers when
+            // two threads share a gauge, leaving the level transiently
+            // below zero.
+            self.raise(self.0.value.fetch_add(d, Relaxed).wrapping_add(d));
         }
 
         #[inline]
@@ -675,6 +684,36 @@ mod tests {
         g.add(3);
         let r = reg.snapshot().gauge("depth");
         assert_eq!((r.value, r.high_water), (2, 8));
+    }
+
+    /// The high-water mark is raised by a load and, only when exceeded, a
+    /// `fetch_max`: two threads racing to raise it must still leave the
+    /// true maximum behind, whichever of them loaded a stale mark.
+    #[test]
+    fn gauge_high_water_survives_concurrent_updates() {
+        const N: u64 = 50_000;
+        let set = Gauge::default();
+        let added = Gauge::default();
+        // Two interleaved ascending ramps with a dip after every step, so
+        // most updates sit below the mark and the record keeps moving.
+        let ramp = |parity: u64| {
+            let (set, added) = (set.clone(), added.clone());
+            std::thread::spawn(move || {
+                for i in 0..N {
+                    set.set(2 * i + parity);
+                    set.set(0);
+                    added.add(1);
+                }
+            })
+        };
+        let threads = [ramp(0), ramp(1)];
+        for t in threads {
+            t.join().expect("ramp thread");
+        }
+        assert_eq!(set.high_water(), 2 * (N - 1) + 1, "largest value ever set");
+        assert_eq!(set.get(), 0);
+        // Every `add` produced a distinct level; the last one is the peak.
+        assert_eq!((added.get(), added.high_water()), (2 * N, 2 * N));
     }
 
     #[test]

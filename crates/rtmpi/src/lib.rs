@@ -22,7 +22,21 @@
 //! construction. Payloads are handed off as `Arc<[u8]>` — one allocation,
 //! no double indirection — which is also the shape of the wire backend's
 //! receive buffers.
+//!
+//! **Requests.** Delivery is push-style, so most operations are over by
+//! the time their call returns: every send (the payload is handed off),
+//! and every receive that finds its message waiting. Their [`RtRequest`]
+//! carries the outcome inline — no heap node, nothing shared, nothing to
+//! signal. Only a receive that has to wait allocates: one node shared
+//! with the mailbox, which the matching sender fills under the node's
+//! lock. Behind an offload thread nobody blocks on that node (the
+//! service loop polls [`RtRequest::is_done`]), so the completer wakes the
+//! condvar only when a blocked [`RtRequest::wait`] has registered itself
+//! under the same lock: one operation's life on this substrate costs no
+//! syscall, and `RtMpi::recv`/`send` still block correctly
+//! (`offload-lint`'s `guarded-notify` rule keeps it that way).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -65,71 +79,125 @@ pub struct Status {
     pub len: usize,
 }
 
-struct ReqState {
+/// What a completed request resolved to: the payload of a receive,
+/// `None` for a send.
+type Outcome = Option<(Status, Arc<[u8]>)>;
+
+/// The shared half of a receive that found no message waiting: the
+/// mailbox keeps one handle (the completer's), the caller the other.
+struct PendingRecv {
+    /// Lock-free completion flag for `is_done`; written under `state`'s
+    /// lock, so blocking waiters need no fence against it.
     done: AtomicBool,
-    result: Mutex<Option<(Status, Arc<[u8]>)>>,
+    state: Mutex<PendingState>,
     cv: Condvar,
 }
 
-/// Handle to a pending operation.
-#[derive(Clone)]
-pub struct RtRequest {
-    state: Arc<ReqState>,
+struct PendingState {
+    outcome: Outcome,
+    /// Threads blocked in [`RtRequest::wait`]. The completer notifies only
+    /// when this is non-zero: std's futex condvar has no waiter check of
+    /// its own, so an unconditional notify is a `futex(WAKE)` syscall per
+    /// message that — behind an offload thread, which polls — nobody is
+    /// ever waiting for.
+    waiters: u32,
+}
+
+enum Repr {
+    /// Completed at hand-off (every send, and a receive that found its
+    /// message waiting): the outcome travels in the handle, no heap node.
+    Ready(Cell<Outcome>),
+    /// A posted receive, completed later by the matching sender.
+    Pending(Arc<PendingRecv>),
+}
+
+/// Handle to an operation. `Send`, not `Sync`: like a transport, a handle
+/// is used by one thread at a time.
+///
+/// A request yields its outcome once, among all its clones: clones of a
+/// pending receive share its node, and a clone of a handle that was
+/// complete when it was made is complete and empty — the outcome stays
+/// with the handle it was born in.
+pub struct RtRequest(Repr);
+
+impl Clone for RtRequest {
+    fn clone(&self) -> Self {
+        RtRequest(match &self.0 {
+            Repr::Ready(_) => Repr::Ready(Cell::new(None)),
+            Repr::Pending(node) => Repr::Pending(node.clone()),
+        })
+    }
 }
 
 impl RtRequest {
-    fn new() -> Self {
-        Self {
-            state: Arc::new(ReqState {
-                done: AtomicBool::new(false),
-                result: Mutex::new(None),
-                cv: Condvar::new(),
+    fn ready(outcome: Outcome) -> Self {
+        RtRequest(Repr::Ready(Cell::new(outcome)))
+    }
+
+    fn pending() -> Self {
+        RtRequest(Repr::Pending(Arc::new(PendingRecv {
+            done: AtomicBool::new(false),
+            state: Mutex::new(PendingState {
+                outcome: None,
+                waiters: 0,
             }),
+            cv: Condvar::new(),
+        })))
+    }
+
+    /// Deliver to a posted receive. Called by the matching sender, once.
+    fn complete(&self, status: Status, data: Arc<[u8]>) {
+        let Repr::Pending(node) = &self.0 else {
+            unreachable!("only pending receives are posted to a mailbox");
+        };
+        let mut st = node.state.lock();
+        st.outcome = Some((status, data));
+        // ORDERING: Release — publishes the outcome to is_done()'s Acquire
+        // for lock-free completion polling. Blocking waiters are covered
+        // by the lock: they register in `waiters` and re-check `done`
+        // under it, so either they see the flag or we see them.
+        node.done.store(true, Ordering::Release);
+        let wake = st.waiters > 0;
+        drop(st);
+        if wake {
+            node.cv.notify_all();
         }
-    }
-
-    fn completed(status: Option<(Status, Arc<[u8]>)>) -> Self {
-        let r = Self::new();
-        r.complete(status);
-        r
-    }
-
-    fn complete(&self, status: Option<(Status, Arc<[u8]>)>) {
-        let mut g = self.state.result.lock();
-        *g = status;
-        // ORDERING: Release — publishes the result write to is_done()'s
-        // Acquire for lock-free completion polling; waiters under the
-        // mutex are covered by the lock itself.
-        self.state.done.store(true, Ordering::Release);
-        self.state.cv.notify_all();
     }
 
     /// Nonblocking completion check.
     pub fn is_done(&self) -> bool {
-        // ORDERING: Acquire — pairs with complete()'s Release; a true
-        // result licenses taking the payload.
-        self.state.done.load(Ordering::Acquire)
+        match &self.0 {
+            Repr::Ready(_) => true,
+            // ORDERING: Acquire — pairs with complete()'s Release; a true
+            // result licenses taking the payload.
+            Repr::Pending(node) => node.done.load(Ordering::Acquire),
+        }
     }
 
     /// Block the calling OS thread until completion; returns the payload
     /// for receives (`None` for sends).
     pub fn wait(&self) -> Option<(Status, Arc<[u8]>)> {
-        let mut g = self.state.result.lock();
-        // ORDERING: Acquire — same edge as is_done; the mutex alone would
-        // suffice here, but the flag must stay coherent with the
-        // lock-free fast path.
-        while !self.state.done.load(Ordering::Acquire) {
-            self.state.cv.wait(&mut g);
+        let node = match &self.0 {
+            Repr::Ready(cell) => return cell.take(),
+            Repr::Pending(node) => node,
+        };
+        let mut st = node.state.lock();
+        // ORDERING: Relaxed — `done` is only ever stored under this lock,
+        // which we hold; the lock orders it.
+        while !node.done.load(Ordering::Relaxed) {
+            st.waiters += 1;
+            node.cv.wait(&mut st);
+            st.waiters -= 1;
         }
-        g.take()
+        st.outcome.take()
     }
 
     /// Take the payload if complete.
     pub fn try_take(&self) -> Option<(Status, Arc<[u8]>)> {
-        if self.is_done() {
-            self.state.result.lock().take()
-        } else {
-            None
+        match &self.0 {
+            Repr::Ready(cell) => cell.take(),
+            Repr::Pending(node) if self.is_done() => node.state.lock().outcome.take(),
+            Repr::Pending(_) => None,
         }
     }
 }
@@ -194,21 +262,28 @@ impl RtMpi {
         self.world.ranks.len()
     }
 
-    /// Nonblocking send. Completes immediately (payload hand-off).
+    /// Nonblocking send. Completes immediately (payload hand-off), so the
+    /// returned handle is born complete and costs no allocation.
     pub fn isend(&self, dst: usize, tag: Tag, data: Arc<[u8]>) -> RtRequest {
-        let mailbox = &self.world.ranks[dst].mail;
-        let mut mail = mailbox.lock();
-        if let Some(posted) = mail.take_posted(self.rank, tag) {
-            let status = Status {
-                source: self.rank,
-                tag,
-                len: data.len(),
-            };
-            posted.token.complete(Some((status, data)));
-        } else {
-            mail.push_unexpected(self.rank, tag, data);
-        }
-        RtRequest::completed(None)
+        let posted = {
+            let mut mail = self.world.ranks[dst].mail.lock();
+            match mail.take_posted(self.rank, tag) {
+                Some(posted) => posted,
+                None => {
+                    mail.push_unexpected(self.rank, tag, data);
+                    return RtRequest::ready(None);
+                }
+            }
+        };
+        // The match was decided under the mailbox lock; the delivery needs
+        // only the receive's own node.
+        let status = Status {
+            source: self.rank,
+            tag,
+            len: data.len(),
+        };
+        posted.token.complete(status, data);
+        RtRequest::ready(None)
     }
 
     /// Nonblocking receive; `None` filters are wildcards.
@@ -220,9 +295,9 @@ impl RtMpi {
                 tag: u.tag,
                 len: u.msg.len(),
             };
-            return RtRequest::completed(Some((status, u.msg)));
+            return RtRequest::ready(Some((status, u.msg)));
         }
-        let req = RtRequest::new();
+        let req = RtRequest::pending();
         mail.push_posted(src, tag, req.clone());
         req
     }
@@ -581,6 +656,95 @@ mod tests {
             }
         });
         assert_eq!(outs[1].1, (0u8..17).collect::<Vec<u8>>());
+    }
+
+    /// Run `f` on its own thread and fail — rather than stall the whole
+    /// test run — if it has not returned within `secs`.
+    fn within(secs: u64, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let body = thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        // A closed channel is a panic in `f`, which the join reports; only
+        // a body still running is abandoned.
+        if rx.recv_timeout(std::time::Duration::from_secs(secs))
+            == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+        {
+            panic!("timed out: a blocked receiver was never woken");
+        }
+        body.join().expect("test body");
+    }
+
+    /// The completer notifies only when a waiter has registered, so the
+    /// case to defend is the waiter that blocked first. A lost notify is a
+    /// hang, which the hard limit turns into a failure.
+    #[test]
+    fn receiver_blocked_before_the_send_is_woken() {
+        within(60, || {
+            let gate = Arc::new(std::sync::Barrier::new(2));
+            spawn_world(2, move |mpi| {
+                // The interpreter takes its time over a thread hand-off.
+                let rounds = if cfg!(miri) { 50 } else { 2_000u32 };
+                for i in 0..rounds {
+                    gate.wait();
+                    if mpi.rank() == 0 {
+                        // Odd rounds give the receiver time to block; even
+                        // rounds race it through registration.
+                        if i % 2 == 1 {
+                            thread::sleep(std::time::Duration::from_micros(50));
+                        }
+                        mpi.send(1, 9, Arc::from(i.to_le_bytes().to_vec()));
+                    } else {
+                        let (st, d) = mpi.recv(Some(0), Some(9));
+                        assert_eq!((st.source, st.len), (0, 4));
+                        assert_eq!(d[..], i.to_le_bytes());
+                    }
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn pending_receive_yields_its_payload_once_among_clones() {
+        let mut w = world(2);
+        let (w1, w0) = (w.pop().expect("rank 1"), w.pop().expect("rank 0"));
+        let rx = w1.irecv(Some(0), Some(1));
+        let twin = rx.clone();
+        assert!(!rx.is_done() && !twin.is_done());
+        assert!(rx.try_take().is_none(), "nothing to take while pending");
+        thread::spawn(move || w0.send(1, 1, Arc::from(vec![5u8, 6])))
+            .join()
+            .expect("sender");
+        assert!(rx.is_done() && twin.is_done(), "clones share the node");
+        // Taken on yet another thread: the handle is `Send`.
+        let taken = thread::spawn(move || twin.try_take())
+            .join()
+            .expect("taker");
+        let (st, d) = taken.expect("completed receive yields its payload");
+        assert_eq!(
+            (st.source, st.tag, st.len, &d[..]),
+            (0, 1, 2, &[5u8, 6][..])
+        );
+        assert!(rx.try_take().is_none(), "the payload is taken once");
+        assert!(rx.wait().is_none(), "and a late wait does not block");
+    }
+
+    #[test]
+    fn handle_complete_at_hand_off_carries_its_outcome() {
+        let w = world(2);
+        let tx = w[0].isend(1, 2, Arc::from(vec![1u8, 2, 3]));
+        assert!(tx.is_done() && tx.clone().is_done());
+        assert!(tx.wait().is_none(), "a send has no payload");
+        // The message is waiting, so the receive is complete when posted.
+        let rx = w[1].irecv(None, None);
+        assert!(rx.is_done());
+        let copy = rx.clone();
+        let (st, d) = rx.try_take().expect("payload");
+        assert_eq!((st.source, st.tag, &d[..]), (0, 2, &[1u8, 2, 3][..]));
+        assert!(rx.try_take().is_none(), "each handle yields once");
+        // Once among clones too: the outcome stayed with the original.
+        assert!(copy.is_done() && copy.wait().is_none());
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub enum OpOutcome {
 
 /// A live message-passing substrate (see module docs).
 pub trait Transport: Send + 'static {
-    /// Request handle: a small id, cloneable and inert — all state lives
-    /// in the transport.
+    /// Request handle: a small id or handle, cloneable. A clone names the
+    /// same request: its outcome is taken once among all of them.
     type Req: Clone + Send + 'static;
 
     fn rank(&self) -> usize;
