@@ -13,15 +13,22 @@
 //! * TCP — the same mesh over 127.0.0.1, the remote-node stand-in.
 //!
 //! A 256 KiB rendezvous ping-pong then measures bulk bandwidth on the shm
-//! and UDS paths. Wall-clock series are `info` (this box decides how fast
-//! a memcpy is), but the run *hard-fails* if the shm eager RTT is not
-//! below the UDS baseline — the ring exists to beat the socket, and a
-//! build where it doesn't is a regression no noise band should absorb.
+//! and UDS paths. Every wall-clock series is `info`: this box decides how
+//! fast a memcpy is, the quick shape's few hundred round trips include
+//! the first touch of every ring slot, and from ONE pumping thread the
+//! ring and the socket are too close at 1 KiB for a clock to referee (the
+//! ring's advantage is that the sender's core never enters the kernel and
+//! the two copies overlap — which needs the receiver on another core to
+//! show; `opbench`'s `bulk_rndv_shm` vs `bulk_rndv_uds` is that
+//! measurement, EXPERIMENTS.md "PR 16").
 //!
-//! The allocation counters gate: the shm eager loop must show
-//! `wire.eager_alloc == 0` (bodies ride `Arc` clones into the ring, never
-//! a staging copy), `wire.shm_frames > 0` (the frames took the ring), and
-//! `wire.shm_fallback == 0` (the segment actually mapped).
+//! What gates, and hard-fails the run, is what the ring guarantees and a
+//! clock cannot blur — counted on rank 0 over the shm eager loop:
+//! **no syscall carries payload** (`wire.sys.write − wire.shm_doorbell ==
+//! 0`: every socket write on an shm link is a doorbell),
+//! `wire.shm_frames > 0` (the frames took the ring), `wire.shm_fallback
+//! == 0` (the segment actually mapped) and `wire.eager_alloc == 0`
+//! (bodies ride `Arc` clones into the ring, never a staging copy).
 
 use bench::{benchjson, emit, us, Direction, PanelSnapshot};
 use harness::Table;
@@ -172,14 +179,27 @@ fn main() {
         Direction::Lower,
         vec![shm_counters.counter("wire.shm_fallback") as f64; repeats],
     );
+    let payload_writes = shm_counters
+        .counter("wire.sys.write")
+        .saturating_sub(shm_counters.counter("wire.shm_doorbell"));
+    snap.push_series(
+        "payload_syscalls_under_shm.1KB",
+        "count",
+        Direction::Lower,
+        vec![payload_writes as f64; repeats],
+    );
     benchjson::emit_snapshot(&snap);
 
-    // The acceptance bar: the zero-syscall data path must beat the socket
-    // it bypasses. A noise band must never absorb losing it.
-    assert!(
-        mean(&shm_rtt) < mean(&uds_rtt),
-        "shm eager RTT ({:.1} us) did not beat the UDS baseline ({:.1} us)",
-        mean(&shm_rtt),
-        mean(&uds_rtt)
+    // The acceptance bar: what the ring guarantees, counted. A clock
+    // cannot blur these and no noise band may absorb losing one.
+    assert_eq!(
+        payload_writes, 0,
+        "a socket write on an shm link carried something other than a doorbell"
     );
+    assert!(
+        shm_counters.counter("wire.shm_frames") > 0,
+        "no frame took the ring"
+    );
+    assert_eq!(shm_counters.counter("wire.shm_fallback"), 0);
+    assert_eq!(shm_counters.counter("wire.eager_alloc"), 0);
 }

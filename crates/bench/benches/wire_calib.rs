@@ -15,6 +15,14 @@
 //! protocol *counters* are deterministic and gate: 32 KiB under the
 //! default crossover must take the rendezvous path every time, and must
 //! never leak onto it when the crossover is raised.
+//!
+//! So do the **syscall counts** at the `FrameFabric` seam (the sum of
+//! `wire.sys.poll`, `.read` and `.write`), taken on worlds pumped from ONE
+//! thread so that they repeat exactly: an idle `progress()` is one `poll(2)` whatever the
+//! peer count (`syscalls_per_idle_progress.n2` = `.n4` = 1), and a 1 KiB
+//! eager echo costs a fixed number of them on both ranks together
+//! (`syscalls_per_eager_echo.1KB`). A per-link syscall creeping back into
+//! the pass moves these, and they gate `lower`.
 
 use bench::{benchjson, emit, us, Direction, PanelSnapshot};
 use harness::Table;
@@ -70,6 +78,59 @@ fn ping_pong(cfg: WireConfig, size: usize, iters: usize) -> (f64, obs::Snapshot)
     let counters = r0.obs().snapshot().diff(&before);
     echo.join().expect("echo rank");
     (rtt_ns, counters)
+}
+
+/// Syscalls the fabric made over `snap`'s interval.
+fn syscalls(snap: &obs::Snapshot) -> u64 {
+    ["wire.sys.poll", "wire.sys.read", "wire.sys.write"]
+        .iter()
+        .map(|name| snap.counter(name))
+        .sum()
+}
+
+/// Syscalls per `progress()` of rank 0 in an idle `n`-rank world.
+fn idle_progress_syscalls(n: usize) -> f64 {
+    const PASSES: u64 = 100;
+    let mut world = loopback_configured(n, WireConfig::default());
+    let before = world[0].obs().snapshot();
+    for _ in 0..PASSES {
+        world[0].progress();
+    }
+    syscalls(&world[0].obs().snapshot().diff(&before)) as f64 / PASSES as f64
+}
+
+/// One eager message `from` → `to`, both ranks pumped from this thread.
+fn leg(world: &mut [wire::WireComm], payload: &Arc<[u8]>, from: usize, to: usize) {
+    let tx = world[from].isend(to, TAG, payload.clone());
+    let rx = world[to].irecv(Some(from), Some(TAG));
+    let (mut sent, mut got) = (false, false);
+    while !(sent && got) {
+        for w in world.iter_mut() {
+            w.progress();
+        }
+        sent |= world[from].try_take(&tx).is_some();
+        got |= world[to].try_take(&rx).is_some();
+    }
+}
+
+/// Syscalls per eager echo (there and back), both ranks together, on a
+/// 2-rank world pumped from one thread.
+fn eager_echo_syscalls(size: usize, echoes: u64) -> f64 {
+    let mut world = loopback_configured(2, WireConfig::default());
+    let payload: Arc<[u8]> = Arc::from(vec![0xc2u8; size]);
+    leg(&mut world, &payload, 0, 1); // warmup
+    leg(&mut world, &payload, 1, 0);
+    let before: Vec<_> = world.iter().map(|w| w.obs().snapshot()).collect();
+    for _ in 0..echoes {
+        leg(&mut world, &payload, 0, 1);
+        leg(&mut world, &payload, 1, 0);
+    }
+    let total: u64 = world
+        .iter()
+        .zip(&before)
+        .map(|(w, b)| syscalls(&w.obs().snapshot().diff(b)))
+        .sum();
+    total as f64 / echoes as f64
 }
 
 fn main() {
@@ -166,5 +227,16 @@ fn main() {
         Direction::Lower,
         vec![eager_counters.counter("wire.rndv_tx") as f64; repeats],
     );
+    // Syscalls at the fabric seam, one pumping thread: exact counts.
+    for (name, value) in [
+        ("syscalls_per_idle_progress.n2", idle_progress_syscalls(2)),
+        ("syscalls_per_idle_progress.n4", idle_progress_syscalls(4)),
+        (
+            "syscalls_per_eager_echo.1KB",
+            eager_echo_syscalls(small, 64),
+        ),
+    ] {
+        snap.push_series(name, "count", Direction::Lower, vec![value; repeats]);
+    }
     benchjson::emit_snapshot(&snap);
 }

@@ -76,6 +76,21 @@ pub mod hint {
             std::hint::spin_loop();
         }
     }
+
+    /// `n` spin-loop pauses between two looks at a condition. Natively a
+    /// delay of `n` pauses; in model builds one schedule point — the
+    /// explorer schedules looks, and a longer gap is not another look.
+    pub fn spin_pauses(n: u32) {
+        #[cfg(not(offload_model))]
+        for _ in 0..n {
+            spin_loop();
+        }
+        #[cfg(offload_model)]
+        {
+            let _ = n;
+            spin_loop();
+        }
+    }
 }
 
 /// Fixed default seed for random-walk exploration — chosen so CI runs are

@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rtmpi::{OpOutcome, Transport, TransportError};
 use wire::nbcrun::{Coll, Dtype, NbcRun, ReduceOp};
 use wire::proto::{FrameKind, Header};
-use wire::{FrameFabric, LinkPoll, WireComm, WireConfig, WireReq};
+use wire::{Frame, FrameFabric, LinkPoll, WireComm, WireConfig, WireReq};
 
 // ---------------------------------------------------------------- fabric
 
@@ -173,23 +173,34 @@ impl FrameFabric for ModelFabric {
         link.queued_total
     }
 
+    fn queued(&self, peer: usize) -> u64 {
+        net_lock(&self.net).link(self.rank, peer).queued_total
+    }
+
     fn flushed(&self, peer: usize) -> u64 {
         // Flushing is instant: queued bytes are on the wire immediately.
-        net_lock(&self.net).link(self.rank, peer).queued_total
+        self.queued(peer)
     }
 
     fn flush(&mut self, _peer: usize) -> LinkPoll {
         LinkPoll::default()
     }
 
-    fn recv(&mut self, peer: usize, out: &mut Vec<(Header, Vec<u8>)>) -> LinkPoll {
+    // No descriptors: the default `sweep` reports every link, so the
+    // engine reads each one every pass, as the explorer expects.
+    fn recv(
+        &mut self,
+        peer: usize,
+        _granted: &dyn Fn(&Header) -> bool,
+        out: &mut Vec<Frame>,
+    ) -> LinkPoll {
         let mut res = LinkPoll::default();
         let mut net = net_lock(&self.net);
         let link = net.link(peer, self.rank);
         while let Some((hdr, body)) = link.inbox.pop_front() {
             res.bytes += (wire::proto::HEADER_LEN + body.len()) as u64;
             res.moved = true;
-            out.push((hdr, body));
+            out.push((hdr, Arc::from(body)));
         }
         // Both directions dead = the peer is gone; report it once, after
         // the delivered bytes above (EOF comes after the data).

@@ -115,6 +115,9 @@ impl BackoffMetrics {
     }
 }
 
+/// Longest run of pauses between two looks of the spin phase.
+const MAX_LOOK_GAP: u32 = 32;
+
 /// An eventcount-flavored wake channel: cheap for notifiers when nobody
 /// waits, a plain condvar when somebody does.
 pub struct WakeSignal {
@@ -169,17 +172,28 @@ impl WakeSignal {
         metrics: &BackoffMetrics,
         mut ready: impl FnMut() -> Option<R>,
     ) -> R {
-        // Phase 1: bounded spin. A condition that holds at the first look
-        // — every post into a pool and a lane with room — records nothing:
-        // counting zero spins would still be a locked read-modify-write.
-        for i in 0..policy.spins {
+        // Phase 1: bounded spin — `policy.spins` pauses in all, with the
+        // looks spaced 1, 2, 4, … pauses apart (capped). A look reads
+        // lines the counterpart is about to write (a lane's `tail`); an
+        // idle consumer that looks every pause takes the line back between
+        // a producer's first push and its second, and the producer pays an
+        // ownership transfer per push. Spacing the looks costs the first
+        // wake-up at most one gap and leaves the time to the first yield
+        // where it was. A condition that holds at the first look — every
+        // post into a pool and a lane with room — records nothing: counting
+        // zero spins would still be a locked read-modify-write.
+        let (mut paused, mut gap) = (0, 1);
+        while paused < policy.spins {
             if let Some(r) = ready() {
-                if i > 0 {
-                    metrics.spins.add(u64::from(i));
+                if paused > 0 {
+                    metrics.spins.add(u64::from(paused));
                 }
                 return r;
             }
-            check::hint::spin_loop();
+            let pauses = gap.min(policy.spins - paused);
+            check::hint::spin_pauses(pauses);
+            paused += pauses;
+            gap = (gap * 2).min(MAX_LOOK_GAP);
         }
         metrics.spins.add(u64::from(policy.spins));
         // Phase 2: bounded yield.

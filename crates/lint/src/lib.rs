@@ -29,11 +29,14 @@
 //!   anything a peer can put on the wire (or in a shared segment) must be
 //!   counted, never panicked on, and the model fabric requires the data
 //!   path to be clock-free.
-//! * `unsafe-confinement` — inside `crates/wire`, `unsafe` and the mmap
-//!   surface live only in `src/shm.rs` (where `safety-comment` already
-//!   demands a justification per use). The rest of the transport stays
-//!   safe Rust, so reviewing the shared-memory trust boundary means
-//!   reading exactly one file.
+//! * `unsafe-confinement` — inside `crates/wire`, `unsafe` lives only in
+//!   the files listed in [`WIRE_UNSAFE_HOMES`], each with its reason
+//!   (`src/shm.rs`: the mapped segment and fd passing; `src/sys.rs`: the
+//!   `poll(2)` call std does not offer) and each answering to
+//!   `safety-comment` per use; the mmap surface lives in `src/shm.rs`
+//!   alone. The rest of the transport stays safe Rust, so reviewing the
+//!   shared-memory trust boundary means reading exactly one file, and
+//!   the raw-syscall surface one more.
 //! * `service-loop-confinement` — non-test code in `crates/core/src` and
 //!   `crates/approaches/src` calls `Transport::{progress, try_take,
 //!   cancel}` only inside `crates/core/src/service.rs`. The paper's
@@ -180,14 +183,28 @@ struct Scope {
     owns_reserved_span: bool,
     /// Wire frame-handling module (peer-controlled input path).
     peer_input: bool,
-    /// `crates/wire` outside `src/shm.rs` — must stay safe Rust.
+    /// `crates/wire` outside [`WIRE_UNSAFE_HOMES`] — must stay safe Rust.
     wire_safe_zone: bool,
+    /// `crates/wire` outside `src/shm.rs` — must not name the mmap surface.
+    wire_no_mmap: bool,
     /// The live offload layers outside `offload::service` — must step the
     /// service, never drive a transport themselves.
     steps_service_only: bool,
     /// The in-process op path — a condvar notify needs a waiter check.
     guards_notifies: bool,
 }
+
+/// The files of `crates/wire` that may say `unsafe`, and why each must.
+pub const WIRE_UNSAFE_HOMES: &[(&str, &str)] = &[
+    (
+        "crates/wire/src/shm.rs",
+        "mmap'd segments, SCM_RIGHTS fd passing and the pointer-backed RingMem",
+    ),
+    (
+        "crates/wire/src/sys.rs",
+        "the poll(2) FFI call behind PollSet; std has no readiness sweep",
+    ),
+];
 
 fn scope_of(path: &str) -> Scope {
     let peer_input_files = [
@@ -201,7 +218,9 @@ fn scope_of(path: &str) -> Scope {
         facade_only: path.starts_with("crates/core/src"),
         owns_reserved_span: path.starts_with("crates/rtmpi"),
         peer_input: peer_input_files.contains(&path),
-        wire_safe_zone: path.starts_with("crates/wire/src") && path != "crates/wire/src/shm.rs",
+        wire_safe_zone: path.starts_with("crates/wire/src")
+            && !WIRE_UNSAFE_HOMES.iter().any(|(home, _)| *home == path),
+        wire_no_mmap: path.starts_with("crates/wire/src") && path != "crates/wire/src/shm.rs",
         steps_service_only: (path.starts_with("crates/core/src")
             || path.starts_with("crates/approaches/src"))
             && path != "crates/core/src/service.rs",
@@ -221,10 +240,11 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
     let mut last_waiter_check = 0usize;
     // Everything from a column-0 `#[cfg(test)]` down is test code (the
     // workspace convention puts unit-test modules at the end of a file).
-    // Integration tests and benches are test code from line one.
+    // Integration tests, benches and a module's out-of-line `tests.rs`
+    // are test code from line one.
     let mut in_test = path
         .split('/')
-        .any(|seg| seg == "tests" || seg == "benches");
+        .any(|seg| seg == "tests" || seg == "tests.rs" || seg == "benches");
 
     for (idx, raw) in src.lines().enumerate() {
         let nr = idx + 1;
@@ -298,15 +318,16 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                     .into(),
             );
         }
-        if !in_test && scope.wire_safe_zone {
-            if has_unsafe_token(line) {
-                push(
-                    "unsafe-confinement",
-                    "`unsafe` in crates/wire outside src/shm.rs; the shared-memory \
-                     trust boundary is confined to that one file"
-                        .into(),
-                );
-            }
+        if !in_test && scope.wire_safe_zone && has_unsafe_token(line) {
+            push(
+                "unsafe-confinement",
+                "`unsafe` in crates/wire outside src/shm.rs and src/sys.rs; the \
+                 shared-memory trust boundary and the raw-syscall surface are \
+                 confined to those two files"
+                    .into(),
+            );
+        }
+        if !in_test && scope.wire_no_mmap {
             for needle in ["mmap", "munmap", "memfd_create"] {
                 if line.contains(needle) {
                     push(
@@ -616,6 +637,7 @@ mod tests {
         let src = "c.load(Ordering::SeqCst);\nlet y = unsafe { x() };\n";
         assert!(scan_source("crates/core/tests/stress.rs", src).is_empty());
         assert!(scan_source("crates/core/benches/b.rs", src).is_empty());
+        assert!(scan_source("crates/wire/src/fabric/tests.rs", src).is_empty());
         assert!(!scan_source("crates/core/src/q.rs", src).is_empty());
     }
 
@@ -673,12 +695,20 @@ mod tests {
             rules_fired("crates/wire/src/engine.rs", mmap),
             ["unsafe-confinement"]
         );
-        // shm.rs itself answers to safety-comment, not confinement.
+        // The two homes answer to safety-comment, not confinement.
+        for (home, reason) in WIRE_UNSAFE_HOMES {
+            assert!(!reason.is_empty());
+            assert_eq!(
+                rules_fired(home, "let y = unsafe { x() };\n"),
+                ["safety-comment"]
+            );
+            assert!(scan_source(home, src).is_empty());
+        }
+        // sys.rs may say `unsafe`, never `mmap`.
         assert_eq!(
-            rules_fired("crates/wire/src/shm.rs", "let y = unsafe { x() };\n"),
-            ["safety-comment"]
+            rules_fired("crates/wire/src/sys.rs", mmap),
+            ["unsafe-confinement"]
         );
-        assert!(scan_source("crates/wire/src/shm.rs", src).is_empty());
         // Other crates are out of scope, and wire test code is exempt.
         assert!(scan_source("crates/core/src/q.rs", "mmap(p, n);\n").is_empty());
         assert!(scan_source("crates/wire/tests/launcher.rs", mmap).is_empty());

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use rtmpi::{MatchQueue, OpOutcome, Status, Tag, Transport, TransportError};
 
-use crate::fabric::{FrameFabric, SocketFabric};
+use crate::fabric::{Frame, FrameFabric, SocketFabric};
 use crate::proto::{FrameKind, Header};
 
 /// Globally unique flow id for one rendezvous exchange. `xid` alone is
@@ -186,9 +186,10 @@ pub struct WireComm<F: FrameFabric = SocketFabric> {
     marks: Vec<VecDeque<(u64, u64)>>,
     /// Peers whose protocol state has already been reaped after death.
     reaped: Vec<bool>,
-    /// Reused frame buffer for fabric receives (no per-poll allocation on
-    /// the quiet path).
-    frames_scratch: Vec<(Header, Vec<u8>)>,
+    /// Reused buffers for the fabric's sweep verdicts and received frames
+    /// (no per-poll allocation on the quiet path).
+    ready: Vec<bool>,
+    frames_scratch: Vec<Frame>,
     mailbox: MatchQueue<u64, Arrival>,
     pending: HashMap<u64, Pending>,
     /// Receiver side: (src, xid) → (request awaiting that DATA frame,
@@ -269,6 +270,7 @@ impl<F: FrameFabric> WireComm<F> {
             fabric,
             marks: (0..size).map(|_| VecDeque::new()).collect(),
             reaped: vec![false; size],
+            ready: Vec::new(),
             frames_scratch: Vec::new(),
             mailbox: MatchQueue::new(),
             pending: HashMap::new(),
@@ -556,7 +558,7 @@ impl<F: FrameFabric> WireComm<F> {
     /// Deliver one parsed inbound frame from `src`. Everything in here is
     /// peer-controlled input: malformed protocol events are counted in
     /// `wire.protocol_errors` and absorbed, never panicked on.
-    fn deliver(&mut self, src: usize, hdr: Header, body: &[u8]) {
+    fn deliver(&mut self, src: usize, hdr: Header, body: Arc<[u8]>) {
         self.c_frames_rx.inc();
         self.bb.record(
             crate::stats::bbcode::rx_code(hdr.kind),
@@ -567,22 +569,19 @@ impl<F: FrameFabric> WireComm<F> {
         );
         match hdr.kind {
             FrameKind::Hello => {} // bootstrap leftover; ignore
-            FrameKind::Eager => {
-                let data: Arc<[u8]> = Arc::from(body);
-                match self.mailbox.take_posted(src, hdr.tag) {
-                    Some(p) => {
-                        let st = Status {
-                            source: src,
-                            tag: hdr.tag,
-                            len: data.len(),
-                        };
-                        self.finish(p.token, Ok(OpOutcome::Received(st, data)));
-                    }
-                    None => self
-                        .mailbox
-                        .push_unexpected(src, hdr.tag, Arrival::Eager(data)),
+            FrameKind::Eager => match self.mailbox.take_posted(src, hdr.tag) {
+                Some(p) => {
+                    let st = Status {
+                        source: src,
+                        tag: hdr.tag,
+                        len: body.len(),
+                    };
+                    self.finish(p.token, Ok(OpOutcome::Received(st, body)));
                 }
-            }
+                None => self
+                    .mailbox
+                    .push_unexpected(src, hdr.tag, Arrival::Eager(body)),
+            },
             FrameKind::Rts => {
                 let len = hdr.len as usize;
                 match self.mailbox.take_posted(src, hdr.tag) {
@@ -663,7 +662,7 @@ impl<F: FrameFabric> WireComm<F> {
                             tag: hdr.tag,
                             len: body.len(),
                         };
-                        self.finish(id, Ok(OpOutcome::Received(st, Arc::from(body))));
+                        self.finish(id, Ok(OpOutcome::Received(st, body)));
                     }
                     // DATA nobody awaits: duplicate, forged, or the
                     // receive side already gave up on this exchange.
@@ -709,21 +708,27 @@ impl<F: FrameFabric> WireComm<F> {
         moved
     }
 
-    /// Read everything available from peer `p` and deliver parsed frames;
+    /// Read peer `p`'s link once and deliver the frames that completes;
     /// returns true if bytes moved.
     fn read_peer(&mut self, p: usize) -> bool {
         if !self.fabric.alive(p) {
             return false;
         }
         let mut frames = std::mem::take(&mut self.frames_scratch);
-        let res = self.fabric.recv(p, &mut frames);
+        // The one announced length the fabric may allocate up front: a
+        // DATA frame this engine answered a CTS for, at the RTS's length.
+        let await_data = &self.await_data;
+        let granted = |h: &Header| {
+            h.kind == FrameKind::Data
+                && await_data
+                    .get(&(p, h.xid))
+                    .is_some_and(|&(_, len)| len == h.len)
+        };
+        let res = self.fabric.recv(p, &granted, &mut frames);
         self.c_bytes_rx.add(res.bytes);
         let mut moved = res.moved;
         for (hdr, body) in frames.drain(..) {
-            self.deliver(p, hdr, &body);
-            // The staging buffer goes back to the fabric's pool — the
-            // receive path's steady state allocates nothing per message.
-            self.fabric.recycle(body);
+            self.deliver(p, hdr, body);
             moved = true;
         }
         self.frames_scratch = frames;
@@ -929,17 +934,30 @@ impl<F: FrameFabric> Transport for WireComm<F> {
     fn progress(&mut self) -> bool {
         self.c_polls.inc();
         let mut advanced = false;
-        for p in 0..self.size {
+        // One readiness question for the whole pass, whatever the peer
+        // count; then only links with something to do are touched.
+        let mut ready = std::mem::take(&mut self.ready);
+        self.fabric.sweep(&mut ready);
+        for (p, &readable) in ready.iter().enumerate() {
             if p == self.rank {
                 continue;
             }
-            // Flush first (cheap when empty), then read and deliver, then
-            // flush again so protocol responses (CTS, DATA) queued while
-            // parsing leave in the same poll.
-            advanced |= self.flush_peer(p);
-            advanced |= self.read_peer(p);
-            advanced |= self.flush_peer(p);
+            // Flush a non-empty outbox (or retire marks a fabric flushed at
+            // queue time), read and deliver if the sweep said so, then
+            // flush again only if delivery queued protocol responses (CTS,
+            // DATA) — they leave in the same pass.
+            let queued = self.fabric.queued(p);
+            if queued != self.fabric.flushed(p) || !self.marks[p].is_empty() {
+                advanced |= self.flush_peer(p);
+            }
+            if readable {
+                advanced |= self.read_peer(p);
+                if self.fabric.queued(p) != queued {
+                    advanced |= self.flush_peer(p);
+                }
+            }
         }
+        self.ready = ready;
         if self.stats.is_some()
             || self.watchdog.is_some()
             || self.relay.is_some()

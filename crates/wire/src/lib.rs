@@ -17,9 +17,11 @@
 //! Module map:
 //! * [`proto`] — the frame header and its encoding (24-byte LE prefix).
 //! * [`fabric`] — [`FrameFabric`]: the frame-delivery seam under the
-//!   engine. [`SocketFabric`] is the production poll loop; `check::proto`
-//!   substitutes an in-memory fabric to model-check delivery order,
-//!   duplication and peer death (DESIGN.md §15).
+//!   engine. [`SocketFabric`] is the production one — one `poll(2)` per
+//!   progress pass, one read per ready link, each body written once into
+//!   the `Arc` it is delivered in; `check::proto` substitutes an
+//!   in-memory fabric to model-check delivery order, duplication and
+//!   peer death (DESIGN.md §15).
 //! * [`engine`] — [`WireComm`]: the nonblocking per-rank progress engine
 //!   (unexpected-message queue, MPI FIFO matching via [`rtmpi::MatchQueue`],
 //!   eager/rendezvous protocol, peer-death detection), generic over the
@@ -31,8 +33,11 @@
 //!   memfd segments passed over the UDS handshake, SPSC rings running the
 //!   model-checked `shmring` protocol, zero syscalls and zero per-message
 //!   allocation on the eager path (DESIGN.md §16).
-//! * [`regpool`] — the registered staging-buffer pool all transports
-//!   lease inbound frame bodies from (lease/recycle, never blocks).
+//! * [`regpool`] — a lease/recycle staging-buffer pool; off the data
+//!   path (nothing stages a body any more), kept for the benchmark probe
+//!   that links it.
+//! * `sys` — the raw `poll(2)` behind the fabric's once-per-pass
+//!   readiness sweep; with [`shm`], the crate's whole raw-FFI surface.
 //! * [`relay`] — the k-ary stats relay tree: ranks ship snapshots to
 //!   their tree parent, parents merge in-flight, the launcher sees O(k)
 //!   connections instead of O(N) (DESIGN.md §17).
@@ -69,10 +74,11 @@ pub mod regpool;
 pub mod relay;
 pub mod shm;
 pub mod stats;
+mod sys;
 
 pub use bootstrap::{from_env, from_env_packed, loopback, loopback_configured};
 pub use engine::{WireComm, WireConfig, WireReq};
-pub use fabric::{FrameFabric, LinkPoll, SocketFabric};
+pub use fabric::{Frame, FrameFabric, LinkPoll, SocketFabric};
 
 /// Environment variable naming this process's rank (set by `offload-run`).
 pub const ENV_RANK: &str = "WIRE_RANK";

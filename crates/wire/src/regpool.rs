@@ -1,16 +1,19 @@
-//! `RegPool` — the registered staging-buffer pool.
+//! `RegPool` — a lease/recycle pool of staging buffers. **Off the data
+//! path since PR 16.**
 //!
-//! Every inbound frame body used to be a fresh `Vec<u8>` allocation on
-//! the receive path, for every transport. The pool replaces that churn
-//! with lease/recycle over a bounded shelf of fixed-capacity buffers:
-//! the fabric leases a buffer to stage a body, the engine hands it back
-//! after delivery, and the shelf caps how many free buffers are retained
-//! so a burst does not pin memory forever. The same pool serves the UDS,
-//! TCP and shm paths (shm rendezvous reassembly included), which is what
-//! makes "zero per-message heap buffers" hold across transports, not
-//! just on the shared-memory ring.
+//! Inbound frame bodies used to be staged in buffers leased from this
+//! pool and handed back by the engine after delivery. The receive path
+//! no longer stages anything: a body is written once, into the
+//! `Arc<[u8]>` the application receives (see [`crate::fabric`], "Data-
+//! plane economics"), so nothing in `crates/wire` leases from here. The
+//! type and its unit tests stay because the referee benchmark links it
+//! (`opbench`'s `regpool.lease_recycle_ns` probe; `benchmark/` is edited
+//! only by `[benchmark]` PRs) — deleting it is ROADMAP item 4's, with
+//! that probe. `wire.regpool.*` counters are therefore registered by no
+//! engine and read 0 in every report.
 //!
-//! Two hard rules, both for the offload thread's benefit:
+//! What it is: a bounded shelf of fixed-capacity buffers with two hard
+//! rules —
 //!
 //! * **Never block.** The shelf lock is only ever `try_lock`ed; any
 //!   contention (or an empty shelf, or an oversized request) falls back
@@ -19,12 +22,11 @@
 //! * **Never panic.** There is no unwrap on the lock; a poisoned shelf
 //!   just behaves like a permanently contended one.
 //!
-//! Counters (registered under `wire.regpool.*` by
-//! [`RegPool::register_obs`]): `leases` (every lease), `heap_alloc`
-//! (leases served by a fresh heap buffer — pool misses, oversized
-//! requests, contention) and `recycle_drop` (buffers dropped on return
-//! because the shelf was full, contended, or the buffer was not
-//! pool-shaped).
+//! Counters (under `wire.regpool.*` once [`RegPool::register_obs`] is
+//! called): `leases` (every lease), `heap_alloc` (leases served by a
+//! fresh heap buffer — pool misses, oversized requests, contention) and
+//! `recycle_drop` (buffers dropped on return because the shelf was full,
+//! contended, or the buffer was not pool-shaped).
 
 use std::sync::Mutex;
 
