@@ -1,35 +1,32 @@
 //! Stats-plane scalability panel: the launcher-side cost of hearing from
-//! a 64-rank world, star topology vs the k-ary relay tree
-//! ([`wire::relay`], arity 8 → depth 2).
+//! a 64-rank world, flat (every rank dials the collector — the star) vs
+//! the k-ary relay tree ([`wire::relay`], arity 8 → depth 2).
 //!
-//! Both topologies are driven synthetically in-process over real Unix
-//! sockets against the real [`wire::stats::Collector`]: 64 per-rank
-//! registries each emit one snapshot per round. In star mode every rank
-//! holds its own collector connection and ships its own `Stats` frame; in
-//! tree mode ranks pump/emit in leaf-to-root order, so each round
-//! coalesces into exactly one `Relay` frame at the collector.
+//! One driver, the topology its parameter — exactly the launcher's
+//! `--relay`: 64 real [`RelayNode`]s over real Unix sockets against the
+//! real [`wire::stats::Collector`], each emitting one snapshot per round
+//! in leaf-to-root order. Flat, every emission is its own frame at the
+//! collector; in the tree each round coalesces into exactly one.
 //!
 //! Wall-clock series are `info` (this box decides how fast a socket is).
 //! The structural counters are deterministic and gate hard:
 //!
 //! * `relay_merged_per_round` — every non-root rank merged exactly once
-//!   per round (63 at 64 ranks);
+//!   per round (63 at 64 ranks; the last round's merges are counted after
+//!   the last snapshot was taken, hence 63 · (rounds − 1) / rounds);
 //! * `relay_dropped` — 0 in this clean lane (each emission is consumed
 //!   before the next lands; any drop means the coalescing logic changed);
 //! * `collector_conns.tree` / `collector_frames_per_round.tree` — the
 //!   O(k)-connections claim, counted at the collector (1 root connection,
-//!   1 merged frame per round vs 64/64 for the star);
+//!   1 merged frame per round vs 64/64 flat);
 //! * `relay_depth` / `relay_coverage` — the tree actually had depth 2
 //!   and carried all 64 ranks.
 
 use bench::{benchjson, emit, Direction, PanelSnapshot};
 use harness::Table;
-use std::io::Write;
-use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
-use wire::proto::{FrameKind, Header, HEADER_LEN};
-use wire::relay::{RelayNode, RelayOpts};
-use wire::stats::Collector;
+use wire::relay::{parent_of, RelayNode, RelayOpts};
+use wire::stats::{relay_summary, Collector, CollectorShared};
 
 const RANKS: usize = 64;
 const ARITY: usize = 8;
@@ -44,7 +41,7 @@ fn rounds() -> usize {
 
 struct RunStats {
     wall: Duration,
-    /// Bytes shipped over every link (star: rank→collector only; tree:
+    /// Bytes shipped over every link (flat: rank→collector only; tree:
     /// all parent links including root→collector).
     link_bytes: u64,
     collector_conns: u64,
@@ -55,59 +52,15 @@ struct RunStats {
     coverage: u64,
 }
 
-/// Star topology: every rank dials the collector and ships its own
-/// snapshot each round.
-fn run_star(rounds: usize) -> RunStats {
-    let dir = std::env::temp_dir().join(format!("stats-relay-star-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let sock = dir.join("stats.sock");
-    let col = Collector::start(&sock, RANKS).expect("collector binds");
-    let regs: Vec<obs::Registry> = (0..RANKS).map(|_| obs::Registry::default()).collect();
-    let mut streams: Vec<UnixStream> = (0..RANKS)
-        .map(|_| UnixStream::connect(&sock).expect("rank dials collector"))
-        .collect();
-    let mut link_bytes = 0u64;
-    let start = Instant::now();
-    for round in 0..rounds {
-        for (rank, reg) in regs.iter().enumerate() {
-            reg.counter("work.items").add(1 + (rank + round) as u64 % 7);
-            let body = reg.snapshot().to_bytes();
-            let hdr = Header {
-                kind: FrameKind::Stats,
-                src: rank as u32,
-                tag: 0,
-                xid: 0,
-                len: body.len() as u64,
-            };
-            streams[rank].write_all(&hdr.encode()).expect("header");
-            streams[rank].write_all(&body).expect("body");
-            link_bytes += (HEADER_LEN + body.len()) as u64;
-        }
-    }
-    let wall = start.elapsed();
-    drop(streams);
-    let shared = wait_for(col, |s| {
-        s.ranks.iter().map(|r| r.snapshots).sum::<u64>() >= (RANKS * rounds) as u64
-    });
-    let frames: u64 = shared.ranks.iter().map(|r| r.snapshots).sum();
-    let _ = std::fs::remove_dir_all(&dir);
-    RunStats {
-        wall,
-        link_bytes,
-        collector_conns: RANKS as u64,
-        collector_frames: frames,
-        merged_total: 0,
-        dropped_total: 0,
-        depth: 0,
-        coverage: RANKS as u64,
-    }
-}
-
-/// Relay tree: ranks pump/emit leaf-to-root, so every round folds into
-/// one upward frame at the collector.
-fn run_tree(rounds: usize) -> RunStats {
-    let dir = std::env::temp_dir().join(format!("stats-relay-tree-{}", std::process::id()));
+/// Drive a 64-rank plane for `rounds` emissions per rank and read the
+/// result off the collector. `arity` is the topology: `None` flat,
+/// `Some(k)` the k-ary tree.
+fn run(arity: Option<usize>, rounds: usize) -> RunStats {
+    let dir = std::env::temp_dir().join(format!(
+        "stats-relay-{}-{}",
+        arity.map_or("flat".into(), |k| format!("k{k}")),
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("bench dir");
     let sock = dir.join("stats.sock");
@@ -121,7 +74,7 @@ fn run_tree(rounds: usize) -> RunStats {
                 &RelayOpts {
                     rank,
                     size: RANKS,
-                    arity: ARITY,
+                    arity,
                     dir: dir.clone(),
                     stats_sock: sock.clone(),
                     interval: Duration::from_millis(1),
@@ -135,33 +88,42 @@ fn run_tree(rounds: usize) -> RunStats {
     for round in 0..rounds {
         // Reverse rank order = children strictly before parents (the heap
         // parent is always a smaller rank), so every emission this round
-        // is pumped and merged by its parent in the same round —
+        // is taken in and merged by its parent in the same round —
         // deterministic counters, no coalescing drops.
         for rank in (0..RANKS).rev() {
             regs[rank]
                 .counter("work.items")
                 .add(1 + (rank + round) as u64 % 7);
-            nodes[rank].pump();
             let own = regs[rank].snapshot();
             nodes[rank].emit(&own);
         }
     }
     let wall = start.elapsed();
-    let shared = wait_for(col, |s| s.relay.frames() >= rounds as u64);
+    let frames = |s: &CollectorShared| s.sources.values().map(|src| src.frames).sum::<u64>();
+    let dialers = (0..RANKS)
+        .filter(|&r| parent_of(r, arity).is_none())
+        .count();
+    let shared = wait_for(col, |s| frames(s) >= (dialers * rounds) as u64);
     let link_bytes: u64 = regs
         .iter()
         .map(|r| r.snapshot().counter("obs.relay_tx_bytes"))
         .sum();
-    let merged = shared.relay.merged();
+    // The whole-world view: the tree's root delivers it merged, a flat
+    // world's rows are merged here.
+    let mut world = obs::Snapshot::default();
+    for s in shared.sources.values().filter_map(|s| s.last.as_ref()) {
+        world.merge(s);
+    }
+    let tree = relay_summary(shared.sources.values());
     let stats = RunStats {
         wall,
         link_bytes,
-        collector_conns: 1,
-        collector_frames: shared.relay.frames(),
-        merged_total: merged.counter("obs.relay_merged"),
-        dropped_total: merged.counter("obs.relay_dropped"),
-        depth: shared.relay.depth(),
-        coverage: shared.relay.coverage(),
+        collector_conns: shared.conns,
+        collector_frames: frames(&shared),
+        merged_total: world.counter("obs.relay_merged"),
+        dropped_total: world.counter("obs.relay_dropped"),
+        depth: tree.as_ref().map_or(0, |t| t.depth),
+        coverage: tree.map_or(shared.sources.len() as u64, |t| t.coverage),
     };
     nodes.clear();
     let _ = std::fs::remove_dir_all(&dir);
@@ -169,10 +131,7 @@ fn run_tree(rounds: usize) -> RunStats {
 }
 
 /// Poll the collector until `done` or a deadline, then finish it.
-fn wait_for(
-    col: Collector,
-    done: impl Fn(&wire::stats::CollectorShared) -> bool,
-) -> wire::stats::CollectorShared {
+fn wait_for(col: Collector, done: impl Fn(&CollectorShared) -> bool) -> CollectorShared {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if done(&col.peek()) || Instant::now() >= deadline {
@@ -184,8 +143,8 @@ fn wait_for(
 
 fn main() {
     let rounds = rounds();
-    let star = run_star(rounds);
-    let tree = run_tree(rounds);
+    let star = run(None, rounds);
+    let tree = run(Some(ARITY), rounds);
 
     let mut t = Table::new(vec![
         "topology",
@@ -219,75 +178,48 @@ fn main() {
         "stats_relay",
         "Stats-plane scalability — star vs relay tree, 64 ranks, arity 8",
     );
-    // Deterministic structure: gates hard (noise 0 under the driven
-    // leaf-to-root order).
-    snap.push_series(
-        "relay_merged_per_round",
-        "merges",
-        Direction::Higher,
-        vec![tree.merged_total as f64 / rounds as f64],
-    );
-    snap.push_series(
-        "relay_dropped",
-        "drops",
-        Direction::Lower,
-        vec![tree.dropped_total as f64],
-    );
-    snap.push_series(
-        "collector_conns.tree",
-        "conns",
-        Direction::Lower,
-        vec![tree.collector_conns as f64],
-    );
-    snap.push_series(
-        "collector_conns.star",
-        "conns",
-        Direction::Info,
-        vec![star.collector_conns as f64],
-    );
-    snap.push_series(
-        "collector_frames_per_round.tree",
-        "frames",
-        Direction::Lower,
-        vec![tree.collector_frames as f64 / rounds as f64],
-    );
-    snap.push_series(
-        "relay_depth",
-        "levels",
-        Direction::Higher,
-        vec![tree.depth as f64],
-    );
-    snap.push_series(
-        "relay_coverage",
-        "ranks",
-        Direction::Higher,
-        vec![tree.coverage as f64],
-    );
-    // Wall-clock and byte volumes: info (machine-dependent / serialization-
-    // size-dependent), recorded for the trajectory.
-    snap.push_series(
-        "drive_wall_ms.star",
-        "ms",
-        Direction::Info,
-        vec![star.wall.as_secs_f64() * 1e3],
-    );
-    snap.push_series(
-        "drive_wall_ms.tree",
-        "ms",
-        Direction::Info,
-        vec![tree.wall.as_secs_f64() * 1e3],
-    );
-    snap.push_series(
-        "link_kib.star",
-        "KiB",
-        Direction::Info,
-        vec![star.link_bytes as f64 / 1024.0],
-    );
-    snap.push_series(
-        "link_kib.tree",
-        "KiB",
-        Direction::Info,
-        vec![tree.link_bytes as f64 / 1024.0],
-    );
+    let per_round = |total: u64| total as f64 / rounds as f64;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let kib = |bytes: u64| bytes as f64 / 1024.0;
+    use Direction::{Higher, Info, Lower};
+    for (name, unit, direction, value) in [
+        // Deterministic structure: gates hard (noise 0 under the driven
+        // leaf-to-root order).
+        (
+            "relay_merged_per_round",
+            "merges",
+            Higher,
+            per_round(tree.merged_total),
+        ),
+        ("relay_dropped", "drops", Lower, tree.dropped_total as f64),
+        (
+            "collector_conns.tree",
+            "conns",
+            Lower,
+            tree.collector_conns as f64,
+        ),
+        (
+            "collector_conns.star",
+            "conns",
+            Info,
+            star.collector_conns as f64,
+        ),
+        (
+            "collector_frames_per_round.tree",
+            "frames",
+            Lower,
+            per_round(tree.collector_frames),
+        ),
+        ("relay_depth", "levels", Higher, tree.depth as f64),
+        ("relay_coverage", "ranks", Higher, tree.coverage as f64),
+        // Wall-clock and byte volumes: info (machine-dependent /
+        // serialization-size-dependent), recorded for the trajectory.
+        ("drive_wall_ms.star", "ms", Info, ms(star.wall)),
+        ("drive_wall_ms.tree", "ms", Info, ms(tree.wall)),
+        ("link_kib.star", "KiB", Info, kib(star.link_bytes)),
+        ("link_kib.tree", "KiB", Info, kib(tree.link_bytes)),
+    ] {
+        snap.push_series(name, unit, direction, vec![value]);
+    }
     benchjson::emit_snapshot(&snap);
 }

@@ -7,8 +7,8 @@
 //! its printed table into a [`PanelSnapshot`]: per-series repeat samples
 //! with median/min/max and a noise band estimated from the repeats, plus
 //! provenance (schema version, git sha, UTC timestamp, environment
-//! fingerprint). Snapshots serialize as stable hand-rolled JSON — no
-//! external dependencies — and parse back via [`obs::chrome::parse_json`].
+//! fingerprint). Snapshots serialize as stable JSON through [`obs::json`] —
+//! no external dependencies — and parse back through the same module.
 //!
 //! [`compare_panels`]/[`compare_dirs`] diff a fresh snapshot against a
 //! committed baseline and classify each series as improved / unchanged /
@@ -20,7 +20,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use obs::chrome::{parse_json, Json};
+use obs::json::{parse as parse_json, Json, Layout, Writer};
 
 /// Bump when the JSON layout changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -205,49 +205,37 @@ impl PanelSnapshot {
 
     /// Serialize as stable, human-diffable JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!("  \"panel\": \"{}\",\n", esc(&self.panel)));
-        out.push_str(&format!("  \"title\": \"{}\",\n", esc(&self.title)));
-        out.push_str(&format!("  \"git_sha\": \"{}\",\n", esc(&self.git_sha)));
-        out.push_str(&format!(
-            "  \"created_utc\": \"{}\",\n",
-            esc(&self.created_utc)
-        ));
-        out.push_str("  \"env\": {");
-        out.push_str(&format!("\"cpus\": {}, ", self.env.cpus));
-        out.push_str(&format!("\"os\": \"{}\", ", esc(&self.env.os)));
-        out.push_str(&format!("\"arch\": \"{}\", ", esc(&self.env.arch)));
-        out.push_str(&format!("\"rustc\": \"{}\", ", esc(&self.env.rustc)));
-        out.push_str(&format!("\"features\": \"{}\", ", esc(&self.env.features)));
-        out.push_str(&format!("\"mode\": \"{}\"}},\n", esc(&self.env.mode)));
-        out.push_str("  \"series\": [\n");
-        for (i, s) in self.series.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", esc(&s.name)));
-            out.push_str(&format!("\"unit\": \"{}\", ", esc(&s.unit)));
-            out.push_str(&format!("\"direction\": \"{}\", ", s.direction.as_str()));
-            out.push_str(&format!("\"repeats\": {}, ", s.repeats));
-            out.push_str("\"samples\": [");
-            for (j, v) in s.samples.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&num(*v));
-            }
-            out.push_str("], ");
-            out.push_str(&format!("\"median\": {}, ", num(s.median)));
-            out.push_str(&format!("\"min\": {}, ", num(s.min)));
-            out.push_str(&format!("\"max\": {}, ", num(s.max)));
-            out.push_str(&format!("\"noise\": {}}}", num(s.noise)));
-            out.push_str(if i + 1 < self.series.len() {
-                ",\n"
-            } else {
-                "\n"
+        let mut w = Writer::new();
+        w.object(Layout::Block, |w| {
+            w.field("schema_version", self.schema_version);
+            w.field("panel", &self.panel).field("title", &self.title);
+            w.field("git_sha", &self.git_sha);
+            w.field("created_utc", &self.created_utc);
+            w.key("env").object(Layout::Inline, |w| {
+                let e = &self.env;
+                w.field("cpus", e.cpus).field("os", &e.os);
+                w.field("arch", &e.arch).field("rustc", &e.rustc);
+                w.field("features", &e.features).field("mode", &e.mode);
             });
-        }
-        out.push_str("  ]\n}\n");
+            w.key("series").array(Layout::Block, |w| {
+                for s in &self.series {
+                    w.object(Layout::Inline, |w| {
+                        w.field("name", &s.name).field("unit", &s.unit);
+                        w.field("direction", s.direction.as_str());
+                        w.field("repeats", s.repeats);
+                        w.key("samples").array(Layout::Inline, |w| {
+                            for v in &s.samples {
+                                w.value(*v);
+                            }
+                        });
+                        w.field("median", s.median).field("min", s.min);
+                        w.field("max", s.max).field("noise", s.noise);
+                    });
+                }
+            });
+        });
+        let mut out = w.finish();
+        out.push('\n');
         out
     }
 
@@ -732,30 +720,8 @@ pub fn utc_now_iso8601() -> String {
 // JSON plumbing
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON number for `v`; non-finite values serialize as `null` (JSON has
-/// no NaN) and parse back as NaN.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
+/// Non-finite values are written as `null` (JSON has no NaN) and parse
+/// back as NaN.
 fn json_num(j: &Json) -> Result<f64, String> {
     match j {
         Json::Num(n) => Ok(*n),
@@ -838,6 +804,22 @@ mod tests {
         snap.title = "title with, commas — and unicode µs".into();
         let back = PanelSnapshot::from_json(&snap.to_json()).expect("roundtrip");
         assert_eq!(back, snap);
+    }
+
+    /// The golden for the writer: every committed baseline, parsed and
+    /// written again, is the file it was read from — so moving to
+    /// `obs::json` re-recorded nothing.
+    #[test]
+    fn committed_baselines_reserialize_byte_identically() {
+        let root = workspace_root();
+        let panels = list_panels(&root);
+        assert!(!panels.is_empty(), "no BENCH_*.json at the workspace root");
+        for panel in panels {
+            let path = root.join(format!("BENCH_{panel}.json"));
+            let text = std::fs::read_to_string(&path).expect("baseline reads");
+            let snap = PanelSnapshot::from_json(&text).expect("baseline parses");
+            assert_eq!(snap.to_json(), text, "{}", path.display());
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `offload-lint` — the workspace's source-discipline analysis pass.
 //!
-//! A std-only textual analyzer (no rustc plumbing, no dependencies) that
+//! A std-only textual analyzer (no rustc plumbing; its one dependency is
+//! the workspace's own std-only `obs`, for the JSON writer) that
 //! enforces the conventions the heavier verification layers *assume*:
 //! the model checker trusts that the lock-free core routes all
 //! concurrency through the `check` facade, the Miri/model lanes trust
@@ -24,8 +25,9 @@
 //!   span `0x7000_0000..0x8000_0000` outside `crates/rtmpi`: consumers
 //!   must name `TAG_RESERVED_BASE`/`TAG_COLL_BASE` so the span can move.
 //! * `peer-input-hardening` — the wire frame-handling modules
-//!   (`engine.rs`, `proto.rs`, `fabric.rs`, `shm.rs`, `regpool.rs`) must
-//!   not use `.unwrap()`, `.expect(` or `Instant::now` outside test code:
+//!   (`engine.rs`, `proto.rs`, `fabric.rs`, `shm.rs`, `regpool.rs`, and
+//!   the stats plane's two decoders, `relay.rs` and `stats.rs`) must not
+//!   use `.unwrap()`, `.expect(` or `Instant::now` outside test code:
 //!   anything a peer can put on the wire (or in a shared segment) must be
 //!   counted, never panicked on, and the model fabric requires the data
 //!   path to be clock-free.
@@ -213,6 +215,8 @@ fn scope_of(path: &str) -> Scope {
         "crates/wire/src/fabric.rs",
         "crates/wire/src/shm.rs",
         "crates/wire/src/regpool.rs",
+        "crates/wire/src/relay.rs",
+        "crates/wire/src/stats.rs",
     ];
     Scope {
         facade_only: path.starts_with("crates/core/src"),
@@ -520,42 +524,25 @@ pub fn rel_of(root: &Path, path: &Path) -> String {
 
 // ----------------------------------------------------------------- report
 
-/// Minimal JSON string escaping (std-only, ASCII control + quotes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The machine-readable findings report (one JSON object, stable keys).
 pub fn json_report(findings: &[Finding], suppressed: usize) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"message\": \"{}\", \"snippet\": \"{}\"}}{}\n",
-            json_escape(f.rule),
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.message),
-            json_escape(&f.snippet),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"count\": {},\n  \"suppressed\": {}\n}}\n",
-        findings.len(),
-        suppressed
-    ));
+    use obs::json::{Layout, Writer};
+    let mut w = Writer::new();
+    w.object(Layout::Block, |w| {
+        w.key("findings").array(Layout::Block, |w| {
+            for f in findings {
+                w.object(Layout::Inline, |w| {
+                    w.field("rule", f.rule).field("file", &f.file);
+                    w.field("line", f.line).field("message", &f.message);
+                    w.field("snippet", &f.snippet);
+                });
+            }
+        });
+        w.field("count", findings.len());
+        w.field("suppressed", suppressed);
+    });
+    let mut out = w.finish();
+    out.push('\n');
     out
 }
 
@@ -673,7 +660,7 @@ mod tests {
                 ["peer-input-hardening"],
                 "{needle}"
             );
-            // Same code elsewhere in wire (launcher, stats) is fine.
+            // Same code elsewhere in wire (launcher, bootstrap) is fine.
             assert!(scan_source("crates/wire/src/launcher.rs", &src).is_empty());
         }
         // unwrap_or_else is not unwrap.

@@ -1,324 +1,111 @@
-//! Chrome trace-event JSON: emission from a [`Recorder`] and a hand-rolled
-//! structural validator (no serde — this crate is dependency-free).
+//! Chrome trace-event JSON: emission from a [`Recorder`] (through the
+//! workspace's one writer, [`crate::json`]) and a structural validator.
 //!
 //! The emitted document is the "JSON Object Format" of the Trace Event
 //! spec: `{"traceEvents": [...], "displayTimeUnit": "ns"}`, loadable in
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. Timestamps
 //! (`ts`) and durations (`dur`) are microseconds with fractional ns.
 
+use crate::json::{Layout, Writer};
 use crate::trace::Recorder;
+
+pub use crate::json::{parse as parse_json, Json};
 
 // ---------------------------------------------------------------------------
 // Emission
 // ---------------------------------------------------------------------------
 
+/// A nanosecond reading as the spec's microseconds: µs with ns
+/// resolution, no float formatting surprises.
 #[cfg(feature = "enabled")]
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
+struct Micros(u64);
 
 #[cfg(feature = "enabled")]
-fn push_ts(out: &mut String, ns: u64) {
-    // µs with ns resolution, no float formatting surprises.
-    out.push_str(&format!("{}.{:03}", ns / 1000, ns % 1000));
+impl crate::json::Value for Micros {
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = write!(out, "{}.{:03}", self.0 / 1000, self.0 % 1000);
+    }
 }
 
 /// Serialize every track of `rec` as Chrome trace events. Each track
 /// contributes a `thread_name` metadata event plus its ring contents, in
 /// recorded order (monotone per track under the virtual clock).
 pub fn to_chrome_json(rec: &Recorder) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    emit_tracks(rec, &mut out, &mut first);
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+    let mut w = Writer::new();
+    w.object(Layout::Compact, |w| {
+        w.key("traceEvents")
+            .array(Layout::Compact, |w| emit_tracks(rec, w));
+        w.field("displayTimeUnit", "ns");
+    });
+    w.finish()
 }
 
 #[cfg(feature = "enabled")]
-fn emit_tracks(rec: &Recorder, out: &mut String, first: &mut bool) {
-    let mut sep = |out: &mut String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-    };
+fn emit_tracks(rec: &Recorder, w: &mut Writer) {
+    let metadata =
+        |w: &mut Writer, what: &str, pid: u32, tid: u32, name: &str, dropped: Option<u64>| {
+            w.object(Layout::Compact, |w| {
+                w.field("ph", "M").field("name", what);
+                w.field("pid", pid).field("tid", tid).field("ts", 0u32);
+                w.key("args").object(Layout::Compact, |w| {
+                    w.field("name", name);
+                    if let Some(n) = dropped {
+                        w.field("dropped", n);
+                    }
+                });
+            });
+        };
     // Multi-process identity: when set, the recorder's process pid (the
     // rank) overrides every track's registered pid, and the process row
     // itself gets named — per-rank traces then merge without colliding.
     let process = rec.process();
     if let Some((pid, name)) = &process {
-        sep(out);
-        out.push_str(&format!(
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"ts\":0,\"args\":{{\"name\":\""
-        ));
-        escape_into(out, name);
-        out.push_str("\"}}");
+        metadata(w, "process_name", *pid, 0, name, None);
     }
     rec.for_each_track(|t| {
         let pid = process.as_ref().map_or(t.pid, |(p, _)| *p);
-        sep(out);
-        out.push_str(&format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{},\"ts\":0,\"args\":{{\"name\":\"",
-            pid, t.tid
-        ));
-        escape_into(out, &t.label);
         // Surface ring overwrites so a truncated trace is never mistaken
         // for a complete one.
         // ORDERING: Relaxed — monotone diagnostic counter; the events ring
         // itself is read under its mutex.
         let dropped = t.dropped.load(std::sync::atomic::Ordering::Relaxed);
-        out.push_str(&format!("\",\"dropped\":{dropped}}}}}"));
+        metadata(w, "thread_name", pid, t.tid, &t.label, Some(dropped));
         for ev in t.events.lock().expect("obs track ring").iter() {
-            sep(out);
-            match ev.flow {
-                crate::trace::FlowPhase::None if ev.dur_ns == 0 => {
-                    out.push_str(&format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\"ts\":",
-                        pid, t.tid
-                    ));
-                    push_ts(out, ev.ts_ns);
-                }
-                crate::trace::FlowPhase::None => {
-                    out.push_str(&format!(
-                        "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":",
-                        pid, t.tid
-                    ));
-                    push_ts(out, ev.ts_ns);
-                    out.push_str(",\"dur\":");
-                    push_ts(out, ev.dur_ns);
-                }
-                flow => {
+            w.object(Layout::Compact, |w| {
+                let flow = match ev.flow {
+                    crate::trace::FlowPhase::None => None,
+                    crate::trace::FlowPhase::Start => Some("s"),
+                    crate::trace::FlowPhase::Step => Some("t"),
+                    crate::trace::FlowPhase::Finish => Some("f"),
+                };
+                match flow {
+                    None if ev.dur_ns == 0 => w.field("ph", "i").field("s", "t"),
+                    None => w.field("ph", "X"),
                     // Causal flow events: `bp:"e"` binds the arrow end to
                     // the enclosing slice so Perfetto draws it even when
                     // the finish lands between slices.
-                    let ph = match flow {
-                        crate::trace::FlowPhase::Start => "s",
-                        crate::trace::FlowPhase::Step => "t",
-                        _ => "f",
-                    };
-                    out.push_str(&format!("{{\"ph\":\"{ph}\","));
-                    if ph == "f" {
-                        out.push_str("\"bp\":\"e\",");
+                    Some(ph) => {
+                        w.field("ph", ph);
+                        if ph == "f" {
+                            w.field("bp", "e");
+                        }
+                        w.field("cat", "flow").field("id", ev.flow_id)
                     }
-                    out.push_str(&format!(
-                        "\"cat\":\"flow\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":",
-                        ev.flow_id, pid, t.tid
-                    ));
-                    push_ts(out, ev.ts_ns);
+                };
+                w.field("pid", pid).field("tid", t.tid);
+                w.field("ts", Micros(ev.ts_ns));
+                if flow.is_none() && ev.dur_ns != 0 {
+                    w.field("dur", Micros(ev.dur_ns));
                 }
-            }
-            out.push_str(",\"name\":\"");
-            escape_into(out, ev.name);
-            out.push_str("\"}");
+                w.field("name", ev.name);
+            });
         }
     });
 }
 
 #[cfg(not(feature = "enabled"))]
-fn emit_tracks(_rec: &Recorder, _out: &mut String, _first: &mut bool) {}
-
-// ---------------------------------------------------------------------------
-// Hand-rolled JSON parser + structural validator
-// ---------------------------------------------------------------------------
-
-/// Minimal JSON value for validation purposes.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document (errors carry a byte offset).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit.as_bytes() {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut kvs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(kvs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
-                kvs.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(kvs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte `{}` at {}", *c as char, *pos)),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                // Copy the full UTF-8 sequence starting at this byte.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-                let _ = c;
-            }
-        }
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
+fn emit_tracks(_rec: &Recorder, _w: &mut Writer) {}
 
 /// One validated trace event (non-metadata rows carry timestamps).
 #[derive(Clone, Debug)]
@@ -444,20 +231,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars_and_nesting() {
-        let j = parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\"y","c":null,"d":true}"#).expect("parse");
-        assert_eq!(j.get("b").and_then(Json::as_str), Some("x\"y"));
-        assert_eq!(j.get("c"), Some(&Json::Null));
-        match j.get("a") {
-            Some(Json::Arr(items)) => assert_eq!(items[2], Json::Num(-300.0)),
-            other => panic!("bad array: {other:?}"),
-        }
-    }
-
-    #[test]
     fn rejects_malformed_documents() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json(r#"{"a":1} extra"#).is_err());
         assert!(validate_chrome_trace(r#"{"traceEvents":{}}"#).is_err());
         assert!(validate_chrome_trace(r#"{"traceEvents":[{"ph":"X"}]}"#).is_err());
     }

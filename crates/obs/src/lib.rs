@@ -23,11 +23,13 @@
 //! how `queue_micro` keeps its calibration numbers honest. Build the
 //! no-op flavour with `--no-default-features` on the crates under test.
 //!
-//! No external dependencies; the Chrome JSON is emitted and validated by
-//! hand ([`chrome::validate_chrome_trace`]) — no serde.
+//! No external dependencies: [`json`] is the workspace's one JSON writer
+//! and parser (no serde), and the Chrome trace is emitted through it and
+//! validated by [`chrome::validate_chrome_trace`].
 
 pub mod blackbox;
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

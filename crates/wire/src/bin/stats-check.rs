@@ -5,14 +5,16 @@
 //!
 //! Exits 0 iff the report parses, covers exactly `--ranks` ranks (0..n,
 //! once each), every `--positive` metric is `> 0`, and every `--zero`
-//! metric is absent or `0`, on every rank that exited cleanly. (`--zero`
-//! is how the shm smoke lane pins `wire.eager_alloc` to nothing.) In
-//! relay-tree worlds the metric checks fall back to the report's merged
-//! relay section; `--relay-depth` additionally requires the realized
-//! tree depth to reach the given minimum with full rank coverage, and
-//! `--blackbox-dead` requires a dead rank whose recovered flight-recorder
-//! timeline carries at least that many well-ordered events. Validation
-//! itself lives in [`wire::stats`] so tests exercise the same code path.
+//! metric is absent or `0`, for every rank that exited cleanly — in the
+//! metrics of the source that covers it: the rank's own row when it
+//! reported in its own name, the report's merged `relay` section when a
+//! tree carried it. (`--zero` is how the shm smoke lane pins
+//! `wire.eager_alloc` to nothing.) `--relay-depth` additionally requires
+//! the realized tree depth to reach the given minimum with full rank
+//! coverage, and `--blackbox-dead` requires a dead rank whose recovered
+//! flight-recorder timeline carries at least that many well-ordered
+//! events. Validation itself lives in [`wire::stats`] so tests exercise
+//! the same code path.
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -36,8 +36,9 @@ pub fn from_env() -> std::io::Result<WireComm> {
     let dir = std::env::var(crate::ENV_DIR)
         .map_err(|_| bad_input(format!("{} not set", crate::ENV_DIR)))?;
     let cfg = WireConfig::from_env();
+    let plane = StatsPlaneEnv::from_env()?;
     let mut comm = connect_mesh(rank, size, Path::new(&dir), cfg)?;
-    attach_observability(&mut comm, rank, size, Path::new(&dir));
+    attach_observability(&mut comm, &plane, Path::new(&dir));
     Ok(comm)
 }
 
@@ -54,18 +55,21 @@ pub fn from_env() -> std::io::Result<WireComm> {
 pub fn from_env_packed() -> std::io::Result<Vec<WireComm>> {
     let base: usize = env_req(crate::ENV_RANK)?;
     let size: usize = env_req(crate::ENV_SIZE)?;
-    let pack = env_opt(crate::ENV_PACK).unwrap_or(1).max(1) as usize;
+    let pack =
+        at_least_one(&|name| std::env::var(name).ok(), crate::ENV_PACK)?.unwrap_or(1) as usize;
     let count = pack.min(size.saturating_sub(base)).max(1);
     let dir = std::env::var(crate::ENV_DIR)
         .map_err(|_| bad_input(format!("{} not set", crate::ENV_DIR)))?;
     let cfg = WireConfig::from_env();
+    let plane = StatsPlaneEnv::from_env()?;
     let handles: Vec<_> = (base..base + count)
         .map(|rank| {
             let dir = dir.clone();
             let cfg = cfg.clone();
+            let plane = plane.clone();
             std::thread::spawn(move || -> std::io::Result<WireComm> {
                 let mut comm = connect_mesh(rank, size, Path::new(&dir), cfg)?;
-                attach_observability(&mut comm, rank, size, Path::new(&dir));
+                attach_observability(&mut comm, &plane, Path::new(&dir));
                 Ok(comm)
             })
         })
@@ -86,40 +90,85 @@ pub fn from_env_packed() -> std::io::Result<Vec<WireComm>> {
     Ok(comms)
 }
 
+/// The stats plane's share of the environment, read once and checked:
+/// `WIRE_STATS_SOCK`, `WIRE_STATS_INTERVAL_MS`, `WIRE_STALL_MS`,
+/// `WIRE_RELAY_ARITY`. Unset means what it always meant — no plane, the
+/// 200 ms default, no watchdog, a flat world — but a value that does not
+/// parse or is out of range is a bootstrap error naming the variable,
+/// never a silent default.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StatsPlaneEnv {
+    /// The launcher's collector socket; `None` leaves the plane off.
+    pub stats_sock: Option<PathBuf>,
+    /// Emission period (≥ 1 ms).
+    pub interval: Duration,
+    /// Progress-stall watchdog window (≥ 1 ms); `None` leaves it disarmed.
+    pub stall: Option<Duration>,
+    /// Relay-tree arity (≥ 1); `None` is the flat world.
+    pub relay_arity: Option<usize>,
+}
+
+impl StatsPlaneEnv {
+    pub fn from_env() -> std::io::Result<Self> {
+        Self::parse(|name| std::env::var(name).ok())
+    }
+
+    /// [`StatsPlaneEnv::from_env`] over any lookup (tests pass a map).
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> std::io::Result<Self> {
+        Ok(StatsPlaneEnv {
+            stats_sock: get(crate::ENV_STATS_SOCK).map(PathBuf::from),
+            interval: Duration::from_millis(
+                at_least_one(&get, crate::ENV_STATS_INTERVAL_MS)?.unwrap_or(200),
+            ),
+            stall: at_least_one(&get, crate::ENV_STALL_MS)?.map(Duration::from_millis),
+            relay_arity: at_least_one(&get, crate::ENV_RELAY_ARITY)?.map(|k| k as usize),
+        })
+    }
+}
+
+/// An optional whole number ≥ 1 from the environment: `None` when unset,
+/// an error naming the variable when it is anything else.
+fn at_least_one(get: &impl Fn(&str) -> Option<String>, name: &str) -> std::io::Result<Option<u64>> {
+    let Some(raw) = get(name) else {
+        return Ok(None);
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(v) if v >= 1 => Ok(Some(v)),
+        Ok(_) => Err(bad_input(format!("{name}={raw:?}: must be at least 1"))),
+        Err(_) => Err(bad_input(format!("{name}={raw:?}: not a whole number"))),
+    }
+}
+
 /// Wire the observability plane onto a freshly meshed rank, when the
-/// launcher set one up. Best-effort throughout: a missing collector or a
-/// failed relay bootstrap must not take the rank down with it.
-fn attach_observability(comm: &mut WireComm, rank: usize, size: usize, dir: &Path) {
-    let interval = Duration::from_millis(env_opt(crate::ENV_STATS_INTERVAL_MS).unwrap_or(200));
-    if let Ok(path) = std::env::var(crate::ENV_STATS_SOCK) {
-        match env_opt(crate::ENV_RELAY_ARITY) {
-            // Relay mode: join the k-ary tree — bind this rank's child
-            // listener, dial the parent (rank 0 dials the collector).
-            Some(k) if k >= 1 => {
-                let opts = crate::relay::RelayOpts {
-                    rank,
-                    size,
-                    arity: k as usize,
-                    dir: dir.to_path_buf(),
-                    stats_sock: PathBuf::from(&path),
-                    interval,
-                };
-                match crate::relay::RelayNode::connect(&opts, comm.obs()) {
-                    Ok(node) => comm.set_relay(node),
-                    Err(e) => eprintln!("wire: rank {rank}: relay bootstrap failed: {e}"),
-                }
-            }
-            // Star mode: the classic direct rank→launcher link.
-            _ => match UnixStream::connect(&path) {
-                Ok(stream) => comm.set_stats_stream(stream, interval),
-                Err(e) => eprintln!("wire: rank {rank}: stats socket {path} unreachable: {e}"),
-            },
+/// launcher set one up. Best-effort from here on: a missing collector or
+/// an unreachable parent must not take the rank down with it.
+fn attach_observability(comm: &mut WireComm, plane: &StatsPlaneEnv, dir: &Path) {
+    use rtmpi::Transport;
+    let rank = comm.rank();
+    if let Some(stats_sock) = &plane.stats_sock {
+        // Bind this rank's child listener if the topology gives it
+        // children, dial its parent — the collector itself in a flat
+        // world or at a tree's root.
+        let opts = crate::relay::RelayOpts {
+            rank,
+            size: comm.size(),
+            arity: plane.relay_arity,
+            dir: dir.to_path_buf(),
+            stats_sock: stats_sock.clone(),
+            interval: plane.interval,
+        };
+        match crate::relay::RelayNode::connect(&opts, comm.obs()) {
+            Ok(node) => comm.set_relay(node),
+            Err(e) => eprintln!("wire: rank {rank}: stats uplink failed: {e}"),
         }
         // Black-box postmortem persistence rides the same directory; the
         // launcher harvests `blackbox-<rank>.obb` after the run — that
         // file is all that speaks for a SIGKILLed rank.
         let bb_file = dir.join(format!("blackbox-{rank}.obb"));
-        comm.set_blackbox_path(bb_file.clone(), interval.max(Duration::from_millis(50)));
+        comm.set_blackbox_path(
+            bb_file.clone(),
+            plane.interval.max(Duration::from_millis(50)),
+        );
         // A panicking rank dumps through this hook even if the transport
         // is never dropped (e.g. the panic is in another thread).
         let bb = comm.blackbox().clone();
@@ -131,13 +180,9 @@ fn attach_observability(comm: &mut WireComm, rank: usize, size: usize, dir: &Pat
             prev(info);
         }));
     }
-    if let Some(ms) = env_opt(crate::ENV_STALL_MS) {
-        comm.set_stall_window(Duration::from_millis(ms));
+    if let Some(window) = plane.stall {
+        comm.set_stall_window(window);
     }
-}
-
-fn env_opt(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 fn env_req<T: std::str::FromStr>(name: &str) -> std::io::Result<T> {
@@ -402,4 +447,55 @@ fn tcp_pair() -> std::io::Result<(Stream, Stream)> {
     let a = TcpStream::connect(addr)?;
     let (b, _) = listener.accept()?;
     Ok((Stream::from(a), Stream::from(b)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plane(vars: &[(&str, &str)]) -> std::io::Result<StatsPlaneEnv> {
+        StatsPlaneEnv::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn stats_plane_env_defaults_when_unset() {
+        let p = plane(&[]).expect("nothing set is fine");
+        assert_eq!(p.stats_sock, None, "no socket: the plane stays off");
+        assert_eq!(p.interval, Duration::from_millis(200));
+        assert_eq!((p.stall, p.relay_arity), (None, None), "no watchdog, flat");
+        let p = plane(&[
+            (crate::ENV_STATS_SOCK, "/tmp/x/stats.sock"),
+            (crate::ENV_STATS_INTERVAL_MS, " 50 "),
+            (crate::ENV_STALL_MS, "500"),
+            (crate::ENV_RELAY_ARITY, "8"),
+        ])
+        .expect("the launcher's own values parse");
+        assert_eq!(p.stats_sock, Some(PathBuf::from("/tmp/x/stats.sock")));
+        assert_eq!(p.interval, Duration::from_millis(50));
+        assert_eq!(p.stall, Some(Duration::from_millis(500)));
+        assert_eq!(p.relay_arity, Some(8));
+    }
+
+    /// `WIRE_RELAY_ARITY=eight` used to mean "flat" and a garbled interval
+    /// 200 ms, both without a word.
+    #[test]
+    fn stats_plane_env_rejects_wrong_values_by_name() {
+        for (name, value) in [
+            (crate::ENV_RELAY_ARITY, "eight"),
+            (crate::ENV_RELAY_ARITY, "0"),
+            (crate::ENV_RELAY_ARITY, "-2"),
+            (crate::ENV_STATS_INTERVAL_MS, "20ms"),
+            (crate::ENV_STATS_INTERVAL_MS, "0"),
+            (crate::ENV_STALL_MS, ""),
+            (crate::ENV_STALL_MS, "1e3"),
+        ] {
+            let err = plane(&[(name, value)]).expect_err(value);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(name), "{err} names {name}");
+        }
+    }
 }

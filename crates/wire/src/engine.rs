@@ -34,14 +34,13 @@
 //!
 //! Anything a peer can put on the wire is handled without panicking:
 //! stray/duplicate/wrong-source CTS, DATA nobody awaits, DATA shorter or
-//! longer than its RTS announced, control frames (`Stats`/`Stall`) that
-//! belong on the stats socket — each is counted in `wire.protocol_errors`
-//! and absorbed.
+//! longer than its RTS announced, stats-plane frames (`Relay`/`Stall`)
+//! that belong on the stats sockets — each is counted in
+//! `wire.protocol_errors` and absorbed.
 //!
 //! [`progress`]: rtmpi::Transport::progress
 
 use std::collections::{HashMap, VecDeque};
-use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -153,16 +152,6 @@ enum Pending {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct WireReq(u64);
 
-/// Best-effort rank→launcher stats channel: a blocking Unix stream the
-/// launcher drains on its side. Writes are small (one snapshot frame); a
-/// failed write disables the link for the rest of the run rather than
-/// perturbing the data path.
-struct StatsLink {
-    stream: UnixStream,
-    interval: Duration,
-    last_emit: Option<Instant>,
-}
-
 /// Progress-stall watchdog state. "Advancement" is the engine's own
 /// definition — some frame moved or some request completed — so a trip
 /// means the data path is genuinely wedged, not merely idle: it only
@@ -201,10 +190,14 @@ pub struct WireComm<F: FrameFabric = SocketFabric> {
     next_xid: u32,
     cfg: WireConfig,
     in_wait: bool,
-    stats: Option<StatsLink>,
-    /// Relay-tree node replacing the direct stats link at scale: periodic
-    /// emissions become subtree-merged `Relay` frames toward the parent.
-    relay: Option<crate::relay::RelayNode>,
+    /// The stats uplink: an initial snapshot on the first `progress`
+    /// call, one every interval, stall reports as they happen and a final
+    /// one when the transport drops — toward the launcher's collector or
+    /// this rank's parent in the relay tree, the node knows which.
+    /// Boxed: the node holds a 4 KiB read scratch, and an engine without
+    /// a plane (every test and benchmark world) should not carry a page
+    /// of dead space between its protocol maps and its counters.
+    relay: Option<Box<crate::relay::RelayNode>>,
     watchdog: Option<Watchdog>,
     flow: Option<obs::Track>,
     /// Always-on flight recorder of recent protocol events (a ZST no-op
@@ -280,7 +273,6 @@ impl<F: FrameFabric> WireComm<F> {
             next_xid: 0,
             cfg,
             in_wait: false,
-            stats: None,
             relay: None,
             watchdog: None,
             flow: None,
@@ -306,21 +298,10 @@ impl<F: FrameFabric> WireComm<F> {
         }
     }
 
-    /// Attach the rank→launcher stats channel: an initial snapshot goes
-    /// out on the first `progress` call, then one every `interval`, and a
-    /// final one when the transport drops (so the collector's last view
-    /// includes work done after the last periodic tick).
-    pub fn set_stats_stream(&mut self, stream: UnixStream, interval: Duration) {
-        self.stats = Some(StatsLink {
-            stream,
-            interval,
-            last_emit: None,
-        });
-    }
-
     /// Arm the progress-stall watchdog: if no advancement happens for
-    /// `window` while operations are pending, emit one `Stall` frame (and
-    /// a stderr line) per episode and bump `wire.stalls`.
+    /// `window` while operations are pending, emit one `Stall` frame up
+    /// the stats uplink (and a stderr line) per episode and bump
+    /// `wire.stalls`.
     pub fn set_stall_window(&mut self, window: Duration) {
         self.watchdog = Some(Watchdog {
             window,
@@ -329,12 +310,9 @@ impl<F: FrameFabric> WireComm<F> {
         });
     }
 
-    /// Route this rank's observability upward through the stats relay
-    /// tree instead of a direct launcher link: periodic emissions become
-    /// subtree-merged `Relay` frames, stall reports are forwarded as
-    /// event frames, and child subtrees are pumped on every tick.
+    /// Attach this rank's stats uplink (see the `relay` field).
     pub fn set_relay(&mut self, node: crate::relay::RelayNode) {
-        self.relay = Some(node);
+        self.relay = Some(Box::new(node));
     }
 
     /// Persist the flight recorder to `path` (tmp + rename, so the
@@ -360,66 +338,21 @@ impl<F: FrameFabric> WireComm<F> {
         self.flow = Some(track);
     }
 
-    /// Ship one snapshot frame on the stats socket (best effort; a failed
-    /// write drops the link). `Stall` frames carry the watchdog evidence
-    /// in the header: `xid` = stalled milliseconds, `tag` = pending ops.
-    fn emit_obs_frame(&mut self, kind: FrameKind, stall_ms: u32, pending_ops: u32) {
-        use std::io::Write;
-        let Some(link) = self.stats.as_mut() else {
-            return;
-        };
-        let body = self.registry.snapshot().to_bytes();
-        let hdr = Header {
-            kind,
-            src: self.rank as u32,
-            tag: pending_ops,
-            xid: stall_ms,
-            len: body.len() as u64,
-        };
-        let ok = link
-            .stream
-            .write_all(&hdr.encode())
-            .and_then(|()| link.stream.write_all(&body))
-            .is_ok();
-        if !ok {
-            self.stats = None;
-        }
-    }
-
-    /// Per-poll observability upkeep: periodic stats/relay emission, the
+    /// Per-poll observability upkeep: the periodic stats emission, the
     /// stall watchdog, and black-box persistence. Only called when at
     /// least one of them is configured, so unconfigured engines never
     /// touch the clock — this is what keeps model-checked runs
     /// deterministic.
     fn observability_tick(&mut self, advanced: bool) {
         let now = Instant::now();
-        let mut relay_due = false;
         if let Some(relay) = self.relay.as_mut() {
-            relay.pump();
-            relay_due = relay.due(now);
-        }
-        if relay_due {
-            let own = self.registry.snapshot();
-            if let Some(relay) = self.relay.as_mut() {
-                relay.emit(&own);
+            // The node reads its children inside `emit`, nowhere else:
+            // between emissions a pass costs the plane one clock read.
+            if relay.due(now) {
+                relay.emit(&self.registry.snapshot());
+                self.bb
+                    .record(crate::stats::bbcode::RELAY_TX, self.rank as u32, 0, 0, 0);
             }
-            self.bb
-                .record(crate::stats::bbcode::RELAY_TX, self.rank as u32, 0, 0, 0);
-        }
-        let due = match self.stats.as_mut() {
-            Some(link) => match link.last_emit {
-                Some(t) if now.duration_since(t) < link.interval => false,
-                _ => {
-                    link.last_emit = Some(now);
-                    true
-                }
-            },
-            None => false,
-        };
-        if due {
-            self.emit_obs_frame(FrameKind::Stats, 0, 0);
-            self.bb
-                .record(crate::stats::bbcode::STATS_TX, self.rank as u32, 0, 0, 0);
         }
         let mut stall: Option<(u32, u32)> = None;
         if let Some(wd) = self.watchdog.as_mut() {
@@ -448,13 +381,8 @@ impl<F: FrameFabric> WireComm<F> {
             );
             self.bb
                 .record(crate::stats::bbcode::STALL, pending, 0, 0, ms as u64);
-            if self.relay.is_some() {
-                let body = self.registry.snapshot().to_bytes();
-                if let Some(relay) = self.relay.as_mut() {
-                    relay.send_event_frame(FrameKind::Stall, ms, pending, &body);
-                }
-            } else {
-                self.emit_obs_frame(FrameKind::Stall, ms, pending);
+            if let Some(relay) = self.relay.as_mut() {
+                relay.send_stall(ms, pending, &self.registry.snapshot().to_bytes());
             }
             // A stall is a dump trigger: the evidence must survive even
             // if the operator SIGKILLs the wedged job next.
@@ -669,10 +597,10 @@ impl<F: FrameFabric> WireComm<F> {
                     None => self.c_protocol_errors.inc(),
                 }
             }
-            // Stats-plane control frames ride the rank→launcher socket
-            // (or the relay tree), never the mesh; a peer sending one
-            // here is misbehaving — counted and dropped.
-            FrameKind::Stats | FrameKind::Stall | FrameKind::Relay => self.c_protocol_errors.inc(),
+            // Stats-plane frames ride the stats and relay sockets, never
+            // the mesh; a peer sending one here is misbehaving — counted
+            // and dropped.
+            FrameKind::Stall | FrameKind::Relay => self.c_protocol_errors.inc(),
             // A doorbell is a benign nudge: its arrival already did its
             // job (the socket read woke this poll).
             FrameKind::Doorbell => {}
@@ -796,17 +724,10 @@ impl<F: FrameFabric> Drop for WireComm<F> {
     fn drop(&mut self) {
         // Final snapshot: progress() stops before the last work's counters
         // hit a periodic tick, so ship the complete totals on teardown.
-        if self.stats.is_some() {
-            self.emit_obs_frame(FrameKind::Stats, 0, 0);
-        }
-        if self.relay.is_some() {
-            let own = self.registry.snapshot();
-            if let Some(relay) = self.relay.as_mut() {
-                // One last intake so children that already shipped their
-                // final totals are folded into this node's goodbye frame.
-                relay.pump();
-                relay.emit(&own);
-            }
+        // (`emit` takes the children in first, so those that already
+        // shipped their final totals are folded into this goodbye frame.)
+        if let Some(relay) = self.relay.as_mut() {
+            relay.emit(&self.registry.snapshot());
         }
         self.flush_blackbox();
     }
@@ -958,11 +879,7 @@ impl<F: FrameFabric> Transport for WireComm<F> {
             }
         }
         self.ready = ready;
-        if self.stats.is_some()
-            || self.watchdog.is_some()
-            || self.relay.is_some()
-            || self.bb_path.is_some()
-        {
+        if self.watchdog.is_some() || self.relay.is_some() || self.bb_path.is_some() {
             self.observability_tick(advanced);
         }
         advanced
@@ -1023,6 +940,7 @@ mod tests {
     use crate::fabric::Stream;
     use crate::proto::HEADER_LEN;
     use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
 
     fn two(cfg: WireConfig) -> (WireComm, WireComm) {
         let mut v = loopback_configured(2, cfg).into_iter();
@@ -1234,16 +1152,27 @@ mod tests {
         frames
     }
 
+    /// Give `comm` a flat stats uplink — a leaf whose parent is the test's
+    /// end of a socketpair, standing in for the collector.
+    fn attach_uplink<F: FrameFabric>(comm: &mut WireComm<F>, interval: Duration) -> UnixStream {
+        let (tx, rx) = UnixStream::pair().expect("stats pair");
+        let node = crate::relay::RelayNode::over(comm.rank, 0, tx, interval, comm.obs())
+            .expect("flat node over the pair");
+        comm.set_relay(node);
+        rx
+    }
+
+    /// The star link's contract, now the flat node's: the same three
+    /// frames — initial, periodic, final — as `Relay` with coverage 1.
     #[test]
-    fn stats_link_ships_initial_periodic_and_final_snapshots() {
+    fn flat_uplink_ships_initial_periodic_and_final_snapshots() {
         let (mut a, b) = two(WireConfig::default());
-        let (tx, mut rx) = UnixStream::pair().expect("stats pair");
-        a.set_stats_stream(tx, Duration::from_millis(5));
+        let mut rx = attach_uplink(&mut a, Duration::from_millis(5));
         a.progress(); // initial frame, no interval wait
         let frames = drain_stats(&mut rx);
         assert_eq!(frames.len(), 1, "first poll emits immediately");
-        assert_eq!(frames[0].0.kind, FrameKind::Stats);
-        assert_eq!(frames[0].0.src, 0);
+        let leaf = |h: &Header| (h.kind, h.src, h.tag, h.xid) == (FrameKind::Relay, 0, 1, 1);
+        assert!(leaf(&frames[0].0), "a leaf's frame: {:?}", frames[0].0);
         let snap = obs::Snapshot::from_bytes(&frames[0].1).expect("snapshot parses");
         #[cfg(feature = "obs-enabled")]
         assert!(snap.counter("wire.progress_polls") >= 1);
@@ -1266,7 +1195,110 @@ mod tests {
         drop(b);
         let last = drain_stats(&mut rx);
         assert_eq!(last.len(), 1, "drop emits a final snapshot");
-        assert_eq!(last[0].0.kind, FrameKind::Stats);
+        assert!(leaf(&last[0].0));
+    }
+
+    /// An interior relay node reads its children when an emission is due
+    /// and at no other time: a child's frame sits in its socket through
+    /// any number of progress passes — none of which makes a syscall for
+    /// the plane — and is folded by the next emission (here the final
+    /// one; the interval is an hour).
+    #[cfg(feature = "obs-enabled")]
+    #[test]
+    fn progress_between_emissions_touches_no_child_socket() {
+        let dir = std::env::temp_dir().join(format!("wire-quiet-relay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir");
+        let collector_path = dir.join("stats.sock");
+        let collector = std::os::unix::net::UnixListener::bind(&collector_path).expect("bind");
+        let (mut a, _b) = two(WireConfig::default());
+        let opts = crate::relay::RelayOpts {
+            rank: 0,
+            size: 2,
+            arity: Some(8),
+            dir: dir.clone(),
+            stats_sock: collector_path,
+            interval: Duration::from_secs(3600),
+        };
+        a.set_relay(crate::relay::RelayNode::connect(&opts, a.obs()).expect("root connects"));
+        let (mut up, _) = collector.accept().expect("root dialed the collector");
+        a.progress(); // initial emission: nobody below yet
+        let first = drain_stats(&mut up);
+        assert_eq!((first.len(), first[0].0.tag), (1, 1), "covers itself only");
+        // Rank 1 dials in and ships a leaf's frame.
+        let mut child = UnixStream::connect(dir.join(crate::relay::sock_name(0))).expect("dial");
+        let body = {
+            let r = obs::Registry::default();
+            r.counter("work.items").add(41);
+            r.snapshot().to_bytes()
+        };
+        let hdr = Header {
+            kind: FrameKind::Relay,
+            src: 1,
+            tag: 1,
+            xid: 1,
+            len: body.len() as u64,
+        };
+        child.write_all(&hdr.encode()).expect("header");
+        child.write_all(&body).expect("body");
+        let syscalls = |c: &WireComm| {
+            let s = c.obs().snapshot();
+            s.counter("wire.sys.read") + s.counter("wire.sys.write")
+        };
+        let before = syscalls(&a);
+        for _ in 0..1000 {
+            a.progress();
+        }
+        assert_eq!(
+            syscalls(&a),
+            before,
+            "no read, accept or write in 1000 passes"
+        );
+        assert!(drain_stats(&mut up).is_empty());
+        drop(a);
+        let last = drain_stats(&mut up);
+        assert_eq!(last.len(), 1, "the final emission");
+        assert_eq!((last[0].0.tag, last[0].0.xid), (2, 2), "the child is in it");
+        let merged = obs::Snapshot::from_bytes(&last[0].1).expect("parses");
+        assert_eq!(merged.counter("work.items"), 41);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A parent that has stopped reading — a Baseline rank deep in a
+    /// compute phase — must not stall its children's data path: with the
+    /// uplink long full, every `progress()` still returns and the p2p
+    /// traffic completes.
+    #[test]
+    fn an_undrained_uplink_never_blocks_the_data_path() {
+        let (mut a, mut b) = two(WireConfig::default());
+        // Emit on every pass; nobody ever reads `_parent`.
+        let _parent = attach_uplink(&mut a, Duration::ZERO);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            // ~1 KiB a snapshot, 3 000 echoes: several times the socket
+            // buffer's worth of emissions.
+            for round in 0..3000u32 {
+                let s = a.isend(1, round, Arc::from(vec![round as u8; 64]));
+                let r = b.irecv(Some(0), Some(round));
+                pump(&mut a, &mut b, |a, b| {
+                    let _ = a.try_take(&s);
+                    b.try_take(&r)
+                })
+                .expect("echo completes");
+            }
+            let dropped = a.obs().snapshot().counter("obs.relay_dropped");
+            let _ = done_tx.send(dropped);
+        });
+        let dropped = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a progress() call blocked on the stats uplink");
+        worker.join().expect("worker");
+        #[cfg(feature = "obs-enabled")]
+        assert!(
+            dropped > 0,
+            "the uplink did fill: skipped emissions counted"
+        );
+        let _ = dropped;
     }
 
     #[test]
@@ -1276,8 +1308,7 @@ mod tests {
             ..WireConfig::default()
         };
         let (mut a, mut b) = two(cfg);
-        let (tx, mut rx) = UnixStream::pair().expect("stats pair");
-        a.set_stats_stream(tx, Duration::from_secs(3600)); // periodic: quiet
+        let mut rx = attach_uplink(&mut a, Duration::from_secs(3600)); // periodic: quiet
         a.set_stall_window(Duration::from_millis(20));
         let _ = drain_stats(&mut rx); // swallow the initial frame
         a.progress();
@@ -1589,14 +1620,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_stall_frames_on_mesh_are_counted_not_panicked() {
-        // Stats-plane control frames belong on the rank→launcher socket;
-        // a peer pushing them onto the mesh is abuse, with and without a
+    fn stats_plane_frames_on_mesh_are_counted_not_panicked() {
+        // Stats-plane frames belong on the stats and relay sockets; a
+        // peer pushing them onto the mesh is abuse, with and without a
         // body, repeated or not — each one counted, none acted on.
         let (mut a, mut peers) = injectable(1);
         for (kind, body) in [
-            (FrameKind::Stats, &b""[..]),
-            (FrameKind::Stats, &b"bogus snapshot bytes"[..]),
+            (FrameKind::Relay, &b""[..]),
+            (FrameKind::Relay, &b"bogus snapshot bytes"[..]),
             (FrameKind::Stall, &b""[..]),
             (FrameKind::Stall, &b"xx"[..]),
         ] {

@@ -17,8 +17,9 @@
 //! stall watchdog window defaults to `max(250ms, 10 × interval)`;
 //! `--stall-ms` overrides it.
 //!
-//! `--relay <k>` routes snapshots through the k-ary relay tree
-//! ([`crate::relay`]) instead of the per-rank star. `--packed <P>` hosts
+//! Every rank reaches the collector through its stats uplink
+//! ([`crate::relay`]): directly by default, through the k-ary relay tree
+//! with `--relay <k>` (`WIRE_RELAY_ARITY`). `--packed <P>` hosts
 //! `P` consecutive ranks per spawned process as multiplexed event loops
 //! ([`crate::from_env_packed`]) — how a 64–256-rank world fits in CI.
 //! `--kill-rank`/`--kill-after-ms` SIGKILL the process hosting one rank
@@ -53,7 +54,8 @@ pub struct LaunchSpec {
     pub stats_out: Option<PathBuf>,
     /// Progress-stall watchdog window override (milliseconds).
     pub stall_ms: Option<u64>,
-    /// Relay-tree arity; `Some` routes stats through the tree.
+    /// Relay-tree arity; `Some` routes stats through the tree, `None`
+    /// leaves every rank dialing the collector itself.
     pub relay_arity: Option<u32>,
     /// Ranks hosted per spawned process (`--packed`); None/1 = classic.
     pub packed: Option<usize>,
@@ -395,7 +397,7 @@ pub fn launch(spec: &LaunchSpec) -> i32 {
                 next_table = Instant::now() + Duration::from_secs(2);
                 eprint!(
                     "offload-run: live cluster stats\n{}",
-                    crate::stats::cluster_table(&c.peek().table_stats())
+                    crate::stats::cluster_table(&c.peek().sources)
                 );
             }
         }
@@ -432,31 +434,32 @@ pub fn launch(spec: &LaunchSpec) -> i32 {
     // Observability epilogue: final cluster table, straggler flags,
     // postmortem black-box harvest, JSON report.
     if let Some((c, _)) = collector {
-        let shared = c.finish();
+        let mut shared = c.finish();
         eprint!(
             "offload-run: final cluster stats\n{}",
-            crate::stats::cluster_table(&shared.table_stats())
+            crate::stats::cluster_table(&shared.sources)
         );
-        if shared.relay.active() {
+        if let Some(tree) = crate::stats::relay_summary(shared.sources.values()) {
             eprintln!(
                 "offload-run: relay tree covered {} rank(s) at depth {} ({} frame(s) at the collector)",
-                shared.relay.coverage(),
-                shared.relay.depth(),
-                shared.relay.frames()
+                tree.coverage, tree.depth, tree.frames
             );
         }
-        let rows: Vec<crate::stats::RankRow> = shared
-            .ranks
-            .iter()
-            .enumerate()
-            .map(|(rank, rs)| {
+        if shared.dropped > 0 {
+            eprintln!(
+                "offload-run: stats collector refused {} malformed frame(s) or link(s)",
+                shared.dropped
+            );
+        }
+        let rows: Vec<crate::stats::RankRow> = (0..spec.n)
+            .map(|rank| {
                 let outcome = rank_outcome(rank);
                 let dead = !matches!(outcome, RankOutcome::Exited(_));
                 crate::stats::RankRow {
                     rank,
                     outcome: outcome.to_string(),
                     dead,
-                    stats: rs.clone(),
+                    stats: shared.sources.remove(&(rank as u32)).unwrap_or_default(),
                     // Harvest the rank's persisted flight recorder before
                     // the bootstrap dir goes away. Only dead ranks get
                     // theirs into the report: a clean exit speaks for
@@ -487,7 +490,7 @@ pub fn launch(spec: &LaunchSpec) -> i32 {
                     "offload-run: rank {} died ({}); {} snapshot(s) collected before death; black box: {}",
                     row.rank,
                     row.outcome,
-                    row.stats.snapshots,
+                    row.stats.frames,
                     row.blackbox.as_ref().map_or_else(
                         || "not recovered".into(),
                         |bb| format!("{} event(s) recovered", bb.events.len())
@@ -496,7 +499,7 @@ pub fn launch(spec: &LaunchSpec) -> i32 {
             }
         }
         if let Some(path) = &spec.stats_out {
-            let report = crate::stats::render_report_with(&rows, Some(&shared.relay));
+            let report = crate::stats::render_report_with(&rows);
             if let Err(e) = crate::stats::write_report_atomic(path, &report) {
                 eprintln!(
                     "offload-run: cannot write stats report {}: {e}",

@@ -38,9 +38,14 @@
 //!   that links it.
 //! * `sys` — the raw `poll(2)` behind the fabric's once-per-pass
 //!   readiness sweep; with [`shm`], the crate's whole raw-FFI surface.
-//! * [`relay`] — the k-ary stats relay tree: ranks ship snapshots to
-//!   their tree parent, parents merge in-flight, the launcher sees O(k)
-//!   connections instead of O(N) (DESIGN.md §17).
+//! * [`relay`] — the stats uplink every rank has: to the launcher
+//!   itself in a flat world, to its parent in the k-ary relay tree
+//!   (parents merge in flight, the launcher sees O(k) connections
+//!   instead of O(N)) — one node type, topology a parameter
+//!   (DESIGN.md §13).
+//! * [`stats`] — the launcher's side: the collector folding every frame
+//!   into one map of sources, the cluster table, the JSON report and its
+//!   validator.
 //! * [`bootstrap`] — process worlds from `WIRE_RANK`/`WIRE_SIZE`/`WIRE_DIR`
 //!   env (rank-0 mesh exchange), packed multi-rank worlds
 //!   ([`from_env_packed`]), and in-process loopback worlds for tests.
@@ -55,12 +60,14 @@
 //! * `WIRE_SHM=1` — shared-memory data plane between peers (UDS meshes
 //!   only; degrades per-pair to the socket path when unavailable).
 //!   `WIRE_SHM_SLOTS` / `WIRE_SHM_SLOT_BYTES` tune the ring geometry.
-//! * `WIRE_STATS_SOCK` / `WIRE_STATS_INTERVAL_MS` / `WIRE_STALL_MS` — the
-//!   observability plane: where to ship periodic `Stats` frames, how
-//!   often, and the progress-stall watchdog window (see [`stats`]).
-//! * `WIRE_RELAY_ARITY` — route snapshots through the k-ary relay tree
-//!   instead of the star (see [`relay`]); `WIRE_PACK` — how many ranks
-//!   this process hosts as multiplexed event loops (`--packed`).
+//! * `WIRE_STATS_SOCK` / `WIRE_STATS_INTERVAL_MS` / `WIRE_STALL_MS` /
+//!   `WIRE_RELAY_ARITY` — the observability plane: the launcher's
+//!   collector socket, how often to ship a snapshot, the progress-stall
+//!   watchdog window, and the relay tree's arity (unset: every rank
+//!   dials the collector itself). Read once, wrong values are bootstrap
+//!   errors ([`bootstrap::StatsPlaneEnv`]).
+//! * `WIRE_PACK` — how many ranks this process hosts as multiplexed
+//!   event loops (`--packed`).
 
 pub mod bootstrap;
 pub mod engine;
@@ -101,9 +108,10 @@ pub const ENV_SHM_SLOTS: &str = "WIRE_SHM_SLOTS";
 pub const ENV_SHM_SLOT_BYTES: &str = "WIRE_SHM_SLOT_BYTES";
 /// Set to `1` to force the shm handshake down its fallback path (tests).
 pub const ENV_SHM_FORCE_FALLBACK: &str = "WIRE_SHM_FORCE_FALLBACK";
-/// Path of the launcher's stats-collector Unix socket; when set, the
-/// engine ships periodic `Stats` frames (serialized `obs::Snapshot`s) and
-/// stall events there.
+/// Path of the launcher's stats-collector Unix socket; when set, every
+/// rank gets a stats uplink ([`relay::RelayNode`]) shipping periodic
+/// `Relay` frames (serialized `obs::Snapshot`s) and stall events towards
+/// it.
 pub const ENV_STATS_SOCK: &str = "WIRE_STATS_SOCK";
 /// Stats emission interval in milliseconds (default 200 when the socket
 /// is configured).
@@ -111,9 +119,9 @@ pub const ENV_STATS_INTERVAL_MS: &str = "WIRE_STATS_INTERVAL_MS";
 /// Progress-stall watchdog window in milliseconds; unset leaves the
 /// watchdog disarmed.
 pub const ENV_STALL_MS: &str = "WIRE_STALL_MS";
-/// Relay-tree arity: when set (with the stats socket), ranks ship their
-/// snapshots through the k-ary relay tree ([`relay`]) instead of dialing
-/// the launcher directly.
+/// Relay-tree arity: when set (with the stats socket), a rank's uplink
+/// leads to its parent in the k-ary relay tree ([`relay`]); unset, to the
+/// launcher directly.
 pub const ENV_RELAY_ARITY: &str = "WIRE_RELAY_ARITY";
 /// Packed multiplexing: how many consecutive ranks (starting at
 /// `WIRE_RANK`) this one process hosts as event loops

@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //!      0     1  kind   (0 Hello, 1 Eager, 2 Rts, 3 Cts, 4 Data,
-//!                       5 Stats, 6 Stall, 7 Shm, 8 Doorbell, 9 Relay)
+//!                       6 Stall, 7 Shm, 8 Doorbell, 9 Relay; 5 is retired)
 //!      1     3  (pad, zero)
 //!      4     4  src    (sender rank, u32 LE)
 //!      8     4  tag    (message tag, u32 LE)
@@ -17,20 +17,20 @@
 //! for `Rts` it announces the payload the sender wants to transfer (no
 //! body); `Hello` and `Cts` carry no body and `len` is zero.
 //!
-//! `Stats` and `Stall` are the observability plane's control frames,
-//! carried on the rank→launcher stats socket (never the rank↔rank mesh):
-//! the body is a compact serialized `obs::Snapshot`
-//! (`obs::Snapshot::to_bytes`). A `Stall` frame additionally reports the
-//! watchdog's evidence in the header: `xid` is how long progress has made
-//! no advancement (milliseconds, saturating) and `tag` is how many
-//! operations were pending at the time.
-//!
-//! `Relay` is the hierarchical flavour of `Stats`: a snapshot already
-//! **merged** over a subtree of ranks (`obs::Snapshot::merge`), shipped
-//! up the k-ary relay tree towards the launcher. The header carries the
-//! aggregation metadata: `tag` is how many ranks the merged body covers
-//! and `xid` is the subtree height (1 for a leaf), so the collector can
-//! report tree depth and coverage without unpacking anything.
+//! `Relay` and `Stall` are the observability plane's frames, carried on
+//! the stats and relay sockets (never the rank↔rank mesh): the body is a
+//! compact serialized `obs::Snapshot` (`obs::Snapshot::to_bytes`) of at
+//! most [`STATS_BODY_MAX`] bytes. A `Relay` body is a snapshot **merged**
+//! over a subtree of ranks (`obs::Snapshot::merge`) — a subtree of one
+//! for a leaf or a flat world — with the aggregation metadata in the
+//! header: `tag` is how many ranks the body covers and `xid` the subtree
+//! height (1 for a leaf), so the collector can report coverage and depth
+//! without unpacking anything. A `Stall` frame carries one rank's own
+//! snapshot and the watchdog's evidence: `xid` is how long progress has
+//! made no advancement (milliseconds, saturating) and `tag` is how many
+//! operations were pending at the time. Kind byte 5 was `Stats`, the
+//! per-rank frame of the star plane that `Relay` with coverage 1
+//! replaced; it is rejected like any unknown kind and not reused.
 //!
 //! `Shm` and `Doorbell` belong to the shared-memory data plane
 //! (`crate::shm`). `Shm` rides only the blocking bootstrap handshake,
@@ -54,6 +54,15 @@ pub const HEADER_LEN: usize = 24;
 /// receiver balloon its staging buffer before the read fails.
 pub const MAX_FRAME_LEN: u64 = 1 << 30;
 
+/// Largest body a stats-plane frame (`Relay`, `Stall`) may carry. A
+/// serialized snapshot costs a name plus 8 bytes per counter, 16 per gauge
+/// and at most 1 060 per histogram (65 log2 buckets); a rank's registry is
+/// a few KiB and a merged one has the same names, so 256 KiB holds two
+/// thousand counters and a hundred full histograms with room to spare.
+/// Senders refuse to ship more and receivers drop the link that announces
+/// more — before allocating anything for it.
+pub const STATS_BODY_MAX: usize = 256 * 1024;
+
 /// Frame discriminator (byte 0).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
@@ -67,20 +76,17 @@ pub enum FrameKind {
     Cts = 3,
     /// Rendezvous payload for `xid`, body inline.
     Data = 4,
-    /// Periodic per-rank metrics snapshot (stats socket only); body is a
-    /// serialized `obs::Snapshot`.
-    Stats = 5,
-    /// Progress-stall watchdog event (stats socket only); body is the
-    /// rank's snapshot at the moment the watchdog fired.
+    /// Progress-stall watchdog event (stats/relay sockets only); body is
+    /// the rank's snapshot at the moment the watchdog fired.
     Stall = 6,
     /// Shared-memory segment offer/ack during bootstrap (no body; the
     /// geometry rides in `tag`/`xid`/`len`, the memfd via `SCM_RIGHTS`).
     Shm = 7,
     /// Wakeup nudge for a possibly-parked shm consumer (no body).
     Doorbell = 8,
-    /// Subtree-merged metrics snapshot riding the stats relay tree
-    /// (stats/relay sockets only); body is a merged `obs::Snapshot`,
-    /// `tag` = ranks covered, `xid` = subtree height.
+    /// Periodic metrics snapshot merged over a subtree of ranks
+    /// (stats/relay sockets only); body is an `obs::Snapshot`, `tag` =
+    /// ranks covered, `xid` = subtree height — 1 and 1 from a leaf.
     Relay = 9,
 }
 
@@ -92,7 +98,6 @@ impl FrameKind {
             2 => FrameKind::Rts,
             3 => FrameKind::Cts,
             4 => FrameKind::Data,
-            5 => FrameKind::Stats,
             6 => FrameKind::Stall,
             7 => FrameKind::Shm,
             8 => FrameKind::Doorbell,
@@ -159,11 +164,9 @@ impl Header {
     /// Bytes of body following this header on the wire.
     pub fn body_len(&self) -> usize {
         match self.kind {
-            FrameKind::Eager
-            | FrameKind::Data
-            | FrameKind::Stats
-            | FrameKind::Stall
-            | FrameKind::Relay => self.len as usize,
+            FrameKind::Eager | FrameKind::Data | FrameKind::Stall | FrameKind::Relay => {
+                self.len as usize
+            }
             FrameKind::Hello
             | FrameKind::Rts
             | FrameKind::Cts
@@ -185,7 +188,6 @@ mod tests {
             FrameKind::Rts,
             FrameKind::Cts,
             FrameKind::Data,
-            FrameKind::Stats,
             FrameKind::Stall,
             FrameKind::Shm,
             FrameKind::Doorbell,
@@ -226,6 +228,8 @@ mod tests {
     #[test]
     fn bad_kind_is_rejected() {
         let mut buf = [0u8; HEADER_LEN];
+        buf[0] = 5;
+        assert!(Header::decode(&buf).is_err(), "retired Stats kind");
         buf[0] = 10;
         assert!(Header::decode(&buf).is_err());
         buf[0] = 11;
@@ -239,7 +243,7 @@ mod tests {
         // Exactly at the cap decodes; one past it is refused, for body-ful
         // and body-less kinds alike (an RTS announcing an absurd transfer
         // is just as bogus as an eager frame claiming one inline).
-        for kind in [FrameKind::Eager, FrameKind::Rts, FrameKind::Stats] {
+        for kind in [FrameKind::Eager, FrameKind::Rts, FrameKind::Relay] {
             let mut h = Header {
                 kind,
                 src: 0,
@@ -279,8 +283,6 @@ mod tests {
         assert_eq!(h.body_len(), 1000);
         h.kind = FrameKind::Cts;
         assert_eq!(h.body_len(), 0);
-        h.kind = FrameKind::Stats;
-        assert_eq!(h.body_len(), 1000, "stats snapshot rides inline");
         h.kind = FrameKind::Stall;
         assert_eq!(h.body_len(), 1000, "stall carries the last snapshot");
         h.kind = FrameKind::Shm;

@@ -1,49 +1,65 @@
-//! Hierarchical stats relay: the k-ary tree that replaces the star
-//! topology of the PR-5 observability plane at scale.
+//! The stats uplink: every rank's one way of getting its metrics to the
+//! launcher, flat or through a k-ary relay tree.
 //!
-//! Every rank owns one [`RelayNode`]. Ranks are laid out as an implicit
-//! heap over rank ids — `parent(r) = (r-1)/k`, children of `r` are
-//! `k·r+1 ..= k·r+k` (clipped to the world size) — so the tree needs no
-//! negotiation: each node binds `relay-<rank>.sock` in the bootstrap
-//! directory when it has children, dials its parent's relay socket
-//! (rank 0 dials the launcher's `stats.sock` instead), and the launcher's
-//! collector ends up with O(k) connections instead of O(N).
+//! Every rank owns one [`RelayNode`]. Its topology is one parameter,
+//! [`RelayOpts::arity`]. Without an arity the world is **flat**: the node's
+//! parent is the launcher's collector (`stats.sock`) and it has no
+//! children — N ranks, N collector connections. With arity `k` ranks are
+//! laid out as an implicit heap over rank ids — `parent(r) = (r-1)/k`,
+//! children of `r` are `k·r+1 ..= k·r+k` (clipped to the world size) — so
+//! the tree needs no negotiation: each node binds `relay-<rank>.sock` in
+//! the bootstrap directory when it has children, dials its parent's relay
+//! socket (rank 0 dials the collector), and the collector ends up with
+//! O(k) connections instead of O(N). A flat node is simply a leaf whose
+//! parent is the collector; nothing below distinguishes the two.
 //!
-//! Upward traffic is the existing frame format: a node periodically ships
-//! one [`FrameKind::Relay`] frame whose body is its own
-//! [`obs::Snapshot`] **merged** ([`obs::Snapshot::merge`]) with the
-//! latest snapshot from every child subtree; the header's `tag` counts
-//! the ranks covered and `xid` the subtree height, so coverage and depth
-//! aggregate for free. `Stall` frames from descendants are forwarded
-//! verbatim (evidence must not be averaged away).
+//! Upward traffic is one frame format: a node periodically ships one
+//! [`FrameKind::Relay`] frame whose body is its own [`obs::Snapshot`]
+//! **merged** ([`obs::Snapshot::merge`]) with the latest snapshot from
+//! every child subtree; the header's `tag` counts the ranks covered and
+//! `xid` the subtree height (1 and 1 for a leaf), so coverage and depth
+//! aggregate for free. `Stall` frames — the rank's own and its
+//! descendants' — travel verbatim (evidence must not be averaged away).
 //!
-//! Memory at every interior node is bounded per child: exactly one
-//! retained subtree snapshot (snapshots are cumulative, so coalescing to
-//! the newest is lossless for totals — a snapshot replaced before it was
-//! ever merged upward bumps `obs.relay_dropped`) plus a capped
-//! drop-oldest queue of forwarded event frames ([`CHILD_EVENT_CAP`],
-//! drops also counted in `obs.relay_dropped`). `obs.relay_merged` counts
-//! fresh child snapshots folded into an upward emission; since counters
-//! merge by summing, the per-depth flavour `obs.relay_merged.d<depth>`
-//! gives the collector a per-level breakdown of relay activity without
-//! any extra wiring.
+//! Nothing here may cost the data path more than it must, because all of
+//! it runs inside `progress()`:
 //!
-//! The node is clock-free by construction: [`RelayNode::pump`] and
-//! [`RelayNode::emit`] never look at time (the engine's observability
-//! tick owns the cadence via [`RelayNode::due`]), which keeps the module
-//! drivable from deterministic benches and tests.
+//! * **Children are read only when an emission is due.** Nothing a child
+//!   sent can leave this node before the next [`RelayNode::emit`], so
+//!   `emit` does the intake itself and a progress pass between emissions
+//!   touches no child socket.
+//! * **The uplink never blocks.** The parent stream is nonblocking; a
+//!   frame the socket cuts short leaves its unsent tail in a one-frame
+//!   backlog (the stream is framed, so a frame once begun is finished
+//!   before the next), and while that backlog has not drained the node
+//!   skips its emissions, counting each in `obs.relay_dropped`. Snapshots
+//!   are cumulative, so a skipped one is carried by the next.
+//! * **A header buys at most [`STATS_BODY_MAX`] bytes.** A child
+//!   announcing more is dropped and counted, never buffered; per-child
+//!   memory is one frame in flight, one retained subtree snapshot (a
+//!   snapshot replaced before it was ever merged upward bumps
+//!   `obs.relay_dropped`) and a capped drop-oldest queue of forwarded
+//!   event frames ([`CHILD_EVENT_CAP`], drops also counted).
+//!
+//! `obs.relay_merged` counts fresh child snapshots folded into an upward
+//! emission; since counters merge by summing, the per-depth flavour
+//! `obs.relay_merged.d<depth>` gives the collector a per-level breakdown of
+//! relay activity without any extra wiring. The node's reads, accepts and
+//! writes are counted in `wire.sys.read` / `wire.sys.write` beside the
+//! fabric's, so "syscalls per progress pass" means the whole pass.
+//!
+//! The node is clock-free by construction: [`RelayNode::emit`] never looks
+//! at time (the engine's observability tick owns the cadence via
+//! [`RelayNode::due`]), which keeps the module drivable from deterministic
+//! benches and tests.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::proto::{FrameKind, Header, HEADER_LEN};
-
-/// Default tree arity (`WIRE_RELAY_ARITY` overrides). 8 keeps a 64-rank
-/// world at depth 2 and a 256-rank world at depth 3.
-pub const DEFAULT_ARITY: usize = 8;
+use crate::proto::{FrameKind, Header, HEADER_LEN, STATS_BODY_MAX};
 
 /// Forwarded-event queue bound per child (drop-oldest beyond this).
 pub const CHILD_EVENT_CAP: usize = 32;
@@ -53,40 +69,39 @@ pub const CHILD_EVENT_CAP: usize = 32;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 const RETRY_SLEEP: Duration = Duration::from_millis(5);
 
-/// Parent of `rank` in the implicit heap; `None` for the root.
-pub fn parent_of(rank: usize, arity: usize) -> Option<usize> {
-    let k = arity.max(1);
+/// Child-socket reads per intake: enough for two frames of the largest
+/// legal size, so one fire-hosing child cannot hold a progress pass.
+const READS_PER_PUMP: usize = 2 * STATS_BODY_MAX / SCRATCH_LEN;
+const SCRATCH_LEN: usize = 4096;
+
+/// Parent of `rank`; `None` means the launcher's collector — the root of
+/// a tree, and every rank of a flat world.
+pub fn parent_of(rank: usize, arity: Option<usize>) -> Option<usize> {
+    let k = arity?.max(1);
     (rank > 0).then(|| (rank - 1) / k)
 }
 
-/// Children of `rank` in a `size`-rank world (may be empty).
-pub fn children_of(rank: usize, size: usize, arity: usize) -> std::ops::Range<usize> {
-    let k = arity.max(1);
+/// Children of `rank` in a `size`-rank world (empty for a leaf, and for
+/// every rank of a flat world).
+pub fn children_of(rank: usize, size: usize, arity: Option<usize>) -> std::ops::Range<usize> {
+    let Some(k) = arity.map(|k| k.max(1)) else {
+        return 0..0;
+    };
     let lo = (rank * k + 1).min(size);
     let hi = (rank * k + k + 1).min(size);
     lo..hi.max(lo)
 }
 
-/// Distance from the root (root is depth 0).
-pub fn depth_of(rank: usize, arity: usize) -> u32 {
-    let k = arity.max(1);
+/// Hops from `rank` to the node that dials the collector (0 for that
+/// node itself, so 0 for every rank of a flat world).
+pub fn depth_of(rank: usize, arity: Option<usize>) -> u32 {
     let mut d = 0;
     let mut r = rank;
-    while r > 0 {
-        r = (r - 1) / k;
+    while let Some(p) = parent_of(r, arity) {
+        r = p;
         d += 1;
     }
     d
-}
-
-/// Height of the whole tree: the max over ranks of `depth_of + 1`, i.e.
-/// what the root's Relay frames should carry in `xid` once every subtree
-/// reported.
-pub fn tree_height(size: usize, arity: usize) -> u32 {
-    if size == 0 {
-        return 0;
-    }
-    depth_of(size - 1, arity) + 1
 }
 
 /// Relay socket filename for `rank`, under the bootstrap directory.
@@ -94,15 +109,17 @@ pub fn sock_name(rank: usize) -> String {
     format!("relay-{rank}.sock")
 }
 
-/// Everything needed to place one rank in the tree.
+/// Everything needed to place one rank in the plane.
 #[derive(Clone, Debug)]
 pub struct RelayOpts {
     pub rank: usize,
     pub size: usize,
-    pub arity: usize,
+    /// `Some(k)`: the k-ary tree. `None`: flat, every rank a leaf under
+    /// the collector.
+    pub arity: Option<usize>,
     /// Bootstrap directory holding the per-rank relay sockets.
     pub dir: PathBuf,
-    /// The launcher's collector socket (the root's upstream).
+    /// The launcher's collector socket.
     pub stats_sock: PathBuf,
     /// Upward emission period (drives [`RelayNode::due`]).
     pub interval: Duration,
@@ -116,8 +133,8 @@ struct SubtreeSnap {
     height: u32,
 }
 
-/// One accepted child connection: a read buffer, the retained latest
-/// subtree snapshot, and the bounded forward queue.
+/// One accepted child connection: the bytes of the frame in flight, the
+/// retained latest subtree snapshot, and the bounded forward queue.
 struct ChildLink {
     stream: UnixStream,
     buf: Vec<u8>,
@@ -129,22 +146,82 @@ struct ChildLink {
     dead: bool,
 }
 
-/// One rank's node in the relay tree (see module docs).
+/// The nonblocking link to the parent (see module docs).
+struct Uplink {
+    stream: Option<UnixStream>,
+    /// Unsent tail of the one frame a full socket cut short.
+    backlog: Vec<u8>,
+    c_sys_write: obs::Counter,
+}
+
+impl Uplink {
+    /// Push the backlog out. True when the link is alive and nothing
+    /// stands in front of the next frame.
+    fn drain(&mut self) -> bool {
+        while !self.backlog.is_empty() {
+            let Some(stream) = self.stream.as_mut() else {
+                return false;
+            };
+            self.c_sys_write.inc();
+            match stream.write(&self.backlog) {
+                Ok(0) => self.stream = None,
+                Ok(n) => {
+                    self.backlog.drain(..n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => self.stream = None,
+            }
+        }
+        self.stream.is_some()
+    }
+
+    /// Offer one frame. True when the link took it — written, or begun
+    /// with its tail in the backlog; false when it was refused whole
+    /// (backed up, or gone) and not a byte of it is on the wire.
+    fn send(&mut self, hdr: &Header, body: &[u8]) -> bool {
+        if !self.drain() {
+            return false;
+        }
+        let head = hdr.encode();
+        loop {
+            let Some(stream) = self.stream.as_mut() else {
+                return false;
+            };
+            self.c_sys_write.inc();
+            match stream.write_vectored(&[IoSlice::new(&head), IoSlice::new(body)]) {
+                Ok(n) => {
+                    // What the socket did not take waits in the backlog.
+                    if n < HEADER_LEN + body.len() {
+                        self.backlog
+                            .extend(head.iter().chain(body).skip(n).copied());
+                    }
+                    return true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => self.stream = None,
+            }
+        }
+    }
+}
+
+/// One rank's node in the stats plane (see module docs).
 pub struct RelayNode {
     rank: u32,
-    depth: u32,
     interval: Duration,
     last_emit: Option<Instant>,
-    parent: Option<UnixStream>,
+    up: Uplink,
     listener: Option<UnixListener>,
     expected_children: usize,
     children: Vec<ChildLink>,
-    scratch: [u8; 4096],
+    scratch: [u8; SCRATCH_LEN],
     c_merged: obs::Counter,
     c_merged_depth: obs::Counter,
     c_dropped: obs::Counter,
     c_tx: obs::Counter,
     c_tx_bytes: obs::Counter,
+    c_sys_read: obs::Counter,
 }
 
 impl RelayNode {
@@ -152,8 +229,7 @@ impl RelayNode {
     /// parent (with retry — siblings start concurrently), and register
     /// the relay counters in `reg`.
     pub fn connect(opts: &RelayOpts, reg: &obs::Registry) -> std::io::Result<RelayNode> {
-        let kids = children_of(opts.rank, opts.size, opts.arity);
-        let expected_children = kids.len();
+        let expected_children = children_of(opts.rank, opts.size, opts.arity).len();
         let listener = if expected_children > 0 {
             let path = opts.dir.join(sock_name(opts.rank));
             let _ = std::fs::remove_file(&path);
@@ -171,36 +247,51 @@ impl RelayNode {
         };
         let parent = connect_retry(&upstream, opts.rank)?;
         let depth = depth_of(opts.rank, opts.arity);
-        let node = RelayNode {
-            rank: opts.rank as u32,
-            depth,
-            interval: opts.interval,
+        let mut node = RelayNode::over(opts.rank, depth, parent, opts.interval, reg)?;
+        node.listener = listener;
+        node.expected_children = expected_children;
+        Ok(node)
+    }
+
+    /// A childless node over an already-connected upstream: what
+    /// [`RelayNode::connect`] builds once it has dialed, and how tests hand
+    /// a node one end of a socketpair.
+    pub fn over(
+        rank: usize,
+        depth: u32,
+        upstream: UnixStream,
+        interval: Duration,
+        reg: &obs::Registry,
+    ) -> std::io::Result<RelayNode> {
+        upstream.set_nonblocking(true)?;
+        // Gauges merge by max, so the collector's merged view reports the
+        // deepest node that ever emitted — the realized tree depth.
+        reg.gauge("obs.relay_depth").set(depth as u64);
+        Ok(RelayNode {
+            rank: rank as u32,
+            interval,
             last_emit: None,
-            parent: Some(parent),
-            listener,
-            expected_children,
-            children: Vec::with_capacity(expected_children),
-            scratch: [0u8; 4096],
+            up: Uplink {
+                stream: Some(upstream),
+                backlog: Vec::new(),
+                c_sys_write: reg.counter("wire.sys.write"),
+            },
+            listener: None,
+            expected_children: 0,
+            children: Vec::new(),
+            scratch: [0u8; SCRATCH_LEN],
             c_merged: reg.counter("obs.relay_merged"),
             c_merged_depth: reg.counter(&format!("obs.relay_merged.d{depth}")),
             c_dropped: reg.counter("obs.relay_dropped"),
             c_tx: reg.counter("obs.relay_tx"),
             c_tx_bytes: reg.counter("obs.relay_tx_bytes"),
-        };
-        // Gauges merge by max, so the collector's merged view reports the
-        // deepest node that ever emitted — the realized tree depth.
-        reg.gauge("obs.relay_depth").set(depth as u64);
-        Ok(node)
-    }
-
-    /// This node's distance from the root.
-    pub fn depth(&self) -> u32 {
-        self.depth
+            c_sys_read: reg.counter("wire.sys.read"),
+        })
     }
 
     /// True while the upstream link is still usable.
     pub fn alive(&self) -> bool {
-        self.parent.is_some()
+        self.up.stream.is_some()
     }
 
     /// Interval gate for the engine's observability tick: returns true
@@ -216,15 +307,16 @@ impl RelayNode {
     }
 
     /// Nonblocking downstream intake: accept pending child connections
-    /// and drain whatever frames their sockets hold. Cheap when idle;
-    /// once every expected child has dialed in the listener is closed,
-    /// so steady-state pumps skip the accept syscall entirely.
-    pub fn pump(&mut self) {
+    /// and drain what their sockets hold. Once every expected child has
+    /// dialed in the listener is closed, so later intakes skip the accept.
+    fn pump(&mut self) {
         if self.children.len() >= self.expected_children {
             self.listener = None;
         }
         if let Some(l) = &self.listener {
-            while let Ok((stream, _)) = l.accept() {
+            loop {
+                self.c_sys_read.inc();
+                let Ok((stream, _)) = l.accept() else { break };
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
@@ -244,33 +336,34 @@ impl RelayNode {
     }
 
     fn pump_child(&mut self, i: usize) {
-        loop {
+        for _ in 0..READS_PER_PUMP {
             let ch = &mut self.children[i];
             if ch.dead {
                 return;
             }
+            self.c_sys_read.inc();
             match ch.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    // EOF: the child exited. Its retained snapshot stays
-                    // mergeable — the totals it reported remain true.
-                    ch.dead = true;
-                    break;
+                // EOF: the child exited. Its retained snapshot stays
+                // mergeable — the totals it reported remain true.
+                Ok(0) => ch.dead = true,
+                Ok(n) => {
+                    ch.buf.extend_from_slice(&self.scratch[..n]);
+                    // Parse as the bytes arrive: the buffer never holds
+                    // more than the frame in flight plus one read.
+                    self.drain_child_frames(i);
                 }
-                Ok(n) => ch.buf.extend_from_slice(&self.scratch[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    ch.dead = true;
-                    break;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => ch.dead = true,
             }
         }
-        self.drain_child_frames(i);
     }
 
     /// Parse complete frames out of child `i`'s buffer. Everything here
     /// is input from another process: malformed data marks the link dead
-    /// (and counts a drop), never panics.
+    /// (and counts a drop), never panics, and a header never reserves
+    /// memory — the buffer grows only with bytes that arrived, up to the
+    /// stats-plane cap.
     fn drain_child_frames(&mut self, i: usize) {
         loop {
             let ch = &mut self.children[i];
@@ -278,10 +371,10 @@ impl RelayNode {
                 return;
             }
             let hdr = match Header::decode_slice(&ch.buf) {
-                Ok(h) => h,
-                Err(_) => {
+                Ok(h) if h.body_len() <= STATS_BODY_MAX => h,
+                _ => {
                     ch.dead = true;
-                    ch.buf.clear();
+                    ch.buf = Vec::new();
                     self.c_dropped.inc();
                     return;
                 }
@@ -293,7 +386,7 @@ impl RelayNode {
             let body: Vec<u8> = ch.buf[HEADER_LEN..total].to_vec();
             ch.buf.drain(..total);
             match hdr.kind {
-                FrameKind::Relay | FrameKind::Stats => match obs::Snapshot::from_bytes(&body) {
+                FrameKind::Relay => match obs::Snapshot::from_bytes(&body) {
                     Ok(snap) => {
                         // Cumulative snapshots coalesce losslessly to the
                         // newest; replacing one that never went upward is
@@ -301,17 +394,10 @@ impl RelayNode {
                         if ch.fresh {
                             self.c_dropped.inc();
                         }
-                        let (coverage, height) = if hdr.kind == FrameKind::Relay {
-                            (hdr.tag.max(1), hdr.xid.max(1))
-                        } else {
-                            // A plain Stats frame is a leaf that never
-                            // grew a relay node: one rank, height 1.
-                            (1, 1)
-                        };
                         ch.latest = Some(SubtreeSnap {
                             snap,
-                            coverage,
-                            height,
+                            coverage: hdr.tag.max(1),
+                            height: hdr.xid.max(1),
                         });
                         ch.fresh = true;
                     }
@@ -330,40 +416,41 @@ impl RelayNode {
         }
     }
 
-    /// Ship one merged Relay frame upward: `own` (this rank's snapshot)
-    /// folded with every child subtree's latest, preceded by any queued
-    /// forwarded event frames. A failed write drops the upstream link for
-    /// the rest of the run — best-effort, like the star-mode stats link.
+    /// One emission: take in what the children sent, pass their queued
+    /// `Stall` evidence on (first, so a stall report is never stuck
+    /// behind this tick's summary), then ship `own` (this rank's
+    /// snapshot) folded with every child subtree's latest as one `Relay`
+    /// frame. If the uplink is still working off an earlier frame the
+    /// emission is skipped and counted; a failed write drops the uplink
+    /// for the rest of the run — best-effort throughout.
     pub fn emit(&mut self, own: &obs::Snapshot) {
-        if self.parent.is_none() {
+        if !self.alive() {
             return;
         }
-        // Forwarded evidence first, so a stall report is never stuck
-        // behind this tick's summary.
-        let mut forwarded: Vec<(Header, Vec<u8>)> = Vec::new();
-        for ch in &mut self.children {
-            while let Some(ev) = ch.events.pop_front() {
-                forwarded.push(ev);
+        self.pump();
+        'forward: for ch in &mut self.children {
+            while let Some((hdr, body)) = ch.events.front() {
+                if !self.up.send(hdr, body) {
+                    break 'forward;
+                }
+                self.c_tx.inc();
+                self.c_tx_bytes.add((HEADER_LEN + body.len()) as u64);
+                ch.events.pop_front();
             }
         }
-        for (hdr, body) in forwarded {
-            if !self.write_frame(&hdr, &body) {
-                return;
+        if !self.up.drain() {
+            if self.alive() {
+                self.c_dropped.inc();
             }
+            return;
         }
         let mut merged = own.clone();
         let mut coverage: u64 = 1;
         let mut height: u32 = 1;
-        for ch in &mut self.children {
-            let Some(sub) = &ch.latest else { continue };
+        for sub in self.children.iter().filter_map(|ch| ch.latest.as_ref()) {
             merged.merge(&sub.snap);
             coverage += sub.coverage as u64;
             height = height.max(sub.height.saturating_add(1));
-            if ch.fresh {
-                ch.fresh = false;
-                self.c_merged.inc();
-                self.c_merged_depth.inc();
-            }
         }
         let body = merged.to_bytes();
         let hdr = Header {
@@ -373,46 +460,42 @@ impl RelayNode {
             xid: height,
             len: body.len() as u64,
         };
-        if self.write_frame(&hdr, &body) {
-            self.c_tx.inc();
-            self.c_tx_bytes.add((HEADER_LEN + body.len()) as u64);
+        if !self.send_counted(&hdr, &body) {
+            return;
+        }
+        for ch in self.children.iter_mut().filter(|ch| ch.fresh) {
+            ch.fresh = false;
+            self.c_merged.inc();
+            self.c_merged_depth.inc();
         }
     }
 
-    /// Forward one event frame (the engine's own Stall reports) upward
-    /// unmodified except for the source rank already being in `hdr`.
-    pub fn send_event_frame(
-        &mut self,
-        kind: FrameKind,
-        stall_ms: u32,
-        pending_ops: u32,
-        body: &[u8],
-    ) {
+    /// Ship this rank's own `Stall` report upward, ahead of the next
+    /// summary: the watchdog's evidence in the header (`xid` = stalled
+    /// milliseconds, `tag` = pending operations), the rank's snapshot at
+    /// that moment as the body.
+    pub fn send_stall(&mut self, stalled_ms: u32, pending_ops: u32, body: &[u8]) {
         let hdr = Header {
-            kind,
+            kind: FrameKind::Stall,
             src: self.rank,
             tag: pending_ops,
-            xid: stall_ms,
+            xid: stalled_ms,
             len: body.len() as u64,
         };
-        if self.write_frame(&hdr, body) {
-            self.c_tx.inc();
-            self.c_tx_bytes.add((HEADER_LEN + body.len()) as u64);
-        }
+        self.send_counted(&hdr, body);
     }
 
-    fn write_frame(&mut self, hdr: &Header, body: &[u8]) -> bool {
-        let Some(stream) = self.parent.as_mut() else {
-            return false;
-        };
-        let ok = stream
-            .write_all(&hdr.encode())
-            .and_then(|()| stream.write_all(body))
-            .is_ok();
-        if !ok {
-            self.parent = None;
+    /// Send one of this node's own frames, counting it as sent or — when
+    /// it is over the cap or a live uplink refuses it — as dropped.
+    fn send_counted(&mut self, hdr: &Header, body: &[u8]) -> bool {
+        let sent = body.len() <= STATS_BODY_MAX && self.up.send(hdr, body);
+        if sent {
+            self.c_tx.inc();
+            self.c_tx_bytes.add((HEADER_LEN + body.len()) as u64);
+        } else if self.alive() {
+            self.c_dropped.inc();
         }
-        ok
+        sent
     }
 }
 
@@ -426,7 +509,7 @@ fn connect_retry(path: &Path, rank: usize) -> std::io::Result<UnixStream> {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     format!(
-                        "rank {rank}: relay upstream {} unreachable: {e}",
+                        "rank {rank}: stats uplink {} unreachable: {e}",
                         path.display()
                     ),
                 ));
@@ -437,205 +520,4 @@ fn connect_retry(path: &Path, rank: usize) -> std::io::Result<UnixStream> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn heap_topology_math() {
-        assert_eq!(parent_of(0, 8), None);
-        assert_eq!(parent_of(1, 8), Some(0));
-        assert_eq!(parent_of(8, 8), Some(0));
-        assert_eq!(parent_of(9, 8), Some(1));
-        assert_eq!(children_of(0, 64, 8), 1..9);
-        assert_eq!(children_of(1, 64, 8), 9..17);
-        assert_eq!(children_of(7, 64, 8), 57..64, "clipped to world size");
-        assert_eq!(
-            children_of(8, 64, 8).len(),
-            0,
-            "rank 8's children are off the end"
-        );
-        assert_eq!(depth_of(0, 8), 0);
-        assert_eq!(depth_of(8, 8), 1);
-        assert_eq!(depth_of(63, 8), 2);
-        assert_eq!(tree_height(64, 8), 3, "64 ranks at arity 8: depths 0..=2");
-        assert_eq!(tree_height(4, 2), 3, "0 -> {{1,2}}, 1 -> {{3}}");
-        assert_eq!(tree_height(1, 8), 1);
-        // Every non-root rank's parent is a valid smaller rank, and
-        // parent/children are mutually consistent.
-        for k in [1usize, 2, 3, 8] {
-            for size in [1usize, 2, 7, 64, 256] {
-                for r in 0..size {
-                    if let Some(p) = parent_of(r, k) {
-                        assert!(p < r);
-                        assert!(children_of(p, size, k).contains(&r));
-                    }
-                    for c in children_of(r, size, k) {
-                        assert_eq!(parent_of(c, k), Some(r));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Ground-truth relay hop: a root node with two connected children,
-    /// each shipping a Stats snapshot; the fake upstream must see one
-    /// Relay frame covering 3 ranks at height 2, counters summed.
-    #[test]
-    fn merges_children_into_one_upward_frame() {
-        let dir = std::env::temp_dir().join(format!("relay-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let upstream_path = dir.join("up.sock");
-        let _ = std::fs::remove_file(&upstream_path);
-        let upstream = UnixListener::bind(&upstream_path).expect("bind upstream");
-        let reg = obs::Registry::default();
-        let mut node = RelayNode::connect(
-            &RelayOpts {
-                rank: 0,
-                size: 3,
-                arity: 2,
-                dir: dir.clone(),
-                stats_sock: upstream_path.clone(),
-                interval: Duration::from_millis(1),
-            },
-            &reg,
-        )
-        .expect("node connects");
-        let (mut up, _) = upstream.accept().expect("upstream accept");
-        // Two children dial in and each ship one Stats snapshot.
-        let child_snap = |n: u64| {
-            let r = obs::Registry::default();
-            r.counter("work.items").add(n);
-            r.snapshot().to_bytes()
-        };
-        let mut kids = Vec::new();
-        for n in [10u64, 32] {
-            let mut s = UnixStream::connect(dir.join(sock_name(0))).expect("child connects");
-            let body = child_snap(n);
-            let hdr = Header {
-                kind: FrameKind::Stats,
-                src: 99,
-                tag: 0,
-                xid: 0,
-                len: body.len() as u64,
-            };
-            s.write_all(&hdr.encode()).expect("child hdr");
-            s.write_all(&body).expect("child body");
-            kids.push(s);
-        }
-        // Children connected asynchronously; pump until both registered.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            node.pump();
-            let both = node.children.len() == 2 && node.children.iter().all(|c| c.latest.is_some());
-            if both {
-                break;
-            }
-            assert!(Instant::now() < deadline, "children never arrived");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let own = {
-            let r = obs::Registry::default();
-            r.counter("work.items").add(100);
-            r.snapshot()
-        };
-        node.emit(&own);
-        assert_eq!(reg.counter("obs.relay_merged").get(), 2);
-        assert_eq!(reg.counter("obs.relay_merged.d0").get(), 2);
-        assert_eq!(reg.counter("obs.relay_dropped").get(), 0);
-        assert_eq!(reg.counter("obs.relay_tx").get(), 1);
-        // The upstream sees exactly one Relay frame: coverage 3, height 2,
-        // counters summed across the subtree.
-        let mut hdr_buf = [0u8; HEADER_LEN];
-        up.read_exact(&mut hdr_buf).expect("upstream header");
-        let hdr = Header::decode(&hdr_buf).expect("decodes");
-        assert_eq!(hdr.kind, FrameKind::Relay);
-        assert_eq!(hdr.tag, 3, "covers root + 2 children");
-        assert_eq!(hdr.xid, 2, "height: leaf children under the root");
-        let mut body = vec![0u8; hdr.body_len()];
-        up.read_exact(&mut body).expect("upstream body");
-        let merged = obs::Snapshot::from_bytes(&body).expect("snapshot parses");
-        assert_eq!(merged.counter("work.items"), 142);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A child snapshot replaced before any emission is the coalescing
-    /// drop `obs.relay_dropped` counts; the totals still flow (newest
-    /// cumulative snapshot wins).
-    #[test]
-    fn coalescing_a_fresh_snapshot_counts_a_drop() {
-        let dir = std::env::temp_dir().join(format!("relay-coal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let upstream_path = dir.join("up.sock");
-        let _ = std::fs::remove_file(&upstream_path);
-        let upstream = UnixListener::bind(&upstream_path).expect("bind upstream");
-        let reg = obs::Registry::default();
-        let mut node = RelayNode::connect(
-            &RelayOpts {
-                rank: 0,
-                size: 2,
-                arity: 8,
-                dir: dir.clone(),
-                stats_sock: upstream_path,
-                interval: Duration::from_millis(1),
-            },
-            &reg,
-        )
-        .expect("node connects");
-        let _up = upstream.accept().expect("upstream accept");
-        let mut child = UnixStream::connect(dir.join(sock_name(0))).expect("child connects");
-        for n in [5u64, 9] {
-            let r = obs::Registry::default();
-            r.counter("work.items").add(n);
-            let body = r.snapshot().to_bytes();
-            let hdr = Header {
-                kind: FrameKind::Stats,
-                src: 1,
-                tag: 0,
-                xid: 0,
-                len: body.len() as u64,
-            };
-            child.write_all(&hdr.encode()).expect("hdr");
-            child.write_all(&body).expect("body");
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while reg.counter("obs.relay_dropped").get() == 0 {
-            node.pump();
-            assert!(Instant::now() < deadline, "second snapshot never landed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(reg.counter("obs.relay_dropped").get(), 1);
-        node.emit(&obs::Snapshot::default());
-        // The retained (newest) snapshot carries the cumulative total.
-        assert_eq!(reg.counter("obs.relay_merged").get(), 1);
-        let latest = node.children[0].latest.as_ref().expect("retained");
-        assert_eq!(latest.snap.counter("work.items"), 9);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn due_respects_the_interval() {
-        let dir = std::env::temp_dir().join(format!("relay-due-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let upstream_path = dir.join("up.sock");
-        let _ = std::fs::remove_file(&upstream_path);
-        let _upstream = UnixListener::bind(&upstream_path).expect("bind upstream");
-        let reg = obs::Registry::default();
-        let mut node = RelayNode::connect(
-            &RelayOpts {
-                rank: 0,
-                size: 1,
-                arity: 8,
-                dir: dir.clone(),
-                stats_sock: upstream_path,
-                interval: Duration::from_secs(3600),
-            },
-            &reg,
-        )
-        .expect("node connects");
-        let t0 = Instant::now();
-        assert!(node.due(t0), "first call always fires");
-        assert!(!node.due(t0 + Duration::from_secs(1)));
-        assert!(node.due(t0 + Duration::from_secs(3601)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
+mod tests;

@@ -1,32 +1,35 @@
 //! The launcher side of the cluster observability plane.
 //!
-//! Each rank's engine ships `Stats` frames (a serialized
-//! [`obs::Snapshot`]) and `Stall` watchdog events over a dedicated Unix
-//! socket the launcher binds in the bootstrap directory (`stats.sock`,
-//! advertised as `WIRE_STATS_SOCK`). The [`Collector`] accepts one
-//! connection per rank and folds every frame into shared per-rank state;
-//! the launcher renders that state as a live min/median/max cluster table
-//! while the job runs and as a JSON report (`--stats-out`) when it ends.
+//! Every rank's uplink ([`crate::relay::RelayNode`]) ships `Relay` frames
+//! (a serialized [`obs::Snapshot`] covering the rank, or the subtree it
+//! roots) and `Stall` watchdog events towards a Unix socket the launcher
+//! binds in the bootstrap directory (`stats.sock`, advertised as
+//! `WIRE_STATS_SOCK`). The [`Collector`] accepts whoever dials it — every
+//! rank of a flat world, the root of a relay tree — and folds every frame
+//! into one map of [`Source`]s keyed by the rank that heads the frames. A
+//! source that covers one rank *is* that rank's row; a source that covers
+//! more is a subtree's. The launcher renders the map as a live
+//! min/median/max cluster table while the job runs and as a JSON report
+//! (`--stats-out`) when it ends.
 //!
 //! The plane is strictly best-effort and one-directional: ranks never
-//! block on the launcher (writes are small; a failed write disables the
-//! rank's link), and a missing or dead collector never affects the data
-//! path. Frames ride the same 24-byte header as the mesh
+//! block on the launcher, and a missing or dead collector never affects
+//! the data path. Frames ride the same 24-byte header as the mesh
 //! ([`crate::proto`]); a `Stall` frame carries its evidence in the header
 //! (`xid` = stalled milliseconds, `tag` = pending operations) with the
-//! rank's last snapshot as the body, so a straggler is reported with the
+//! rank's own snapshot as the body, and is forwarded verbatim by every
+//! relay on its way, so a straggler is reported on its own row with the
 //! state it stalled in rather than dying silently at the job timeout.
+//! Whatever arrives is peer input: a header announcing more than
+//! [`STATS_BODY_MAX`] bytes, or that does not decode, ends its connection
+//! (counted in [`CollectorShared::dropped`]) before anything is allocated
+//! for it, and a frame naming a rank outside the world is read and
+//! discarded.
 //!
-//! At scale the star topology gives way to the relay tree
-//! ([`crate::relay`]): the collector then accepts O(k) connections
-//! carrying `Relay` frames — subtree-merged snapshots whose header
-//! announces coverage (`tag`) and height (`xid`) — folded into a bounded
-//! [`RelayAgg`] instead of per-rank state, while forwarded `Stall`
-//! frames still land on their original rank's row. The final report also
-//! carries each dead rank's black-box flight-recorder dump
-//! ([`obs::BlackBoxDump`], harvested by the launcher from
-//! `blackbox-<rank>.obb`), rendered with the [`bbcode`] event names so a
-//! SIGKILLed rank leaves a replayable timeline instead of just
+//! The final report also carries each dead rank's black-box
+//! flight-recorder dump ([`obs::BlackBoxDump`], harvested by the launcher
+//! from `blackbox-<rank>.obb`), rendered with the [`bbcode`] event names
+//! so a SIGKILLed rank leaves a replayable timeline instead of just
 //! `"dead": true`.
 
 use std::collections::BTreeMap;
@@ -38,7 +41,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::proto::{FrameKind, Header, HEADER_LEN};
+use obs::json::{Json, Layout, Null, Writer};
+
+use crate::proto::{FrameKind, Header, HEADER_LEN, STATS_BODY_MAX};
 
 /// The black-box flight recorder's event-code table. The recorder itself
 /// ([`obs::BlackBox`]) stores opaque `(code, a, b, c, d)` tuples; the
@@ -59,10 +64,8 @@ pub mod bbcode {
     /// Watchdog trip: `a` = pending ops, `d` = stalled milliseconds.
     pub const STALL: u16 = 10;
     pub const PROTO_ERR: u16 = 11;
-    /// Upward relay emission.
+    /// Upward stats emission (13 was the star plane's, now unused).
     pub const RELAY_TX: u16 = 12;
-    /// Direct (star-mode) stats emission.
-    pub const STATS_TX: u16 = 13;
     /// Any other delivered frame kind (Hello, Doorbell, …).
     pub const RX_OTHER: u16 = 14;
 
@@ -81,7 +84,6 @@ pub mod bbcode {
             STALL => "stall",
             PROTO_ERR => "proto_err",
             RELAY_TX => "relay_tx",
-            STATS_TX => "stats_tx",
             RX_OTHER => "rx_other",
             _ => "unknown",
         }
@@ -162,12 +164,19 @@ impl SnapshotHistory {
     }
 }
 
-/// Everything the collector has heard from one rank.
+/// Everything the collector has heard from one source: the rank whose
+/// id heads the frames. What its snapshots cover is in the frames
+/// themselves — one rank for a leaf or a flat world, a subtree for a relay.
 #[derive(Clone, Debug, Default)]
-pub struct RankStats {
-    /// `Stats` frames received (the initial frame arrives on the rank's
-    /// first `progress` call, so a rank that bootstrapped at all has ≥ 1).
-    pub snapshots: u64,
+pub struct Source {
+    /// Ranks the latest `Relay` frame covers (header `tag`); 0 until one
+    /// arrives (a source known only by a forwarded `Stall`).
+    pub coverage: u32,
+    /// Subtree height, 1 for a lone rank (`Relay` header `xid`).
+    pub height: u32,
+    /// `Relay` frames received (the first leaves on the rank's first
+    /// `progress` call, so a rank that bootstrapped at all has ≥ 1).
+    pub frames: u64,
     /// Most recent snapshot, whichever frame kind carried it.
     pub last: Option<obs::Snapshot>,
     /// Bounded trajectory: first snapshot + the most recent few.
@@ -176,98 +185,58 @@ pub struct RankStats {
     pub stall: Option<StallInfo>,
 }
 
-/// What the collector heard from one directly-connected relay subtree
-/// (keyed by the subtree root's rank — usually just rank 0).
-#[derive(Clone, Debug, Default)]
-pub struct RelaySubtree {
-    /// Ranks the latest merged snapshot covers (`Relay` header `tag`).
-    pub coverage: u32,
-    /// Subtree height, 1 for a lone leaf (`Relay` header `xid`).
-    pub height: u32,
-    /// Relay frames received from this subtree root.
-    pub frames: u64,
-    /// Latest merged snapshot.
-    pub last: Option<obs::Snapshot>,
-}
-
-/// Bounded relay-tree state: one [`RelaySubtree`] per direct child of
-/// the collector — O(k) memory however many ranks the tree covers.
-#[derive(Clone, Debug, Default)]
-pub struct RelayAgg {
-    pub subtrees: BTreeMap<u32, RelaySubtree>,
-}
-
-impl RelayAgg {
-    /// Did any relay frame ever arrive?
-    pub fn active(&self) -> bool {
-        !self.subtrees.is_empty()
-    }
-
-    /// Ranks covered across every subtree.
-    pub fn coverage(&self) -> u64 {
-        self.subtrees.values().map(|s| s.coverage as u64).sum()
-    }
-
-    /// Realized tree depth below the collector: the tallest subtree's
-    /// height minus one (a lone leaf is depth 0).
-    pub fn depth(&self) -> u32 {
-        self.subtrees
-            .values()
-            .map(|s| s.height.saturating_sub(1))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Relay frames received in total.
-    pub fn frames(&self) -> u64 {
-        self.subtrees.values().map(|s| s.frames).sum()
-    }
-
-    /// All subtrees' latest snapshots merged into the whole-world view.
-    pub fn merged(&self) -> obs::Snapshot {
-        let mut out = obs::Snapshot::default();
-        for sub in self.subtrees.values() {
-            if let Some(s) = &sub.last {
-                out.merge(s);
-            }
-        }
-        out
+impl Source {
+    /// Does this source speak for more ranks than the one that names it?
+    pub fn is_subtree(&self) -> bool {
+        self.coverage > 1
     }
 }
 
-/// Everything the collector accumulates: per-rank rows (star mode and
-/// forwarded stall evidence) plus the relay-tree aggregate.
+/// Everything the collector accumulates. Memory is O(world size) whatever
+/// the frame rate: one [`Source`] per rank id below the world size, each
+/// holding a bounded history.
 #[derive(Clone, Debug, Default)]
 pub struct CollectorShared {
-    pub ranks: Vec<RankStats>,
-    pub relay: RelayAgg,
+    pub sources: BTreeMap<u32, Source>,
+    /// Connections accepted: N in a flat world, the tree's roots otherwise.
+    pub conns: u64,
+    /// Peer input refused: connections ended for an undecodable or
+    /// oversized header, frames discarded for a kind or rank that does not
+    /// belong here.
+    pub dropped: u64,
 }
 
-impl CollectorShared {
-    /// Rank-stats rows for table rendering: the per-rank rows when any
-    /// rank reported directly, otherwise one merged pseudo-row per relay
-    /// subtree (so the live table shows the cluster-wide totals, whose
-    /// `obs.relay_merged.d<depth>` counters break activity out by tree
-    /// depth).
-    pub fn table_stats(&self) -> Vec<RankStats> {
-        if self.ranks.iter().any(|r| r.snapshots > 0) || !self.relay.active() {
-            return self.ranks.clone();
+/// What the relay tree delivered: the subtree sources summed.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RelaySummary {
+    /// Ranks covered across every subtree.
+    pub coverage: u64,
+    /// Realized tree depth below the collector: the tallest subtree's
+    /// height minus one.
+    pub depth: u32,
+    /// `Relay` frames the subtree roots delivered.
+    pub frames: u64,
+    /// Their latest snapshots merged into the whole-world view.
+    pub merged: obs::Snapshot,
+}
+
+/// Sum up the subtree sources among `sources`; `None` in a flat world.
+pub fn relay_summary<'a>(sources: impl IntoIterator<Item = &'a Source>) -> Option<RelaySummary> {
+    let mut out: Option<RelaySummary> = None;
+    for sub in sources.into_iter().filter(|s| s.is_subtree()) {
+        let sum = out.get_or_insert_with(RelaySummary::default);
+        sum.coverage += sub.coverage as u64;
+        sum.depth = sum.depth.max(sub.height.saturating_sub(1));
+        sum.frames += sub.frames;
+        if let Some(s) = &sub.last {
+            sum.merged.merge(s);
         }
-        self.relay
-            .subtrees
-            .values()
-            .map(|sub| RankStats {
-                snapshots: sub.frames,
-                last: sub.last.clone(),
-                history: SnapshotHistory::default(),
-                stall: None,
-            })
-            .collect()
     }
+    out
 }
 
-/// Accepts rank connections on the stats socket and folds their frames
-/// into per-rank state. One acceptor thread, one reader thread per rank.
+/// Accepts connections on the stats socket and folds their frames into
+/// the source map. One acceptor thread, one reader thread per connection.
 pub struct Collector {
     shared: Arc<Mutex<CollectorShared>>,
     stop: Arc<AtomicBool>,
@@ -279,10 +248,7 @@ impl Collector {
     pub fn start(sock: &Path, n: usize) -> std::io::Result<Collector> {
         let listener = UnixListener::bind(sock)?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(Mutex::new(CollectorShared {
-            ranks: vec![RankStats::default(); n],
-            relay: RelayAgg::default(),
-        }));
+        let shared = Arc::new(Mutex::new(CollectorShared::default()));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -294,10 +260,11 @@ impl Collector {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _)) => {
+                            shared.lock().expect("collector mutex").conns += 1;
                             let shared = Arc::clone(&shared);
                             let stop = Arc::clone(&stop);
                             readers.push(std::thread::spawn(move || {
-                                read_frames(stream, &shared, &stop)
+                                read_frames(stream, &shared, &stop, n)
                             }));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -335,61 +302,55 @@ impl Collector {
     }
 }
 
-/// Read every frame a rank ships until EOF or shutdown.
-fn read_frames(mut stream: UnixStream, shared: &Mutex<CollectorShared>, stop: &AtomicBool) {
+/// Read every frame one connection ships until EOF, shutdown, or input
+/// that ends it (see module docs). `n` is the world size.
+fn read_frames(
+    mut stream: UnixStream,
+    shared: &Mutex<CollectorShared>,
+    stop: &AtomicBool,
+    n: usize,
+) {
     // A short read timeout keeps the thread responsive to `stop` even
     // when the rank is alive but quiet (e.g. SIGSTOPed).
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let drop_one = || shared.lock().expect("collector mutex").dropped += 1;
+    let mut body = Vec::new();
     loop {
         let mut hdr_buf = [0u8; HEADER_LEN];
         if !read_full(&mut stream, &mut hdr_buf, stop) {
             return;
         }
-        let Ok(hdr) = Header::decode(&hdr_buf) else {
-            return; // corrupt stream: drop the link
+        let hdr = match Header::decode(&hdr_buf) {
+            Ok(h) if h.body_len() <= STATS_BODY_MAX => h,
+            // Corrupt or greedy stream: drop the link, allocate nothing.
+            _ => return drop_one(),
         };
-        let mut body = vec![0u8; hdr.body_len()];
+        body.resize(hdr.body_len(), 0);
         if !read_full(&mut stream, &mut body, stop) {
             return;
         }
-        let snap = obs::Snapshot::from_bytes(&body).ok();
-        let mut shared = shared.lock().expect("collector mutex");
-        if hdr.kind == FrameKind::Relay {
-            // Subtree-merged snapshot from a direct child of the
-            // collector (the relay tree's root, or several roots if the
-            // operator points disjoint trees at one socket). Bounded:
-            // one retained snapshot per direct connection.
-            let sub = shared.relay.subtrees.entry(hdr.src).or_default();
-            sub.frames += 1;
-            sub.coverage = hdr.tag.max(1);
-            sub.height = hdr.xid.max(1);
-            if let Some(s) = snap {
-                sub.last = Some(s);
-            }
+        if hdr.src as usize >= n || !matches!(hdr.kind, FrameKind::Relay | FrameKind::Stall) {
+            drop_one(); // bogus rank or kind: keep the stream, drop the frame
             continue;
         }
-        let Some(slot) = shared.ranks.get_mut(hdr.src as usize) else {
-            continue; // bogus rank id; keep the stream, drop the frame
-        };
-        match hdr.kind {
-            FrameKind::Stats => {
-                slot.snapshots += 1;
-                if let Some(s) = snap {
-                    slot.history.push(s.clone());
-                    slot.last = Some(s);
-                }
-            }
-            FrameKind::Stall => {
-                slot.stall = Some(StallInfo {
-                    stalled_ms: hdr.xid,
-                    pending_ops: hdr.tag,
-                });
-                if let Some(s) = snap {
-                    slot.history.push(s.clone());
-                    slot.last = Some(s);
-                }
-            }
-            _ => {} // only stats-plane frames belong on this socket
+        let snap = obs::Snapshot::from_bytes(&body).ok();
+        let mut shared = shared.lock().expect("collector mutex");
+        let src = shared.sources.entry(hdr.src).or_default();
+        if hdr.kind == FrameKind::Relay {
+            src.frames += 1;
+            src.coverage = hdr.tag.max(1);
+            src.height = hdr.xid.max(1);
+        } else {
+            src.stall = Some(StallInfo {
+                stalled_ms: hdr.xid,
+                pending_ops: hdr.tag,
+            });
+        }
+        // A `Stall` body is one rank's own snapshot: it updates a source
+        // that speaks for that rank alone, never a subtree's merge.
+        if let Some(s) = snap.filter(|_| hdr.kind == FrameKind::Relay || !src.is_subtree()) {
+            src.history.push(s.clone());
+            src.last = Some(s);
         }
     }
 }
@@ -448,7 +409,7 @@ pub fn scalar_metrics(snap: &obs::Snapshot) -> BTreeMap<String, u64> {
     out
 }
 
-/// Min/median/max of one metric across the ranks that reported it.
+/// Min/median/max of one metric across the sources that reported it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Aggregate {
     pub min: u64,
@@ -456,15 +417,21 @@ pub struct Aggregate {
     pub max: u64,
 }
 
-/// Aggregate every metric any rank reported, keyed by metric name
+/// Aggregate every metric over the sources that partition the world: the
+/// ranks' own in a flat world, the subtrees' once any source covers more
+/// than itself (a rank's `Stall` evidence beside them is a row, not a
+/// second count of what its subtree already summed). Keyed by metric name
 /// (BTreeMap: deterministic order for table and report stability).
-pub fn aggregate(stats: &[RankStats]) -> BTreeMap<String, Aggregate> {
+pub fn aggregate(sources: &[&Source]) -> BTreeMap<String, Aggregate> {
+    let tree = sources.iter().any(|s| s.is_subtree());
     let mut per: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for rs in stats {
-        if let Some(snap) = &rs.last {
-            for (k, v) in scalar_metrics(snap) {
-                per.entry(k).or_default().push(v);
-            }
+    for snap in sources
+        .iter()
+        .filter(|s| s.is_subtree() == tree)
+        .filter_map(|s| s.last.as_ref())
+    {
+        for (k, v) in scalar_metrics(snap) {
+            per.entry(k).or_default().push(v);
         }
     }
     per.into_iter()
@@ -473,7 +440,7 @@ pub fn aggregate(stats: &[RankStats]) -> BTreeMap<String, Aggregate> {
             let agg = Aggregate {
                 min: vs[0],
                 median: vs[vs.len() / 2],
-                max: *vs.last().expect("non-empty"),
+                max: vs[vs.len() - 1],
             };
             (k, agg)
         })
@@ -481,14 +448,15 @@ pub fn aggregate(stats: &[RankStats]) -> BTreeMap<String, Aggregate> {
 }
 
 /// The live cluster table: one header line, then min/median/max per
-/// metric (all-zero rows elided for signal), then a per-rank status line.
-pub fn cluster_table(stats: &[RankStats]) -> String {
+/// metric (all-zero rows elided for signal), then a status line per
+/// source heard from.
+pub fn cluster_table(sources: &BTreeMap<u32, Source>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<36} {:>12} {:>12} {:>12}\n",
         "metric", "min", "median", "max"
     ));
-    for (k, a) in aggregate(stats) {
+    for (k, a) in aggregate(&sources.values().collect::<Vec<_>>()) {
         if a.max == 0 {
             continue;
         }
@@ -497,9 +465,15 @@ pub fn cluster_table(stats: &[RankStats]) -> String {
             k, a.min, a.median, a.max
         ));
     }
-    for (rank, rs) in stats.iter().enumerate() {
-        out.push_str(&format!("rank {rank}: {} snapshot(s)", rs.snapshots));
-        if let Some(st) = rs.stall {
+    for (rank, src) in sources {
+        out.push_str(&format!("rank {rank}: {} snapshot(s)", src.frames));
+        if src.is_subtree() {
+            out.push_str(&format!(
+                " covering {} rank(s) at height {}",
+                src.coverage, src.height
+            ));
+        }
+        if let Some(st) = src.stall {
             out.push_str(&format!(
                 "  STALLED {}ms with {} pending op(s)",
                 st.stalled_ms, st.pending_ops
@@ -514,8 +488,8 @@ pub fn cluster_table(stats: &[RankStats]) -> String {
 // JSON report
 // ---------------------------------------------------------------------------
 
-/// One rank's row in the final report: collector state joined with the
-/// launcher's verdict on the process itself.
+/// One rank's row in the final report: what the collector heard from the
+/// source of that name, joined with the launcher's verdict on the process.
 #[derive(Clone, Debug)]
 pub struct RankRow {
     pub rank: usize,
@@ -523,130 +497,98 @@ pub struct RankRow {
     pub outcome: String,
     /// Did the process die without a clean exit (signal or timeout kill)?
     pub dead: bool,
-    pub stats: RankStats,
+    /// The source named `rank` (default when it never reported).
+    pub stats: Source,
     /// The rank's last persisted flight-recorder dump, when the launcher
     /// found one (`blackbox-<rank>.obb` in the bootstrap directory).
     pub blackbox: Option<obs::BlackBoxDump>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn metrics_object(w: &mut Writer, snap: Option<&obs::Snapshot>) {
+    w.object(Layout::Inline, |w| {
+        for (k, v) in snap.map(scalar_metrics).unwrap_or_default() {
+            w.field(&k, v);
         }
-    }
-    out
-}
-
-fn push_metrics_obj(out: &mut String, snap: &obs::Snapshot) {
-    let mut first = true;
-    for (k, v) in scalar_metrics(snap) {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(&format!("\"{}\": {}", json_escape(&k), v));
-    }
+    });
 }
 
 /// The final JSON report: per-rank rows (outcome, liveness, stall
-/// evidence, last snapshot flattened to scalars, black-box timeline)
-/// plus the cluster aggregate. Hand-rolled; parseable by
-/// `obs::chrome::parse_json`.
-pub fn render_report(rows: &[RankRow]) -> String {
-    render_report_with(rows, None)
+/// evidence, last snapshot flattened to scalars, black-box timeline), a
+/// `"relay"` object — coverage, realized depth, frame count and the
+/// whole-world merged metrics — when any row's source is a subtree
+/// (`null` in a flat world), and the cluster aggregate.
+pub fn render_report_with(rows: &[RankRow]) -> String {
+    let sources: Vec<&Source> = rows.iter().map(|r| &r.stats).collect();
+    let mut w = Writer::new();
+    w.object(Layout::Block, |w| {
+        w.key("ranks").array(Layout::Block, |w| {
+            for row in rows {
+                w.object(Layout::Inline, |w| render_row(w, row));
+            }
+        });
+        w.key("relay");
+        match relay_summary(sources.iter().copied()) {
+            Some(r) => {
+                w.object(Layout::Inline, |w| {
+                    w.field("coverage", r.coverage).field("depth", r.depth);
+                    w.field("frames", r.frames).key("merged");
+                    metrics_object(w, Some(&r.merged));
+                });
+            }
+            None => {
+                w.value(Null);
+            }
+        }
+        w.key("aggregate").object(Layout::Block, |w| {
+            for (k, a) in aggregate(&sources) {
+                w.key(&k).object(Layout::Inline, |w| {
+                    w.field("min", a.min).field("median", a.median);
+                    w.field("max", a.max);
+                });
+            }
+        });
+    });
+    let mut out = w.finish();
+    out.push('\n');
+    out
 }
 
-/// As [`render_report`], with the relay-tree aggregate when the plane
-/// ran in tree mode: a top-level `"relay"` object carrying coverage,
-/// realized depth, frame count, and the whole-world merged metrics.
-pub fn render_report_with(rows: &[RankRow], relay: Option<&RelayAgg>) -> String {
-    let mut out = String::from("{\n  \"ranks\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"rank\": {}, ", row.rank));
-        out.push_str(&format!("\"outcome\": \"{}\", ", json_escape(&row.outcome)));
-        out.push_str(&format!("\"dead\": {}, ", row.dead));
-        out.push_str(&format!("\"snapshots\": {}, ", row.stats.snapshots));
-        out.push_str(&format!(
-            "\"history\": {{\"retained\": {}, \"dropped\": {}}}, ",
-            row.stats.history.retained(),
-            row.stats.history.dropped()
-        ));
-        match row.stats.stall {
-            Some(st) => out.push_str(&format!(
-                "\"stall\": {{\"stalled_ms\": {}, \"pending_ops\": {}}}, ",
-                st.stalled_ms, st.pending_ops
-            )),
-            None => out.push_str("\"stall\": null, "),
-        }
-        match &row.blackbox {
-            Some(bb) => {
-                out.push_str(&format!(
-                    "\"blackbox\": {{\"capacity\": {}, \"recorded\": {}, \"events\": [",
-                    bb.capacity, bb.recorded
-                ));
-                for (j, e) in bb.events.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"seq\": {}, \"t_us\": {}, \"code\": \"{}\", \"a\": {}, \"b\": {}, \"c\": {}, \"d\": {}}}",
-                        e.seq,
-                        e.t_us,
-                        bbcode::name(e.code),
-                        e.a,
-                        e.b,
-                        e.c,
-                        e.d
-                    ));
+fn render_row(w: &mut Writer, row: &RankRow) {
+    w.field("rank", row.rank).field("outcome", &row.outcome);
+    w.field("dead", row.dead)
+        .field("snapshots", row.stats.frames);
+    w.key("history").object(Layout::Inline, |w| {
+        w.field("retained", row.stats.history.retained());
+        w.field("dropped", row.stats.history.dropped());
+    });
+    w.key("stall");
+    match row.stats.stall {
+        Some(st) => w.object(Layout::Inline, |w| {
+            w.field("stalled_ms", st.stalled_ms);
+            w.field("pending_ops", st.pending_ops);
+        }),
+        None => w.value(Null),
+    };
+    w.key("blackbox");
+    match &row.blackbox {
+        Some(bb) => w.object(Layout::Inline, |w| {
+            w.field("capacity", bb.capacity)
+                .field("recorded", bb.recorded);
+            w.key("events").array(Layout::Inline, |w| {
+                for e in &bb.events {
+                    w.object(Layout::Inline, |w| {
+                        w.field("seq", e.seq).field("t_us", e.t_us);
+                        w.field("code", bbcode::name(e.code));
+                        w.field("a", e.a).field("b", e.b);
+                        w.field("c", e.c).field("d", e.d);
+                    });
                 }
-                out.push_str("]}, ");
-            }
-            None => out.push_str("\"blackbox\": null, "),
-        }
-        out.push_str("\"metrics\": {");
-        if let Some(snap) = &row.stats.last {
-            push_metrics_obj(&mut out, snap);
-        }
-        out.push_str("}}");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    match relay.filter(|r| r.active()) {
-        Some(r) => {
-            out.push_str(&format!(
-                "  \"relay\": {{\"coverage\": {}, \"depth\": {}, \"frames\": {}, \"merged\": {{",
-                r.coverage(),
-                r.depth(),
-                r.frames()
-            ));
-            push_metrics_obj(&mut out, &r.merged());
-            out.push_str("}},\n");
-        }
-        None => out.push_str("  \"relay\": null,\n"),
-    }
-    out.push_str("  \"aggregate\": {\n");
-    let stats: Vec<RankStats> = rows.iter().map(|r| r.stats.clone()).collect();
-    let agg = aggregate(&stats);
-    let n = agg.len();
-    for (i, (k, a)) in agg.into_iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}",
-            json_escape(&k),
-            a.min,
-            a.median,
-            a.max
-        ));
-        out.push_str(if i + 1 < n { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
+            });
+        }),
+        None => w.value(Null),
+    };
+    w.key("metrics");
+    metrics_object(w, row.stats.last.as_ref());
 }
 
 /// Durably write the report: create a pid-suffixed temp sibling, fsync,
@@ -674,10 +616,10 @@ pub fn write_report_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 pub struct ReportChecks {
     /// Exact number of rank rows, covering ranks `0..ranks`.
     pub ranks: usize,
-    /// Metrics that must be `> 0` on every clean rank (or, when ranks
-    /// reported only through the relay tree, in the relay merge).
+    /// Metrics that must be `> 0` for every clean rank, in the metrics of
+    /// the source that covers it.
     pub positive: Vec<String>,
-    /// Metrics that must be absent or `0` on every clean rank.
+    /// Metrics that must be absent or `0` for every clean rank, likewise.
     pub zero: Vec<String>,
     /// Require a `relay` section whose realized tree depth is at least
     /// this, and (when every rank exited cleanly) whose coverage equals
@@ -691,19 +633,20 @@ pub struct ReportChecks {
 
 /// Validate a rendered report: parses, has exactly `checks.ranks` rows
 /// covering ranks `0..ranks`, every metric named in `positive` is `> 0`,
-/// and every metric named in `zero` is absent or `0`, on every rank that
+/// and every metric named in `zero` is absent or `0`, for every rank that
 /// exited cleanly (dead ranks are exempt — their last snapshot
 /// legitimately predates the work). `zero` is how the shm smoke lane
 /// pins `wire.eager_alloc` to nothing: the counter existing with any
-/// value would mean an eager send staged a heap copy. In relay-tree
-/// worlds ranks may never dial the launcher directly; when a clean
-/// rank's metrics are empty and the report carries a `relay` section,
-/// the positive/zero checks fall back to the relay merge. Returns the
-/// parsed rank count on success.
+/// value would mean an eager send staged a heap copy. A clean rank's
+/// metrics are those of the source that covers it: its own row when the
+/// collector heard `Relay` frames in its name (`snapshots > 0` — every
+/// rank of a flat world, the root of a tree), otherwise the `relay`
+/// section's merge, which is where a tree carried its counters; a clean
+/// rank that nothing covers fails. Returns the parsed rank count on
+/// success.
 pub fn validate_report_checks(text: &str, checks: &ReportChecks) -> Result<usize, String> {
-    use obs::chrome::Json;
     let ranks = checks.ranks;
-    let doc = obs::chrome::parse_json(text)?;
+    let doc = obs::json::parse(text)?;
     let rows = match doc.get("ranks") {
         Some(Json::Arr(a)) => a,
         _ => return Err("report has no \"ranks\" array".into()),
@@ -737,15 +680,14 @@ pub fn validate_report_checks(text: &str, checks: &ReportChecks) -> Result<usize
             }
             continue;
         }
-        // A clean rank with no metrics of its own is fine in a relay
-        // world — its counters arrived merged. Point the metric checks
-        // at the relay merge instead.
-        let empty = matches!(metrics, Json::Obj(m) if m.is_empty());
-        let target = if empty && relay_metrics.is_some() {
-            relay_metrics.ok_or("unreachable")?
-        } else {
-            metrics
-        };
+        let own = row
+            .get("snapshots")
+            .and_then(Json::as_num)
+            .is_some_and(|n| n > 0.0);
+        let target = if own { Some(metrics) } else { relay_metrics };
+        let target = target.ok_or_else(|| {
+            format!("rank {rank}: exited cleanly but no source covers it (no frames of its own, no relay section)")
+        })?;
         for name in &checks.positive {
             let v = target.get(name).and_then(Json::as_num).unwrap_or(0.0);
             if v <= 0.0 {
@@ -789,8 +731,7 @@ pub fn validate_report_checks(text: &str, checks: &ReportChecks) -> Result<usize
 /// One dead rank's black-box object: enough events, monotone time,
 /// strictly increasing sequence numbers. `Ok(false)` means present but
 /// too short (another dead rank may still satisfy the gate).
-fn check_blackbox_timeline(bb: &obs::chrome::Json, min: usize) -> Result<bool, String> {
-    use obs::chrome::Json;
+fn check_blackbox_timeline(bb: &Json, min: usize) -> Result<bool, String> {
     let events = match bb.get("events") {
         Some(Json::Arr(a)) => a,
         _ => return Err("blackbox object has no \"events\" array".into()),
@@ -841,422 +782,4 @@ pub fn validate_report(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn snap_with(counters: &[(&str, u64)]) -> obs::Snapshot {
-        let mut s = obs::Snapshot::default();
-        for (k, v) in counters {
-            s.counters.insert((*k).into(), *v);
-        }
-        s
-    }
-
-    fn stats_with(counters: &[(&str, u64)]) -> RankStats {
-        RankStats {
-            snapshots: 1,
-            last: Some(snap_with(counters)),
-            history: SnapshotHistory::default(),
-            stall: None,
-        }
-    }
-
-    #[test]
-    fn history_keeps_first_and_recent_within_cap() {
-        let mut h = SnapshotHistory::default();
-        let total = HISTORY_CAP * 10 + 3;
-        for i in 0..total {
-            h.push(snap_with(&[("tick", i as u64)]));
-        }
-        // Bounded: first + at most HISTORY_CAP recent, the rest counted.
-        assert_eq!(h.recent().count(), HISTORY_CAP);
-        assert_eq!(h.retained(), HISTORY_CAP + 1);
-        assert_eq!(h.dropped() as usize, total - HISTORY_CAP);
-        // The first snapshot survives the wrap; the last is the newest.
-        assert_eq!(h.first().expect("first").counter("tick"), 0);
-        assert_eq!(h.last().expect("last").counter("tick"), (total - 1) as u64);
-        // Recent window is contiguous and oldest-first.
-        let ticks: Vec<u64> = h.recent().map(|s| s.counter("tick")).collect();
-        let want: Vec<u64> = ((total - HISTORY_CAP)..total).map(|i| i as u64).collect();
-        assert_eq!(ticks, want);
-    }
-
-    #[test]
-    fn history_under_cap_retains_everything() {
-        let mut h = SnapshotHistory::default();
-        for i in 0..3u64 {
-            h.push(snap_with(&[("tick", i)]));
-        }
-        assert_eq!(h.retained(), 3, "first is still inside the ring");
-        assert_eq!(h.dropped(), 0);
-        assert_eq!(h.first().expect("first").counter("tick"), 0);
-    }
-
-    #[test]
-    fn collector_history_is_bounded_end_to_end() {
-        let dir = std::env::temp_dir().join(format!("wire-hist-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let sock = dir.join("stats.sock");
-        let col = Collector::start(&sock, 1).expect("collector binds");
-        let mut stream = UnixStream::connect(&sock).expect("connect");
-        let frames = (HISTORY_CAP * 3) as u64;
-        for i in 0..frames {
-            let body = snap_with(&[("tick", i)]).to_bytes();
-            let hdr = Header {
-                kind: FrameKind::Stats,
-                src: 0,
-                tag: 0,
-                xid: 0,
-                len: body.len() as u64,
-            };
-            use std::io::Write;
-            stream.write_all(&hdr.encode()).expect("header");
-            stream.write_all(&body).expect("body");
-        }
-        drop(stream);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if col.peek().ranks[0].snapshots == frames {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "collector saw frames");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let state = col.finish().ranks;
-        assert_eq!(state[0].snapshots, frames);
-        assert!(state[0].history.retained() <= HISTORY_CAP + 1);
-        assert_eq!(state[0].history.first().expect("first").counter("tick"), 0);
-        assert_eq!(
-            state[0].history.last().expect("last").counter("tick"),
-            frames - 1
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scalar_metrics_include_histogram_percentiles() {
-        let mut s = obs::Snapshot::default();
-        s.histograms.insert(
-            "lat".into(),
-            obs::HistogramReading {
-                count: 1,
-                sum: 777,
-                buckets: vec![(1023, 1)],
-            },
-        );
-        let m = scalar_metrics(&s);
-        assert_eq!(m.get("lat.count"), Some(&1));
-        let p50 = *m.get("lat.p50").expect("p50 present");
-        assert!((512..=1023).contains(&p50), "p50={p50}");
-        assert!(m.contains_key("lat.p95") && m.contains_key("lat.p99"));
-    }
-
-    #[test]
-    fn aggregate_is_min_median_max_over_ranks() {
-        let stats = [
-            stats_with(&[("wire.bytes_tx", 30)]),
-            stats_with(&[("wire.bytes_tx", 10)]),
-            stats_with(&[("wire.bytes_tx", 20)]),
-        ];
-        let agg = aggregate(&stats);
-        let a = agg.get("wire.bytes_tx").expect("aggregated");
-        assert_eq!((a.min, a.median, a.max), (10, 20, 30));
-    }
-
-    #[test]
-    fn report_roundtrips_through_validation() {
-        let rows: Vec<RankRow> = (0..3)
-            .map(|rank| RankRow {
-                rank,
-                outcome: "ok".into(),
-                dead: false,
-                stats: stats_with(&[("wire.rndv_handshake_async", 2 + rank as u64)]),
-                blackbox: None,
-            })
-            .collect();
-        let text = render_report(&rows);
-        let n = validate_report(&text, 3, &["wire.rndv_handshake_async".into()], &[])
-            .expect("report validates");
-        assert_eq!(n, 3);
-        // Wrong rank count and a zero metric both fail.
-        assert!(validate_report(&text, 4, &[], &[]).is_err());
-        assert!(validate_report(&text, 3, &["wire.peer_lost".into()], &[]).is_err());
-        // --zero: an absent metric passes, a live one fails.
-        validate_report(&text, 3, &[], &["wire.peer_lost".into()]).expect("absent is zero");
-        assert!(validate_report(&text, 3, &[], &["wire.rndv_handshake_async".into()]).is_err());
-    }
-
-    #[test]
-    fn dead_rank_is_exempt_from_positive_checks_but_counted() {
-        let rows = vec![
-            RankRow {
-                rank: 0,
-                outcome: "ok".into(),
-                dead: false,
-                stats: stats_with(&[("wire.frames_tx", 5)]),
-                blackbox: None,
-            },
-            RankRow {
-                rank: 1,
-                outcome: "killed by signal 9".into(),
-                dead: true,
-                stats: RankStats {
-                    snapshots: 1,
-                    last: Some(snap_with(&[("wire.frames_tx", 0), ("wire.peer_lost", 7)])),
-                    history: SnapshotHistory::default(),
-                    stall: None,
-                },
-                blackbox: None,
-            },
-        ];
-        let text = render_report(&rows);
-        validate_report(&text, 2, &["wire.frames_tx".into()], &[]).expect("dead rank exempt");
-        // The dead rank's nonzero wire.peer_lost is exempt from --zero;
-        // the live rank's nonzero wire.frames_tx is not.
-        validate_report(&text, 2, &[], &["wire.peer_lost".into()])
-            .expect("dead rank exempt from zero checks too");
-        assert!(validate_report(&text, 2, &[], &["wire.frames_tx".into()]).is_err());
-        // The dead rank's row still carries its evidence.
-        assert!(text.contains("\"dead\": true"));
-        assert!(text.contains("killed by signal 9"));
-    }
-
-    #[test]
-    fn stall_rows_render_evidence() {
-        let rows = vec![RankRow {
-            rank: 0,
-            outcome: "ok".into(),
-            dead: false,
-            stats: RankStats {
-                snapshots: 3,
-                last: Some(snap_with(&[("wire.stalls", 1)])),
-                history: SnapshotHistory::default(),
-                stall: Some(StallInfo {
-                    stalled_ms: 312,
-                    pending_ops: 2,
-                }),
-            },
-            blackbox: None,
-        }];
-        let text = render_report(&rows);
-        assert!(text.contains("\"stalled_ms\": 312"));
-        assert!(text.contains("\"pending_ops\": 2"));
-        let table = cluster_table(&[rows[0].stats.clone()]);
-        assert!(table.contains("STALLED 312ms"));
-    }
-
-    type SubtreeSpec<'a> = (u32, u32, u32, &'a [(&'a str, u64)]);
-
-    fn relay_agg_with(subtrees: &[SubtreeSpec]) -> RelayAgg {
-        let mut agg = RelayAgg::default();
-        for (src, coverage, height, counters) in subtrees {
-            agg.subtrees.insert(
-                *src,
-                RelaySubtree {
-                    coverage: *coverage,
-                    height: *height,
-                    frames: 1,
-                    last: Some(snap_with(counters)),
-                },
-            );
-        }
-        agg
-    }
-
-    #[test]
-    fn relay_agg_folds_subtrees_by_merge() {
-        let agg = relay_agg_with(&[
-            (0, 5, 3, &[("wire.frames_tx", 10), ("obs.relay_merged", 4)]),
-            (7, 3, 2, &[("wire.frames_tx", 6)]),
-        ]);
-        assert!(agg.active());
-        assert_eq!(agg.coverage(), 8);
-        assert_eq!(agg.depth(), 2, "max height 3 minus one");
-        assert_eq!(agg.frames(), 2);
-        let merged = agg.merged();
-        assert_eq!(merged.counter("wire.frames_tx"), 16);
-        assert_eq!(merged.counter("obs.relay_merged"), 4);
-        assert!(!RelayAgg::default().active());
-    }
-
-    #[test]
-    fn relay_report_section_and_depth_gate() {
-        // A relay world: ranks never dialed the launcher directly, so
-        // their rows carry no metrics — the relay merge vouches for them.
-        let rows: Vec<RankRow> = (0..4)
-            .map(|rank| RankRow {
-                rank,
-                outcome: "ok".into(),
-                dead: false,
-                stats: RankStats::default(),
-                blackbox: None,
-            })
-            .collect();
-        let agg = relay_agg_with(&[(0, 4, 3, &[("obs.relay_merged", 3)])]);
-        let text = render_report_with(&rows, Some(&agg));
-        assert!(text.contains("\"relay\": {\"coverage\": 4, \"depth\": 2"));
-        let checks = ReportChecks {
-            ranks: 4,
-            positive: vec!["obs.relay_merged".into()],
-            relay_depth_min: Some(2),
-            ..ReportChecks::default()
-        };
-        validate_report_checks(&text, &checks).expect("relay fallback satisfies positives");
-        // Depth demanded higher than realized fails.
-        let deeper = ReportChecks {
-            relay_depth_min: Some(3),
-            ..checks.clone()
-        };
-        assert!(validate_report_checks(&text, &deeper).is_err());
-        // Coverage short of the world size fails when nobody died.
-        let short = relay_agg_with(&[(0, 3, 3, &[("obs.relay_merged", 3)])]);
-        let text = render_report_with(&rows, Some(&short));
-        assert!(validate_report_checks(&text, &checks).is_err());
-        // No relay section at all fails the depth gate.
-        let text = render_report(&rows);
-        assert!(text.contains("\"relay\": null"));
-        assert!(validate_report_checks(&text, &checks).is_err());
-    }
-
-    fn bb_dump(n: u64) -> obs::BlackBoxDump {
-        obs::BlackBoxDump {
-            capacity: 64,
-            recorded: n,
-            events: (0..n)
-                .map(|i| obs::BbEvent {
-                    seq: i,
-                    t_us: i * 10,
-                    code: bbcode::TX_EAGER,
-                    a: 1,
-                    b: 2,
-                    c: 3,
-                    d: i,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn blackbox_timeline_gates_dead_ranks() {
-        let rows = vec![
-            RankRow {
-                rank: 0,
-                outcome: "ok".into(),
-                dead: false,
-                stats: stats_with(&[("wire.frames_tx", 5)]),
-                blackbox: None,
-            },
-            RankRow {
-                rank: 1,
-                outcome: "killed by signal 9".into(),
-                dead: true,
-                stats: RankStats::default(),
-                blackbox: Some(bb_dump(40)),
-            },
-        ];
-        let text = render_report(&rows);
-        assert!(text.contains("\"code\": \"tx_eager\""));
-        let checks = ReportChecks {
-            ranks: 2,
-            blackbox_dead_min: Some(32),
-            ..ReportChecks::default()
-        };
-        validate_report_checks(&text, &checks).expect("dead rank's timeline validates");
-        // Too few events fails.
-        let deeper = ReportChecks {
-            blackbox_dead_min: Some(64),
-            ..checks.clone()
-        };
-        assert!(validate_report_checks(&text, &deeper).is_err());
-        // No dead rank at all fails the gate.
-        let live_only = render_report(&rows[..1]);
-        assert!(validate_report_checks(
-            &live_only,
-            &ReportChecks {
-                ranks: 1,
-                blackbox_dead_min: Some(1),
-                ..ReportChecks::default()
-            }
-        )
-        .is_err());
-        // A scrambled sequence is rejected, not just under-counted.
-        let mut bad = bb_dump(40);
-        bad.events[5].seq = 3;
-        let rows_bad = vec![
-            rows[0].clone(),
-            RankRow {
-                blackbox: Some(bad),
-                ..rows[1].clone()
-            },
-        ];
-        assert!(validate_report_checks(&render_report(&rows_bad), &checks).is_err());
-    }
-
-    #[test]
-    fn atomic_report_write_lands_complete() {
-        let dir = std::env::temp_dir().join(format!("wire-atomic-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let path = dir.join("report.json");
-        write_report_atomic(&path, "first\n").expect("first write");
-        write_report_atomic(&path, "second\n").expect("overwrite");
-        assert_eq!(std::fs::read_to_string(&path).expect("read"), "second\n");
-        // No temp siblings left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("dir")
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn collector_folds_frames_per_rank() {
-        let dir = std::env::temp_dir().join(format!("wire-stats-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let sock = dir.join("stats.sock");
-        let col = Collector::start(&sock, 2).expect("collector binds");
-        // Rank 1 ships one Stats frame and one Stall frame by hand.
-        let mut stream = UnixStream::connect(&sock).expect("connect");
-        let body = snap_with(&[("wire.frames_rx", 7)]).to_bytes();
-        for (kind, xid, tag) in [(FrameKind::Stats, 0, 0), (FrameKind::Stall, 450, 3)] {
-            let hdr = Header {
-                kind,
-                src: 1,
-                tag,
-                xid,
-                len: body.len() as u64,
-            };
-            use std::io::Write;
-            stream.write_all(&hdr.encode()).expect("header");
-            stream.write_all(&body).expect("body");
-        }
-        drop(stream);
-        // Wait for the reader to fold both frames.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let state = col.peek().ranks;
-            if state[1].snapshots == 1 && state[1].stall.is_some() {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "collector saw frames");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let state = col.finish().ranks;
-        assert_eq!(state[0].snapshots, 0, "rank 0 never reported");
-        assert_eq!(state[1].snapshots, 1);
-        assert_eq!(
-            state[1].stall,
-            Some(StallInfo {
-                stalled_ms: 450,
-                pending_ops: 3
-            })
-        );
-        let last = state[1].last.as_ref().expect("snapshot retained");
-        assert_eq!(last.counter("wire.frames_rx"), 7);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
+pub(crate) mod tests;

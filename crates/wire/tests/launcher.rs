@@ -247,6 +247,109 @@ fn stalled_rank_is_flagged_as_straggler_with_evidence() {
     let _ = std::fs::remove_file(&report);
 }
 
+/// Run `wire-victim` under the launcher with the stats plane on and hand
+/// back the parsed report.
+fn launch_for_report(tag: &str, launch: &[&str], mode: &str) -> (String, obs::chrome::Json) {
+    let report = std::env::temp_dir().join(format!("wire-{tag}-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&report);
+    let out = Command::new(offload_run())
+        .args(launch)
+        .args(["--timeout", "60", "--stats-interval", "25", "--stats-out"])
+        .arg(&report)
+        .arg(victim())
+        .env("WIRE_VICTIM_MODE", mode)
+        .output()
+        .expect("offload-run spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "job exits 0\nstderr:\n{stderr}");
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let _ = std::fs::remove_file(&report);
+    let doc = obs::chrome::parse_json(&text).expect("report parses");
+    (text, doc)
+}
+
+fn rank_rows(doc: &obs::chrome::Json) -> &[obs::chrome::Json] {
+    match doc.get("ranks") {
+        Some(obs::chrome::Json::Arr(a)) => a,
+        other => panic!("no ranks array: {other:?}"),
+    }
+}
+
+/// The flat world — no `--relay` — is the star the plane began as: every
+/// rank its own collector connection, its own row, its own metrics, and
+/// no `relay` section.
+#[test]
+fn flat_world_reports_every_rank_with_its_own_metrics() {
+    let (text, doc) = launch_for_report("flat4", &["-n", "4"], "ok");
+    wire::stats::validate_report(&text, 4, &[], &[]).expect("report validates");
+    assert_eq!(
+        doc.get("relay"),
+        Some(&obs::chrome::Json::Null),
+        "no subtree anywhere:\n{text}"
+    );
+    let rows = rank_rows(&doc);
+    assert_eq!(rows.len(), 4);
+    for row in rows {
+        let num = |key: &str| row.get(key).and_then(|j| j.as_num());
+        assert!(num("snapshots") >= Some(1.0), "own frames:\n{text}");
+        #[cfg(feature = "obs-enabled")]
+        {
+            let metrics = row.get("metrics").expect("metrics");
+            let sent = metrics.get("wire.frames_tx").and_then(|j| j.as_num());
+            assert!(sent > Some(0.0), "own, non-empty metrics:\n{text}");
+        }
+    }
+    #[cfg(feature = "obs-enabled")]
+    wire::stats::validate_report(&text, 4, &["wire.rndv_tx".into()], &[])
+        .expect("every rank's own row carries its rendezvous send");
+}
+
+/// Evidence is never averaged away: in a 12-rank `--relay 3` tree a
+/// depth-2 rank's `Stall` frame is forwarded verbatim by two relays and
+/// lands on that rank's own report row, beside — not inside — the merge
+/// that covers it.
+#[test]
+fn depth_two_stall_evidence_reaches_its_own_row_through_the_tree() {
+    let (text, doc) = launch_for_report(
+        "tree12",
+        &["-n", "12", "--relay", "3", "--stall-ms", "100"],
+        "stall",
+    );
+    let checks = wire::stats::ReportChecks {
+        ranks: 12,
+        relay_depth_min: Some(2),
+        ..Default::default()
+    };
+    wire::stats::validate_report_checks(&text, &checks).expect("depth 2, coverage 12");
+    let rows = rank_rows(&doc);
+    // Rank 11's parent is 3, whose parent is 0: two hops from the root.
+    let deep = rows
+        .iter()
+        .find(|r| r.get("rank").and_then(|j| j.as_num()) == Some(11.0))
+        .expect("rank 11 present");
+    let stall = deep.get("stall").expect("stall field");
+    assert!(
+        stall
+            .get("stalled_ms")
+            .and_then(|j| j.as_num())
+            .is_some_and(|ms| ms >= 100.0),
+        "rank 11's own evidence:\n{text}"
+    );
+    assert_eq!(
+        deep.get("snapshots").and_then(|j| j.as_num()),
+        Some(0.0),
+        "it never dialed the collector: only the root's frames are counted"
+    );
+    #[cfg(feature = "obs-enabled")]
+    assert_eq!(
+        deep.get("metrics")
+            .and_then(|m| m.get("wire.stalls"))
+            .and_then(|j| j.as_num()),
+        Some(1.0),
+        "its own snapshot at the stall, not the subtree's sum:\n{text}"
+    );
+}
+
 /// A job that outlives `--timeout` is killed and reported, not left
 /// wedged: one rank bootstraps and then sleeps forever.
 #[test]
