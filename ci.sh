@@ -2,7 +2,7 @@
 # Local/CI gate: build, test (both observability modes), format, lint.
 # Fully offline — all dependencies are path deps inside the repo.
 #
-# Usage: ci.sh [all|bench-gate|bench-baseline]
+# Usage: ci.sh [all|bench-gate|bench-baseline|loc]
 #   all            — every lane below, including the perf-trajectory gate.
 #   bench-gate     — only the perf-trajectory gate: re-measure the quick
 #                    panels into a scratch dir and bench-compare them
@@ -11,6 +11,9 @@
 #   bench-baseline — regenerate the BENCH_*.json baselines at the repo
 #                    root (same pinned shape the gate uses); review the
 #                    diff and commit them.
+#   loc            — per-crate and workspace non-test line counts by the
+#                    CHANGES.md convention (what a PR's before/after LOC
+#                    table is made of; run it on either commit).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -90,7 +93,43 @@ bench_baseline() {
   echo "bench-baseline: BENCH_*.json regenerated at the repo root — review the diff and commit"
 }
 
+# `all lines / code lines` of the non-test source: every .rs under a
+# crate's src/ and benches/ except files named tests.rs, each counted up
+# to its first column-0 `#[cfg(test)]`; a code line is neither blank nor a
+# `//` comment. `crates` sums crates/* (the "workspace" figure of CHANGES
+# up to PR 18); `workspace` adds the root package's examples/ (its own
+# 12-line lib and shims/ are left out of both).
+loc() {
+  local count='
+    FNR == 1 { skip = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    skip { next }
+    { all++ }
+    !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { code++ }
+    END { printf "%-12s %6d / %6d\n", label, all, code }'
+  local d dirs
+  {
+    for d in crates/*/; do
+      dirs="${d}src"
+      [ -d "${d}benches" ] && dirs="$dirs ${d}benches"
+      # shellcheck disable=SC2086
+      find $dirs -name '*.rs' ! -name tests.rs -print0 \
+        | xargs -0 awk -v label="$(basename "$d")" "$count"
+    done
+    echo crates
+    awk -v label=examples "$count" examples/*.rs
+  } | awk '
+    function total(label) { printf "%-12s %6d / %6d\n", label, all, code }
+    $1 == "crates" { total("crates"); next }
+    { print; all += $2; code += $4 }
+    END { total("workspace") }'
+}
+
 case "${1:-all}" in
+  loc)
+    loc
+    exit 0
+    ;;
   bench-gate)
     bench_gate
     echo
@@ -103,7 +142,7 @@ case "${1:-all}" in
     ;;
   all) ;;
   *)
-    echo "usage: ci.sh [all|bench-gate|bench-baseline]" >&2
+    echo "usage: ci.sh [all|bench-gate|bench-baseline|loc]" >&2
     exit 2
     ;;
 esac
@@ -112,8 +151,10 @@ run cargo build --release --workspace
 run cargo test --workspace -q
 
 # The no-op observability build must stay warning-free and green where it
-# matters most: the instrumented hot paths and the engine.
-run cargo test -q -p offload -p mpisim --no-default-features
+# matters most: the instrumented hot paths and the engine, and the layers
+# whose tests read counters (those reads are gated on `obs-enabled`).
+run cargo test -q -p offload -p mpisim -p wire -p rtmpi -p approaches -p harness \
+  --no-default-features
 run cargo check -q --benches --workspace
 
 # The op-path benchmark is a workspace of its own, so nothing above

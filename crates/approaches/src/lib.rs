@@ -1,25 +1,22 @@
 //! `approaches` — the communication strategies the paper compares, behind
-//! one interface.
+//! one object.
 //!
 //! The paper's point about *unmodified applications* (§3.4, `LD_PRELOAD`)
-//! translates here into the [`Comm`] trait: application drivers (QCD
-//! stencil, FFT, CNN) are written once against it and run unchanged under
-//! every strategy:
+//! translates here into [`Comm`]: application drivers (QCD stencil, FFT,
+//! CNN) are written once against it and run unchanged under every
+//! strategy. The strategies differ only in who drives progress:
 //!
-//! | variant | paper §2/§5 | mechanism here |
+//! | [`Approach`] | paper §2/§5 | mechanism here |
 //! |---|---|---|
-//! | [`Baseline`] | FUNNELED, master does all MPI | direct `mpisim` calls |
-//! | [`IprobeComm`] | baseline + periodic `MPI_Iprobe` | [`Comm::progress_hint`] issues a probe |
-//! | [`CommSelf`] (locked) | THREAD_MULTIPLE + dedicated thread blocked in MPI | helper task polling the progress engine under the global lock |
-//! | [`CommSelf`] (unlocked) | Cray core specialization | helper polling below the locking layer; the library still runs `MPI_THREAD_MULTIPLE` (as `MPICH_ASYNC_PROGRESS` forces) |
-//! | [`OffloadComm`] | the paper's contribution | `offload::SimOffload` |
-//!
-//! [`AnyComm`] packs them behind one concrete type so experiment harnesses
-//! can select a strategy at runtime while application code stays generic.
+//! | `Baseline` | FUNNELED, master does all MPI | direct `mpisim` calls |
+//! | `Iprobe` | baseline + periodic `MPI_Iprobe` | [`Comm::progress_hint`] issues a probe |
+//! | `CommSelf` | THREAD_MULTIPLE + dedicated thread blocked in MPI | helper task polling the progress engine under the global lock |
+//! | `CoreSpec` | Cray core specialization | helper polling below the locking layer; the library still runs `MPI_THREAD_MULTIPLE` (as `MPICH_ASYNC_PROGRESS` forces) |
+//! | `Offload` | the paper's contribution | `offload::SimOffload` |
 //!
 //! The [`live`] module carries the same comparison onto real transports
-//! (OS threads, and OS *processes* over sockets via `crates/wire`) —
-//! see its docs.
+//! (OS threads, and OS *processes* over sockets via `crates/wire`) with
+//! the same method names — see its docs.
 
 pub mod live;
 
@@ -27,8 +24,12 @@ use destime::futures::race;
 use destime::sync::Flag;
 use destime::{Env, Nanos};
 use mpisim::{Bytes, Dtype, Mpi, Rank, ReduceOp, Status, Tag, ThreadLevel, COMM_WORLD};
-use offload::{OffReq, SimColl, SimOffload};
+use offload::{OffReq, SimOffload};
 use std::future::Future;
+
+// [`Comm::icollective`] speaks `SimColl`; re-export it so application
+// drivers need no direct `offload` dependency.
+pub use offload::SimColl;
 
 /// Which strategy to run an experiment under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,29 +104,6 @@ impl Approach {
             Approach::CommSelf | Approach::CoreSpec | Approach::Offload => 1,
         }
     }
-
-    /// Construct the strategy for one rank. Must be called once per rank
-    /// inside the universe closure; pair with [`Comm::finalize`].
-    pub fn make(self, mpi: Mpi) -> AnyComm {
-        self.make_traced(mpi, &obs::Recorder::disabled())
-    }
-
-    /// As [`make`] with a flight recorder: the offload strategy's service
-    /// thread emits virtual-clock events onto a per-rank track. Direct
-    /// strategies have no service thread and record nothing.
-    ///
-    /// [`make`]: Approach::make
-    pub fn make_traced(self, mpi: Mpi, recorder: &obs::Recorder) -> AnyComm {
-        match self {
-            Approach::Baseline => AnyComm::Baseline(Baseline { mpi }),
-            Approach::Iprobe => AnyComm::Iprobe(IprobeComm { mpi }),
-            Approach::CommSelf => AnyComm::CommSelf(CommSelf::start(mpi, true)),
-            Approach::CoreSpec => AnyComm::CoreSpec(CommSelf::start(mpi, false)),
-            Approach::Offload => AnyComm::Offload(OffloadComm {
-                off: SimOffload::start_traced(mpi, recorder),
-            }),
-        }
-    }
 }
 
 /// A request handle from any strategy.
@@ -172,195 +150,254 @@ impl CommReq {
     }
 }
 
-/// The uniform communication interface applications are written against.
+/// One rank's communication object: the uniform interface applications
+/// are written against, under whichever strategy it was started with.
 ///
 /// All operations address `COMM_WORLD`; experiments needing
 /// sub-communicators (Fig 12's thread-groups) use [`Comm::mpi`] directly.
-#[allow(async_fn_in_trait)] // single-threaded executor: no Send bounds needed
-pub trait Comm: Clone + 'static {
-    fn rank(&self) -> Rank;
-    fn size(&self) -> usize;
-    fn env(&self) -> &Env;
-    fn approach(&self) -> Approach;
+/// Clone freely across the rank's simulated application threads.
+#[derive(Clone)]
+pub struct Comm {
+    approach: Approach,
+    inner: Inner,
+}
+
+#[derive(Clone)]
+enum Inner {
+    /// The application calls the MPI library itself: the funneled
+    /// master-only pattern, or raw THREAD_MULTIPLE if the universe was
+    /// initialized so.
+    Direct {
+        mpi: Mpi,
+        /// Iprobe: the `PROGRESS` points pay for an `MPI_Iprobe` (§2.1) —
+        /// real master-thread time, the load-imbalance downside the paper
+        /// describes.
+        probe_on_hint: bool,
+        /// Comm-self / core-spec: stops the progress helper.
+        helper_shutdown: Option<Flag>,
+    },
+    /// The paper's contribution: every call becomes a command to the
+    /// offload thread.
+    Offload(SimOffload),
+}
+
+impl Comm {
+    /// Start `approach` for one rank. Must be called once per rank inside
+    /// the universe closure; pair with [`Comm::finalize`].
+    pub fn start(approach: Approach, mpi: Mpi) -> Self {
+        Self::start_traced(approach, mpi, &obs::Recorder::disabled())
+    }
+
+    /// As [`start`] with a flight recorder: the offload strategy's service
+    /// thread emits virtual-clock events onto a per-rank track. Direct
+    /// strategies have no service thread and record nothing.
+    ///
+    /// [`start`]: Comm::start
+    pub fn start_traced(approach: Approach, mpi: Mpi, recorder: &obs::Recorder) -> Self {
+        let inner = match approach {
+            Approach::Offload => Inner::Offload(SimOffload::start_traced(mpi, recorder)),
+            Approach::CommSelf | Approach::CoreSpec => {
+                let locked = approach == Approach::CommSelf;
+                if locked {
+                    assert_eq!(
+                        mpi.thread_level(),
+                        ThreadLevel::Multiple,
+                        "comm-self requires MPI_THREAD_MULTIPLE (paper §2.2)"
+                    );
+                }
+                let shutdown = Flag::new();
+                let env = mpi.env().clone();
+                env.spawn(helper_loop(mpi.clone(), shutdown.clone(), locked));
+                Inner::Direct {
+                    mpi,
+                    probe_on_hint: false,
+                    helper_shutdown: Some(shutdown),
+                }
+            }
+            Approach::Baseline | Approach::Iprobe => Inner::Direct {
+                mpi,
+                probe_on_hint: approach == Approach::Iprobe,
+                helper_shutdown: None,
+            },
+        };
+        Comm { approach, inner }
+    }
+
+    pub fn approach(&self) -> Approach {
+        self.approach
+    }
+
     /// Escape hatch to the underlying simulated MPI (communicator
     /// management, statistics).
-    fn mpi(&self) -> &Mpi;
+    pub fn mpi(&self) -> &Mpi {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => mpi,
+            Inner::Offload(off) => off.mpi(),
+        }
+    }
+
+    pub fn rank(&self) -> Rank {
+        self.mpi().rank()
+    }
+
+    pub fn size(&self) -> usize {
+        self.mpi().size()
+    }
+
+    pub fn env(&self) -> &Env {
+        self.mpi().env()
+    }
 
     /// This rank's MPI-engine metrics registry (progress polls, protocol
     /// splits, queue depths, lock wait). Same registry for every strategy —
     /// what differs between approaches is *who* drives it.
-    fn obs_registry(&self) -> obs::Registry {
+    pub fn obs_registry(&self) -> obs::Registry {
         self.mpi().obs_registry()
     }
 
-    async fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) -> CommReq;
-    async fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> CommReq;
-    async fn wait(&self, req: &CommReq) -> Option<Status>;
-    async fn waitall(&self, reqs: &[CommReq]);
-    async fn test(&self, req: &CommReq) -> bool;
+    /// The offload service thread's metrics registry (drain histograms,
+    /// sweep counters), when this strategy has one.
+    pub fn offload_service_obs(&self) -> Option<&obs::Registry> {
+        match &self.inner {
+            Inner::Offload(off) => Some(off.obs()),
+            Inner::Direct { .. } => None,
+        }
+    }
+
+    pub async fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) -> CommReq {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => {
+                CommReq::Direct(mpi.isend(COMM_WORLD, dst, tag, payload).await)
+            }
+            Inner::Offload(off) => CommReq::Off(off.isend(COMM_WORLD, dst, tag, payload).await),
+        }
+    }
+
+    pub async fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> CommReq {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => CommReq::Direct(mpi.irecv(COMM_WORLD, src, tag).await),
+            Inner::Offload(off) => CommReq::Off(off.irecv(COMM_WORLD, src, tag).await),
+        }
+    }
+
+    /// Begin a nonblocking collective (the `MPI_Ibarrier`/`MPI_Iallreduce`
+    /// family); [`wait`] completes it and [`CommReq::take_data`] yields
+    /// its result.
+    ///
+    /// [`wait`]: Comm::wait
+    pub async fn icollective(&self, kind: SimColl) -> CommReq {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => CommReq::Direct(kind.issue(mpi, COMM_WORLD).await),
+            Inner::Offload(off) => CommReq::Off(off.icoll(COMM_WORLD, kind).await),
+        }
+    }
+
+    pub async fn wait(&self, req: &CommReq) -> Option<Status> {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => mpi.wait(req.direct()).await,
+            Inner::Offload(off) => off.wait(req.off()).await,
+        }
+    }
+
+    /// The direct strategies make one `MPI_Waitall`; an offloaded waitall
+    /// is a done-flag check per request. The two model different costs.
+    pub async fn waitall(&self, reqs: &[CommReq]) {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => {
+                let direct: Vec<mpisim::Request> =
+                    reqs.iter().map(|r| r.direct().clone()).collect();
+                mpi.waitall(&direct).await;
+            }
+            Inner::Offload(off) => {
+                for r in reqs {
+                    off.wait(r.off()).await;
+                }
+            }
+        }
+    }
+
+    pub async fn test(&self, req: &CommReq) -> bool {
+        match &self.inner {
+            Inner::Direct { mpi, .. } => mpi.test(req.direct()).await,
+            Inner::Offload(off) => off.test(req.off()).await,
+        }
+    }
 
     /// The `PROGRESS` insertion point of Listing 1: a no-op except for the
     /// iprobe approach, where the master thread pays for an `MPI_Iprobe`.
-    async fn progress_hint(&self);
+    pub async fn progress_hint(&self) {
+        if let Inner::Direct {
+            mpi,
+            probe_on_hint: true,
+            ..
+        } = &self.inner
+        {
+            let _ = mpi.iprobe(COMM_WORLD, None, None).await;
+        }
+    }
 
-    async fn barrier(&self);
-    async fn allreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes;
-    async fn iallreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq;
-    async fn alltoall(&self, input: Bytes, block: usize) -> Bytes;
-    async fn ialltoall(&self, input: Bytes, block: usize) -> CommReq;
-    async fn allgather(&self, mine: Bytes) -> Bytes;
-    async fn bcast(&self, root: Rank, payload: Bytes) -> Bytes;
-    async fn ibarrier(&self) -> CommReq;
-    async fn ibcast(&self, root: Rank, payload: Bytes) -> CommReq;
-    async fn ireduce(&self, root: Rank, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq;
-    async fn iallgather(&self, mine: Bytes) -> CommReq;
-    async fn igather(&self, root: Rank, mine: Bytes) -> CommReq;
-    async fn iscatter(&self, root: Rank, input: Option<Bytes>, block: usize) -> CommReq;
-
-    /// Blocking send convenience.
-    async fn send(&self, dst: Rank, tag: Tag, payload: Bytes) {
+    /// Blocking send.
+    pub async fn send(&self, dst: Rank, tag: Tag, payload: Bytes) {
         let r = self.isend(dst, tag, payload).await;
         self.wait(&r).await;
     }
 
-    /// Blocking receive convenience.
-    async fn recv(&self, src: Option<Rank>, tag: Option<Tag>) -> (Status, Bytes) {
+    /// Blocking receive.
+    pub async fn recv(&self, src: Option<Rank>, tag: Option<Tag>) -> (Status, Bytes) {
         let r = self.irecv(src, tag).await;
         let st = self.wait(&r).await.expect("recv completes with status");
         (st, r.take_data().expect("recv completes with data"))
     }
 
+    /// A blocking collective is its nonblocking form plus a wait — what
+    /// both `mpisim` and the offload thread make of it.
+    async fn collective(&self, kind: SimColl) -> Option<Bytes> {
+        let r = self.icollective(kind).await;
+        self.wait(&r).await;
+        r.take_data()
+    }
+
+    pub async fn barrier(&self) {
+        self.collective(SimColl::Barrier).await;
+    }
+
+    pub async fn allreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes {
+        let kind = SimColl::Allreduce { payload, dtype, op };
+        self.collective(kind).await.expect("allreduce result")
+    }
+
+    pub async fn alltoall(&self, input: Bytes, block: usize) -> Bytes {
+        let kind = SimColl::Alltoall { input, block };
+        self.collective(kind).await.expect("alltoall result")
+    }
+
+    pub async fn allgather(&self, mine: Bytes) -> Bytes {
+        let kind = SimColl::Allgather { mine };
+        self.collective(kind).await.expect("allgather result")
+    }
+
+    pub async fn bcast(&self, root: Rank, payload: Bytes) -> Bytes {
+        let kind = SimColl::Bcast { root, payload };
+        self.collective(kind).await.expect("bcast result")
+    }
+
     /// Tear down helper threads; call exactly once per rank at the end.
-    async fn finalize(&self);
-}
-
-// ---------------------------------------------------------------------------
-// Direct strategies (baseline, iprobe, comm-self, core-spec)
-// ---------------------------------------------------------------------------
-
-/// Shared implementation for strategies that let the application call the
-/// MPI library directly.
-macro_rules! direct_comm_body {
-    () => {
-        fn rank(&self) -> Rank {
-            self.mpi.rank()
+    pub async fn finalize(&self) {
+        match &self.inner {
+            Inner::Direct {
+                helper_shutdown, ..
+            } => {
+                if let Some(shutdown) = helper_shutdown {
+                    shutdown.set();
+                }
+            }
+            Inner::Offload(off) => off.shutdown().await,
         }
-        fn size(&self) -> usize {
-            self.mpi.size()
-        }
-        fn env(&self) -> &Env {
-            self.mpi.env()
-        }
-        fn mpi(&self) -> &Mpi {
-            &self.mpi
-        }
-        async fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) -> CommReq {
-            CommReq::Direct(self.mpi.isend(COMM_WORLD, dst, tag, payload).await)
-        }
-        async fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> CommReq {
-            CommReq::Direct(self.mpi.irecv(COMM_WORLD, src, tag).await)
-        }
-        async fn wait(&self, req: &CommReq) -> Option<Status> {
-            self.mpi.wait(req.direct()).await
-        }
-        async fn waitall(&self, reqs: &[CommReq]) {
-            let direct: Vec<mpisim::Request> = reqs.iter().map(|r| r.direct().clone()).collect();
-            self.mpi.waitall(&direct).await;
-        }
-        async fn test(&self, req: &CommReq) -> bool {
-            self.mpi.test(req.direct()).await
-        }
-        async fn barrier(&self) {
-            self.mpi.barrier(COMM_WORLD).await;
-        }
-        async fn allreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes {
-            self.mpi.allreduce(COMM_WORLD, payload, dtype, op).await
-        }
-        async fn iallreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq {
-            CommReq::Direct(self.mpi.iallreduce(COMM_WORLD, payload, dtype, op).await)
-        }
-        async fn alltoall(&self, input: Bytes, block: usize) -> Bytes {
-            self.mpi.alltoall(COMM_WORLD, input, block).await
-        }
-        async fn ialltoall(&self, input: Bytes, block: usize) -> CommReq {
-            CommReq::Direct(self.mpi.ialltoall(COMM_WORLD, input, block).await)
-        }
-        async fn allgather(&self, mine: Bytes) -> Bytes {
-            self.mpi.allgather(COMM_WORLD, mine).await
-        }
-        async fn bcast(&self, root: Rank, payload: Bytes) -> Bytes {
-            self.mpi.bcast(COMM_WORLD, root, payload).await
-        }
-        async fn ibarrier(&self) -> CommReq {
-            CommReq::Direct(self.mpi.ibarrier(COMM_WORLD).await)
-        }
-        async fn ibcast(&self, root: Rank, payload: Bytes) -> CommReq {
-            CommReq::Direct(self.mpi.ibcast(COMM_WORLD, root, payload).await)
-        }
-        async fn ireduce(&self, root: Rank, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq {
-            CommReq::Direct(self.mpi.ireduce(COMM_WORLD, root, payload, dtype, op).await)
-        }
-        async fn iallgather(&self, mine: Bytes) -> CommReq {
-            CommReq::Direct(self.mpi.iallgather(COMM_WORLD, mine).await)
-        }
-        async fn igather(&self, root: Rank, mine: Bytes) -> CommReq {
-            CommReq::Direct(self.mpi.igather(COMM_WORLD, root, mine).await)
-        }
-        async fn iscatter(&self, root: Rank, input: Option<Bytes>, block: usize) -> CommReq {
-            CommReq::Direct(self.mpi.iscatter(COMM_WORLD, root, input, block).await)
-        }
-    };
-}
-
-/// Direct MPI calls from the application (funneled master-only pattern, or
-/// raw THREAD_MULTIPLE if the universe was initialized so). No progress
-/// help of any kind — the paper's *baseline*.
-#[derive(Clone)]
-pub struct Baseline {
-    mpi: Mpi,
-}
-
-impl Baseline {
-    pub fn new(mpi: Mpi) -> Self {
-        Self { mpi }
     }
 }
 
-impl Comm for Baseline {
-    direct_comm_body!();
-    fn approach(&self) -> Approach {
-        Approach::Baseline
-    }
-    async fn progress_hint(&self) {}
-    async fn finalize(&self) {}
-}
-
-/// Baseline plus explicit `MPI_Iprobe` progress pokes from the master
-/// thread at the application's `PROGRESS` points (§2.1). The probe costs
-/// the master real time — the load-imbalance downside the paper describes.
-#[derive(Clone)]
-pub struct IprobeComm {
-    mpi: Mpi,
-}
-
-impl IprobeComm {
-    pub fn new(mpi: Mpi) -> Self {
-        Self { mpi }
-    }
-}
-
-impl Comm for IprobeComm {
-    direct_comm_body!();
-    fn approach(&self) -> Approach {
-        Approach::Iprobe
-    }
-    async fn progress_hint(&self) {
-        let _ = self.mpi.iprobe(COMM_WORLD, None, None).await;
-    }
-    async fn finalize(&self) {}
-}
-
-/// A dedicated progress helper on one core of the rank.
+/// The dedicated progress helper of comm-self and core-spec, on one core
+/// of the rank.
 ///
 /// With `locked = true` this is the *comm-self* approach (§2.2): the
 /// universe runs `MPI_THREAD_MULTIPLE` and the helper repeatedly enters
@@ -371,34 +408,6 @@ impl Comm for IprobeComm {
 /// With `locked = false` it models Cray *core specialization* (Fig 9b): the
 /// progress engine runs on a dedicated core below the MPI locking layer, so
 /// application calls do not contend with it.
-#[derive(Clone)]
-pub struct CommSelf {
-    mpi: Mpi,
-    shutdown: Flag,
-    locked: bool,
-}
-
-impl CommSelf {
-    pub fn start(mpi: Mpi, locked: bool) -> Self {
-        if locked {
-            assert_eq!(
-                mpi.thread_level(),
-                ThreadLevel::Multiple,
-                "comm-self requires MPI_THREAD_MULTIPLE (paper §2.2)"
-            );
-        }
-        let shutdown = Flag::new();
-        let this = Self {
-            mpi: mpi.clone(),
-            shutdown: shutdown.clone(),
-            locked,
-        };
-        let env = mpi.env().clone();
-        env.spawn(helper_loop(mpi, shutdown, locked));
-        this
-    }
-}
-
 async fn helper_loop(mpi: Mpi, shutdown: Flag, locked: bool) {
     let env = mpi.env().clone();
     let gap: Nanos = mpi.profile().self_thread_gap_ns;
@@ -428,272 +437,6 @@ async fn helper_loop(mpi: Mpi, shutdown: Flag, locked: bool) {
     }
 }
 
-impl Comm for CommSelf {
-    direct_comm_body!();
-    fn approach(&self) -> Approach {
-        if self.locked {
-            Approach::CommSelf
-        } else {
-            Approach::CoreSpec
-        }
-    }
-    async fn progress_hint(&self) {}
-    async fn finalize(&self) {
-        self.shutdown.set();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Offload
-// ---------------------------------------------------------------------------
-
-/// The paper's contribution, wrapping [`offload::SimOffload`].
-#[derive(Clone)]
-pub struct OffloadComm {
-    off: SimOffload,
-}
-
-impl OffloadComm {
-    pub fn new(mpi: Mpi) -> Self {
-        Self {
-            off: SimOffload::start(mpi),
-        }
-    }
-
-    pub fn offload(&self) -> &SimOffload {
-        &self.off
-    }
-}
-
-impl Comm for OffloadComm {
-    fn rank(&self) -> Rank {
-        self.off.rank()
-    }
-    fn size(&self) -> usize {
-        self.off.size()
-    }
-    fn env(&self) -> &Env {
-        self.off.env()
-    }
-    fn approach(&self) -> Approach {
-        Approach::Offload
-    }
-    fn mpi(&self) -> &Mpi {
-        self.off.mpi()
-    }
-    async fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) -> CommReq {
-        CommReq::Off(self.off.isend(COMM_WORLD, dst, tag, payload).await)
-    }
-    async fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> CommReq {
-        CommReq::Off(self.off.irecv(COMM_WORLD, src, tag).await)
-    }
-    async fn wait(&self, req: &CommReq) -> Option<Status> {
-        self.off.wait(req.off()).await
-    }
-    async fn waitall(&self, reqs: &[CommReq]) {
-        for r in reqs {
-            self.off.wait(r.off()).await;
-        }
-    }
-    async fn test(&self, req: &CommReq) -> bool {
-        self.off.test(req.off()).await
-    }
-    async fn progress_hint(&self) {}
-    async fn barrier(&self) {
-        self.off.barrier(COMM_WORLD).await;
-    }
-    async fn allreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes {
-        self.off.allreduce(COMM_WORLD, payload, dtype, op).await
-    }
-    async fn iallreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(COMM_WORLD, SimColl::Allreduce { payload, dtype, op })
-                .await,
-        )
-    }
-    async fn alltoall(&self, input: Bytes, block: usize) -> Bytes {
-        self.off.alltoall(COMM_WORLD, input, block).await
-    }
-    async fn ialltoall(&self, input: Bytes, block: usize) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(COMM_WORLD, SimColl::Alltoall { input, block })
-                .await,
-        )
-    }
-    async fn allgather(&self, mine: Bytes) -> Bytes {
-        self.off.allgather(COMM_WORLD, mine).await
-    }
-    async fn bcast(&self, root: Rank, payload: Bytes) -> Bytes {
-        self.off.bcast(COMM_WORLD, root, payload).await
-    }
-    async fn ibarrier(&self) -> CommReq {
-        CommReq::Off(self.off.icoll(COMM_WORLD, SimColl::Barrier).await)
-    }
-    async fn ibcast(&self, root: Rank, payload: Bytes) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(COMM_WORLD, SimColl::Bcast { root, payload })
-                .await,
-        )
-    }
-    async fn ireduce(&self, root: Rank, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(
-                    COMM_WORLD,
-                    SimColl::Reduce {
-                        root,
-                        payload,
-                        dtype,
-                        op,
-                    },
-                )
-                .await,
-        )
-    }
-    async fn iallgather(&self, mine: Bytes) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(COMM_WORLD, SimColl::Allgather { mine })
-                .await,
-        )
-    }
-    async fn igather(&self, root: Rank, mine: Bytes) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(COMM_WORLD, SimColl::Gather { root, mine })
-                .await,
-        )
-    }
-    async fn iscatter(&self, root: Rank, input: Option<Bytes>, block: usize) -> CommReq {
-        CommReq::Off(
-            self.off
-                .icoll(COMM_WORLD, SimColl::Scatter { root, input, block })
-                .await,
-        )
-    }
-    async fn finalize(&self) {
-        self.off.shutdown().await;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AnyComm: runtime strategy selection with static application code
-// ---------------------------------------------------------------------------
-
-/// Runtime-selected strategy implementing [`Comm`] by delegation.
-#[derive(Clone)]
-pub enum AnyComm {
-    Baseline(Baseline),
-    Iprobe(IprobeComm),
-    CommSelf(CommSelf),
-    CoreSpec(CommSelf),
-    Offload(OffloadComm),
-}
-
-impl AnyComm {
-    /// The offload service thread's metrics registry (drain histograms,
-    /// sweep counters), when this strategy has one.
-    pub fn offload_service_obs(&self) -> Option<&obs::Registry> {
-        match self {
-            AnyComm::Offload(c) => Some(c.offload().obs()),
-            _ => None,
-        }
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $c:ident => $body:expr) => {
-        match $self {
-            AnyComm::Baseline($c) => $body,
-            AnyComm::Iprobe($c) => $body,
-            AnyComm::CommSelf($c) => $body,
-            AnyComm::CoreSpec($c) => $body,
-            AnyComm::Offload($c) => $body,
-        }
-    };
-}
-
-impl Comm for AnyComm {
-    fn rank(&self) -> Rank {
-        delegate!(self, c => c.rank())
-    }
-    fn size(&self) -> usize {
-        delegate!(self, c => c.size())
-    }
-    fn env(&self) -> &Env {
-        delegate!(self, c => c.env())
-    }
-    fn approach(&self) -> Approach {
-        delegate!(self, c => c.approach())
-    }
-    fn mpi(&self) -> &Mpi {
-        delegate!(self, c => c.mpi())
-    }
-    async fn isend(&self, dst: Rank, tag: Tag, payload: Bytes) -> CommReq {
-        delegate!(self, c => c.isend(dst, tag, payload).await)
-    }
-    async fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> CommReq {
-        delegate!(self, c => c.irecv(src, tag).await)
-    }
-    async fn wait(&self, req: &CommReq) -> Option<Status> {
-        delegate!(self, c => c.wait(req).await)
-    }
-    async fn waitall(&self, reqs: &[CommReq]) {
-        delegate!(self, c => c.waitall(reqs).await)
-    }
-    async fn test(&self, req: &CommReq) -> bool {
-        delegate!(self, c => c.test(req).await)
-    }
-    async fn progress_hint(&self) {
-        delegate!(self, c => c.progress_hint().await)
-    }
-    async fn barrier(&self) {
-        delegate!(self, c => c.barrier().await)
-    }
-    async fn allreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes {
-        delegate!(self, c => c.allreduce(payload, dtype, op).await)
-    }
-    async fn iallreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq {
-        delegate!(self, c => c.iallreduce(payload, dtype, op).await)
-    }
-    async fn alltoall(&self, input: Bytes, block: usize) -> Bytes {
-        delegate!(self, c => c.alltoall(input, block).await)
-    }
-    async fn ialltoall(&self, input: Bytes, block: usize) -> CommReq {
-        delegate!(self, c => c.ialltoall(input, block).await)
-    }
-    async fn allgather(&self, mine: Bytes) -> Bytes {
-        delegate!(self, c => c.allgather(mine).await)
-    }
-    async fn bcast(&self, root: Rank, payload: Bytes) -> Bytes {
-        delegate!(self, c => c.bcast(root, payload).await)
-    }
-    async fn ibarrier(&self) -> CommReq {
-        delegate!(self, c => c.ibarrier().await)
-    }
-    async fn ibcast(&self, root: Rank, payload: Bytes) -> CommReq {
-        delegate!(self, c => c.ibcast(root, payload).await)
-    }
-    async fn ireduce(&self, root: Rank, payload: Bytes, dtype: Dtype, op: ReduceOp) -> CommReq {
-        delegate!(self, c => c.ireduce(root, payload, dtype, op).await)
-    }
-    async fn iallgather(&self, mine: Bytes) -> CommReq {
-        delegate!(self, c => c.iallgather(mine).await)
-    }
-    async fn igather(&self, root: Rank, mine: Bytes) -> CommReq {
-        delegate!(self, c => c.igather(root, mine).await)
-    }
-    async fn iscatter(&self, root: Rank, input: Option<Bytes>, block: usize) -> CommReq {
-        delegate!(self, c => c.iscatter(root, input, block).await)
-    }
-    async fn finalize(&self) {
-        delegate!(self, c => c.finalize().await)
-    }
-}
-
 /// Run an experiment closure under `approach` on `n` ranks: constructs the
 /// universe at the right thread level, builds the strategy per rank, and
 /// finalizes it after the closure returns.
@@ -706,7 +449,7 @@ pub fn run_approach<T, F, Fut>(
 ) -> (Vec<T>, Nanos)
 where
     T: 'static,
-    F: Fn(AnyComm) -> Fut + 'static,
+    F: Fn(Comm) -> Fut + 'static,
     Fut: Future<Output = T> + 'static,
 {
     run_approach_traced(
@@ -733,7 +476,7 @@ pub fn run_approach_traced<T, F, Fut>(
 ) -> (Vec<T>, Nanos)
 where
     T: 'static,
-    F: Fn(AnyComm) -> Fut + 'static,
+    F: Fn(Comm) -> Fut + 'static,
     Fut: Future<Output = T> + 'static,
 {
     let level = approach.thread_level(app_is_multithreaded);
@@ -742,7 +485,7 @@ where
         let f = f.clone();
         let recorder = recorder.clone();
         async move {
-            let comm = approach.make_traced(mpi, &recorder);
+            let comm = Comm::start_traced(approach, mpi, &recorder);
             let out = f(comm.clone()).await;
             comm.finalize().await;
             out
@@ -759,7 +502,7 @@ mod tests {
     /// Application code written once against `Comm` — a small halo-style
     /// exchange with an allreduce — must produce identical results under
     /// every approach.
-    async fn mini_app(comm: AnyComm) -> f64 {
+    async fn mini_app(comm: Comm) -> f64 {
         let (r, p) = (comm.rank(), comm.size());
         let right = (r + 1) % p;
         let left = (r + p - 1) % p;
@@ -828,7 +571,7 @@ mod tests {
                 MachineProfile::xeon(),
                 approach,
                 false,
-                move |comm: AnyComm| async move {
+                move |comm: Comm| async move {
                     let env = comm.env().clone();
                     let peer = 1 - comm.rank();
                     let rx = comm.irecv(Some(peer), Some(1)).await;
@@ -863,7 +606,7 @@ mod tests {
                 MachineProfile::xeon(),
                 approach,
                 false,
-                move |comm: AnyComm| async move {
+                move |comm: Comm| async move {
                     let env = comm.env().clone();
                     if comm.rank() == 0 {
                         let t0 = env.now();
@@ -887,19 +630,19 @@ mod tests {
         assert!(cself > base, "comm-self {cself}ns > baseline {base}ns");
     }
 
-    /// The pool's generation check must fire through the full `Comm`
-    /// abstraction, not just at the `SimOffload` layer: waiting twice on the
+    /// The pool's generation check must fire through `Comm`, not just at
+    /// the `SimOffload` layer: waiting twice on the
     /// same request is a stale-handle bug and must panic loudly rather than
     /// corrupt a recycled slot.
     #[test]
     #[should_panic(expected = "stale request handle")]
-    fn double_wait_through_comm_trait_panics() {
+    fn double_wait_through_comm_panics() {
         let _ = run_approach(
             2,
             MachineProfile::xeon(),
             Approach::Offload,
             false,
-            move |comm: AnyComm| async move {
+            move |comm: Comm| async move {
                 if comm.rank() == 0 {
                     let tx = comm.isend(1, 1, Bytes::synthetic(64)).await;
                     comm.wait(&tx).await;
@@ -922,10 +665,14 @@ mod tests {
                 MachineProfile::xeon(),
                 approach,
                 false,
-                move |comm: AnyComm| async move {
+                move |comm: Comm| async move {
                     let env = comm.env().clone();
                     let r = comm
-                        .iallreduce(Bytes::synthetic(16 * 1024), Dtype::F64, ReduceOp::Sum)
+                        .icollective(SimColl::Allreduce {
+                            payload: Bytes::synthetic(16 * 1024),
+                            dtype: Dtype::F64,
+                            op: ReduceOp::Sum,
+                        })
                         .await;
                     env.advance(3_000_000).await;
                     let t = env.now();

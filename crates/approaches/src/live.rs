@@ -163,13 +163,21 @@ impl<T: Transport> LiveComm<T> {
         }
     }
 
-    /// Nonblocking send.
+    /// Nonblocking send. Tags from [`rtmpi::TAG_RESERVED_BASE`] up belong
+    /// to collective rounds; an application message there could be taken
+    /// for one.
     pub fn isend(&mut self, dst: usize, tag: u32, data: Arc<[u8]>) -> Handle {
+        assert!(tag < rtmpi::TAG_RESERVED_BASE, "application tag too large");
         self.post(Op::Isend { dst, tag, data })
     }
 
-    /// Nonblocking receive (`None` filters are wildcards).
+    /// Nonblocking receive (`None` filters are wildcards, which never
+    /// match the reserved tag space; an exact tag must stay below it).
     pub fn irecv(&mut self, src: Option<usize>, tag: Option<u32>) -> Handle {
+        assert!(
+            tag.is_none_or(|t| t < rtmpi::TAG_RESERVED_BASE),
+            "application tag too large"
+        );
         self.post(Op::Irecv { src, tag })
     }
 
@@ -269,16 +277,16 @@ impl<T: Transport> LiveComm<T> {
     /// Blocking allreduce over raw `dtype` lanes.
     pub fn allreduce(
         &mut self,
+        data: Vec<u8>,
         dtype: Dtype,
         op: ReduceOp,
-        data: Vec<u8>,
     ) -> Result<Vec<u8>, TransportError> {
         self.collective(CollKind::Allreduce { dtype, op, data })
     }
 
     /// Blocking f64 sum allreduce.
     pub fn allreduce_f64_sum(&mut self, mine: &[f64]) -> Result<Vec<f64>, TransportError> {
-        let out = self.allreduce(Dtype::F64, ReduceOp::Sum, f64s_to_bytes(mine))?;
+        let out = self.allreduce(f64s_to_bytes(mine), Dtype::F64, ReduceOp::Sum)?;
         Ok(bytes_to_f64s(&out))
     }
 
@@ -286,9 +294,9 @@ impl<T: Transport> LiveComm<T> {
     pub fn reduce(
         &mut self,
         root: usize,
+        data: Vec<u8>,
         dtype: Dtype,
         op: ReduceOp,
-        data: Vec<u8>,
     ) -> Result<Vec<u8>, TransportError> {
         self.collective(CollKind::Reduce {
             root,
@@ -359,6 +367,99 @@ impl<T: Transport> LiveComm<T> {
     }
 }
 
+/// Every collective of the live surface, issued once over `comm` and
+/// verified element by element; panics on the first wrong lane. Lane `i`
+/// of rank `x`'s contribution is `x·lanes + i`, so every reduction and
+/// permutation has a closed form. Contributions are 8 KiB (rendezvous
+/// rounds, not eager drops) except where a size picks the schedule: a
+/// two-lane allreduce takes recursive doubling, a 32 KiB one Rabenseifner
+/// on power-of-two worlds. Roots are non-zero where the schedule has one
+/// to choose. Every rank of the world must call it.
+pub fn verify_collectives<T: Transport>(comm: &mut LiveComm<T>) {
+    const LANES: usize = 1024;
+    const BLOCK: usize = LANES * 8;
+    let (r, n) = (comm.rank(), comm.size());
+    let lanes_of = |count: usize, f: &dyn Fn(usize) -> f64| {
+        f64s_to_bytes(&(0..count).map(f).collect::<Vec<_>>())
+    };
+    let contribution = |rank: usize, lanes: usize| lanes_of(lanes, &|i| (rank * lanes + i) as f64);
+    let check = |what: &str, got: &[u8], want: &dyn Fn(usize) -> f64| {
+        for (i, g) in bytes_to_f64s(got).iter().enumerate() {
+            assert_eq!(*g, want(i), "{what}: lane {i} on rank {r}");
+        }
+    };
+    // Σ_x (x·lanes + i) = n·i + lanes·n(n−1)/2.
+    let lane_sum = |lanes: usize, i: usize| (n * i + lanes * n * (n - 1) / 2) as f64;
+
+    comm.barrier().expect("barrier");
+
+    let got = comm
+        .allreduce_f64_sum(&[r as f64, 1.0])
+        .expect("allreduce, two lanes");
+    assert_eq!(got, vec![(n * (n - 1) / 2) as f64, n as f64]);
+    for lanes in [LANES, 4 * LANES] {
+        let got = comm
+            .allreduce(contribution(r, lanes), Dtype::F64, ReduceOp::Sum)
+            .expect("allreduce sum");
+        assert_eq!(got.len(), lanes * 8);
+        check("allreduce sum", &got, &|i| lane_sum(lanes, i));
+    }
+    let got = comm
+        .allreduce(contribution(r, LANES), Dtype::F64, ReduceOp::Max)
+        .expect("allreduce max");
+    check("allreduce max", &got, &|i| ((n - 1) * LANES + i) as f64);
+
+    let root = n - 1;
+    let payload = if r == root {
+        contribution(root, LANES)
+    } else {
+        Vec::new()
+    };
+    let got = comm.bcast(root, payload).expect("bcast");
+    assert_eq!(got.len(), BLOCK);
+    check("bcast", &got, &|i| (root * LANES + i) as f64);
+
+    let got = comm
+        .reduce(root, contribution(r, LANES), Dtype::F64, ReduceOp::Sum)
+        .expect("reduce");
+    if r == root {
+        check("reduce", &got, &|i| lane_sum(LANES, i));
+    }
+
+    // Gathered buffers are the contributions in rank order: lane `j` of
+    // the concatenation is simply `j`.
+    let got = comm.allgather(contribution(r, LANES)).expect("allgather");
+    assert_eq!(got.len(), n * BLOCK);
+    check("allgather", &got, &|j| j as f64);
+
+    // Alltoall: my block for destination d carries (r·n + d)·LANES + i.
+    let input = lanes_of(n * LANES, &|j| {
+        ((r * n + j / LANES) * LANES + j % LANES) as f64
+    });
+    let got = comm.alltoall(input, BLOCK).expect("alltoall");
+    assert_eq!(got.len(), n * BLOCK);
+    check("alltoall", &got, &|j| {
+        ((j / LANES * n + r) * LANES + j % LANES) as f64
+    });
+
+    let got = comm.gather(1, contribution(r, LANES)).expect("gather");
+    if r == 1 {
+        assert_eq!(got.len(), n * BLOCK);
+        check("gather", &got, &|j| j as f64);
+    }
+
+    let input = if r == 1 {
+        lanes_of(n * LANES, &|j| (7 * j) as f64)
+    } else {
+        Vec::new()
+    };
+    let got = comm.scatter(1, input, BLOCK).expect("scatter");
+    assert_eq!(got.len(), BLOCK);
+    check("scatter", &got, &|i| (7 * (r * LANES + i)) as f64);
+
+    comm.barrier().expect("closing barrier");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,71 +518,8 @@ mod tests {
         all_approaches_sequentially(|| rtmpi::world(4), 1024);
     }
 
-    /// The full collective surface under one strategy; every result is
-    /// exactly checkable. Returns the reclaimed transport.
-    fn collective_round<T: Transport>(approach: LiveApproach, t: T) -> T {
-        let mut comm = LiveComm::start(approach, t);
-        let (r, n) = (comm.rank(), comm.size());
-
-        // Small allreduce (recursive doubling / reduce+bcast path).
-        let sum = comm.allreduce_f64_sum(&[r as f64, 1.0]).expect("allreduce");
-        let total: f64 = (0..n).map(|x| x as f64).sum();
-        assert_eq!(sum, vec![total, n as f64]);
-
-        // Large allreduce: Rabenseifner on power-of-two worlds.
-        let lanes = 4096; // 32 KiB of f64
-        let mine: Vec<f64> = (0..lanes).map(|l| (r + l) as f64).collect();
-        let big = comm.allreduce_f64_sum(&mine).expect("rsag allreduce");
-        for (l, &v) in big.iter().enumerate() {
-            let expect: f64 = (0..n).map(|x| (x + l) as f64).sum();
-            assert_eq!(v, expect, "lane {l}");
-        }
-
-        // Bcast from a non-zero root.
-        let root = n - 1;
-        let payload = if r == root {
-            vec![9u8, 8, 7]
-        } else {
-            Vec::new()
-        };
-        assert_eq!(comm.bcast(root, payload).expect("bcast"), vec![9, 8, 7]);
-
-        // Reduce to root 0 (meaningful there only).
-        let mine: Vec<u8> = [r as f64].iter().flat_map(|x| x.to_le_bytes()).collect();
-        let red = comm
-            .reduce(0, Dtype::F64, ReduceOp::Sum, mine)
-            .expect("reduce");
-        if r == 0 {
-            assert_eq!(f64::from_le_bytes(red[..8].try_into().unwrap()), total);
-        }
-
-        // Allgather + alltoall + gather + scatter with rank-tagged blocks.
-        let g = comm.allgather(vec![r as u8; 2]).expect("allgather");
-        let expect: Vec<u8> = (0..n).flat_map(|x| [x as u8; 2]).collect();
-        assert_eq!(g, expect);
-
-        let input: Vec<u8> = (0..n).map(|d| (r * n + d) as u8).collect();
-        let a2a = comm.alltoall(input, 1).expect("alltoall");
-        let expect: Vec<u8> = (0..n).map(|s| (s * n + r) as u8).collect();
-        assert_eq!(a2a, expect);
-
-        let gat = comm.gather(1, vec![r as u8]).expect("gather");
-        if r == 1 {
-            assert_eq!(gat, (0..n).map(|x| x as u8).collect::<Vec<_>>());
-        }
-
-        let input = if r == 0 {
-            (0..n as u8).map(|i| 100 + i).collect()
-        } else {
-            Vec::new()
-        };
-        let sc = comm.scatter(0, input, 1).expect("scatter");
-        assert_eq!(sc, vec![100 + r as u8]);
-
-        comm.barrier().expect("barrier");
-        comm.finalize()
-    }
-
+    /// The full collective surface, element-verified, under every strategy
+    /// back-to-back over the same transports.
     fn collectives_under_all_approaches<T, F>(make: F)
     where
         T: Transport,
@@ -494,7 +532,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut t = t;
                     for a in LiveApproach::ALL {
-                        t = collective_round(a, t);
+                        let mut comm = LiveComm::start(a, t);
+                        verify_collectives(&mut comm);
+                        t = comm.finalize();
                     }
                 })
             })
@@ -664,6 +704,60 @@ mod tests {
                 .recv_timeout(Duration::from_secs(30))
                 .expect("a rank hung on the silent peer (or panicked)");
         }
+    }
+
+    /// Application traffic may not enter the reserved collective tag
+    /// span: an exact receive tag there is refused, and so is the send
+    /// that ends the test. Both are refused before anything is posted, so
+    /// the strategy tears down cleanly while the panic unwinds.
+    fn post_into_the_reserved_span(approach: LiveApproach) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let t = rtmpi::world(2).remove(0);
+        let mut comm = LiveComm::start(approach, t);
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            comm.irecv(Some(1), Some(rtmpi::TAG_COLL_BASE));
+        }));
+        assert!(refused.is_err(), "exact receive inside the reserved span");
+        let _ = comm.isend(1, rtmpi::TAG_COLL_BASE + 3, Arc::from(vec![1u8]));
+    }
+
+    /// The guard's boundary: the last tag below the span is an ordinary
+    /// application tag, and a wildcard receive (which can never match the
+    /// span) is not refused.
+    #[test]
+    fn last_application_tag_and_wildcards_are_accepted() {
+        let last = rtmpi::TAG_RESERVED_BASE - 1;
+        let mut world = rtmpi::world(2);
+        let t1 = world.remove(1);
+        let sender = std::thread::spawn(move || {
+            let mut c = LiveComm::start(LiveApproach::Baseline, t1);
+            c.send(0, last, Arc::from(vec![7u8])).expect("send");
+            c.send(0, last, Arc::from(vec![8u8])).expect("send");
+        });
+        let mut c = LiveComm::start(LiveApproach::Baseline, world.remove(0));
+        let (st, d) = c.recv(Some(1), Some(last)).expect("exact tag");
+        assert_eq!((st.tag, d[0]), (last, 7));
+        let (st, d) = c.recv(None, None).expect("wildcard");
+        assert_eq!((st.tag, d[0]), (last, 8));
+        sender.join().expect("sender");
+    }
+
+    #[test]
+    #[should_panic(expected = "application tag too large")]
+    fn baseline_refuses_reserved_tags() {
+        post_into_the_reserved_span(LiveApproach::Baseline);
+    }
+
+    #[test]
+    #[should_panic(expected = "application tag too large")]
+    fn iprobe_refuses_reserved_tags() {
+        post_into_the_reserved_span(LiveApproach::Iprobe);
+    }
+
+    #[test]
+    #[should_panic(expected = "application tag too large")]
+    fn offload_refuses_reserved_tags() {
+        post_into_the_reserved_span(LiveApproach::Offload);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! monotonicity, which must hold exactly under the DES clock.
 #![cfg(feature = "obs-enabled")]
 
-use approaches::{run_approach_traced, AnyComm, Approach, Comm};
+use approaches::{run_approach_traced, Approach, Comm};
 use mpisim::Bytes;
 use obs::chrome::{check_monotone_per_track, validate_chrome_trace};
 use simnet::MachineProfile;
 
-async fn exchange_with_compute(comm: AnyComm) -> usize {
+async fn exchange_with_compute(comm: Comm) -> usize {
     let env = comm.env().clone();
     let peer = 1 - comm.rank();
     let rx = comm.irecv(Some(peer), Some(1)).await;

@@ -10,10 +10,8 @@
 //! panel re-issues one step's gradient reduction with forward/backward
 //! passes as the inserted compute.
 
-use std::time::{Duration, Instant};
-
 use approaches::live::{CollKind, LiveApproach, LiveComm};
-use harness::{nbc_overlap_live, NbcOverlapRow};
+use harness::{overlap_live, OverlapRow};
 use mpisim::types::{Dtype, ReduceOp};
 use numeric::SplitMix64;
 use rtmpi::{Transport, TransportError};
@@ -72,7 +70,7 @@ pub fn train_step_live<T: Transport>(
 ) -> Result<Vec<f32>, TransportError> {
     let size = comm.size();
     let mine = step_gradient(net, comm.rank(), step);
-    let out = comm.allreduce(Dtype::F32, ReduceOp::Sum, encode_f32(&mine))?;
+    let out = comm.allreduce(encode_f32(&mine), Dtype::F32, ReduceOp::Sum)?;
     let summed = decode_f32(&out);
     let avg: Vec<f32> = summed.iter().map(|g| g / size as f32).collect();
     net.set_gradients(&avg);
@@ -131,7 +129,7 @@ pub fn nbc_overlap_panel<T: Transport>(
     approach: LiveApproach,
     transport: T,
     iters: usize,
-) -> (NbcOverlapRow, T) {
+) -> (OverlapRow, T) {
     let rank = transport.rank();
     let size = transport.size();
     let mine = step_gradient(&mut fresh_net(), rank, 0);
@@ -149,27 +147,20 @@ pub fn nbc_overlap_panel<T: Transport>(
     let mut compute_net = fresh_net();
     let mut compute_rng = SplitMix64::new(data_seed(rank) ^ 0xf00d);
     let (cx, clabels) = synthetic_batch(BATCH, IMG, IMG, &mut compute_rng);
-    nbc_overlap_live(
+    overlap_live(
         approach,
         transport,
         payload.len(),
         iters,
-        || CollKind::Allreduce {
-            dtype: Dtype::F32,
-            op: ReduceOp::Sum,
-            data: payload.clone(),
+        |comm| {
+            comm.icollective(CollKind::Allreduce {
+                dtype: Dtype::F32,
+                op: ReduceOp::Sum,
+                data: payload.clone(),
+            })
         },
-        move |comm: &mut LiveComm<T>, dur: Duration| {
-            let end = Instant::now() + dur;
-            while Instant::now() < end {
-                compute_net.zero_grad();
-                std::hint::black_box(compute_net.forward_backward(&cx, &clabels));
-                comm.progress_hint();
-                std::thread::yield_now();
-            }
-        },
-        |out| {
-            let got = decode_f32(out);
+        |comm, req| {
+            let got = decode_f32(&comm.coll_wait(req).expect("gradient allreduce"));
             assert_eq!(got.len(), expected.len(), "gradient lane count");
             for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
                 // f32 lanes summed in schedule order vs reference order.
@@ -179,6 +170,10 @@ pub fn nbc_overlap_panel<T: Transport>(
                     "gradient lane {i}: got {g}, want {e}"
                 );
             }
+        },
+        || {
+            compute_net.zero_grad();
+            std::hint::black_box(compute_net.forward_backward(&cx, &clabels));
         },
     )
 }

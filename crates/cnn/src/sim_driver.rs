@@ -14,7 +14,7 @@
 
 use std::rc::Rc;
 
-use approaches::{Approach, Comm, CommReq};
+use approaches::{Approach, Comm, CommReq, SimColl};
 use destime::Nanos;
 use mpisim::{Bytes, Dtype, ReduceOp};
 use simnet::MachineProfile;
@@ -77,8 +77,8 @@ pub fn run_cnn(profile: MachineProfile, approach: Approach, cfg: &CnnConfig) -> 
     }
 }
 
-async fn rank_driver<C: Comm>(
-    comm: C,
+async fn rank_driver(
+    comm: Comm,
     layers: Rc<Vec<LayerSpec>>,
     cfg: Rc<CnnConfig>,
     profile: MachineProfile,
@@ -158,14 +158,12 @@ async fn rank_driver<C: Comm>(
                                 // has until this layer's forward in the
                                 // next iteration to complete.
                                 comm.progress_hint().await;
-                                pending[li] = Some(
-                                    comm.iallreduce(
-                                        Bytes::synthetic(l.weight_bytes),
-                                        Dtype::F32,
-                                        ReduceOp::Sum,
-                                    )
-                                    .await,
-                                );
+                                let grads = SimColl::Allreduce {
+                                    payload: Bytes::synthetic(l.weight_bytes),
+                                    dtype: Dtype::F32,
+                                    op: ReduceOp::Sum,
+                                };
+                                pending[li] = Some(comm.icollective(grads).await);
                             }
                         }
                     }

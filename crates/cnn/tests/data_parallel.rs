@@ -3,7 +3,7 @@
 //! simulated MPI, and must end up with exactly the same weights as a
 //! single-rank run on the full minibatch.
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use cnn::network::{synthetic_batch, SmallCnn};
 use mpisim::{Bytes, Dtype, ReduceOp};
 use numeric::SplitMix64;
@@ -52,7 +52,7 @@ fn distributed_weights(approach: Approach, steps: usize) -> Vec<Vec<f32>> {
         simnet::MachineProfile::xeon(),
         approach,
         false,
-        move |comm: AnyComm| {
+        move |comm: Comm| {
             let batches = batches.clone();
             async move {
                 let r = comm.rank();

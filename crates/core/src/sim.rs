@@ -161,6 +161,31 @@ pub enum SimColl {
     },
 }
 
+impl SimColl {
+    /// Issue this collective's nonblocking MPI call on `comm` — the one
+    /// place a collective kind becomes an `mpi.i*` call, shared by the
+    /// offload thread and by strategies that call MPI directly.
+    pub async fn issue(self, mpi: &Mpi, comm: CommId) -> Request {
+        match self {
+            SimColl::Barrier => mpi.ibarrier(comm).await,
+            SimColl::Allreduce { payload, dtype, op } => {
+                mpi.iallreduce(comm, payload, dtype, op).await
+            }
+            SimColl::Reduce {
+                root,
+                payload,
+                dtype,
+                op,
+            } => mpi.ireduce(comm, root, payload, dtype, op).await,
+            SimColl::Bcast { root, payload } => mpi.ibcast(comm, root, payload).await,
+            SimColl::Allgather { mine } => mpi.iallgather(comm, mine).await,
+            SimColl::Alltoall { input, block } => mpi.ialltoall(comm, input, block).await,
+            SimColl::Gather { root, mine } => mpi.igather(comm, root, mine).await,
+            SimColl::Scatter { root, input, block } => mpi.iscatter(comm, root, input, block).await,
+        }
+    }
+}
+
 enum SimCmd {
     Isend {
         comm: CommId,
@@ -425,42 +450,6 @@ impl SimOffload {
         self.wait(&r).await;
     }
 
-    /// Offloaded allreduce.
-    pub async fn allreduce(
-        &self,
-        comm: CommId,
-        payload: Bytes,
-        dtype: Dtype,
-        op: ReduceOp,
-    ) -> Bytes {
-        let r = self
-            .icoll(comm, SimColl::Allreduce { payload, dtype, op })
-            .await;
-        self.wait(&r).await;
-        r.take_data().expect("allreduce result")
-    }
-
-    /// Offloaded all-to-all.
-    pub async fn alltoall(&self, comm: CommId, input: Bytes, block: usize) -> Bytes {
-        let r = self.icoll(comm, SimColl::Alltoall { input, block }).await;
-        self.wait(&r).await;
-        r.take_data().expect("alltoall result")
-    }
-
-    /// Offloaded broadcast.
-    pub async fn bcast(&self, comm: CommId, root: Rank, payload: Bytes) -> Bytes {
-        let r = self.icoll(comm, SimColl::Bcast { root, payload }).await;
-        self.wait(&r).await;
-        r.take_data().expect("bcast result")
-    }
-
-    /// Offloaded allgather.
-    pub async fn allgather(&self, comm: CommId, mine: Bytes) -> Bytes {
-        let r = self.icoll(comm, SimColl::Allgather { mine }).await;
-        self.wait(&r).await;
-        r.take_data().expect("allgather result")
-    }
-
     /// Stop the offload thread(s) once outstanding work drains (the
     /// `MPI_Finalize` point). Must be called exactly once per rank.
     pub async fn shutdown(&self) {
@@ -609,25 +598,7 @@ async fn issue(mpi: &Mpi, cmd: SimCmd, inflight: &mut Vec<InFlight>, lo: &LoopOb
             // Blocking collectives become their nonblocking equivalents so
             // the offload thread never stalls (paper §3.3).
             lo.converted.inc();
-            let req = match op {
-                SimColl::Barrier => mpi.ibarrier(comm).await,
-                SimColl::Allreduce { payload, dtype, op } => {
-                    mpi.iallreduce(comm, payload, dtype, op).await
-                }
-                SimColl::Reduce {
-                    root,
-                    payload,
-                    dtype,
-                    op,
-                } => mpi.ireduce(comm, root, payload, dtype, op).await,
-                SimColl::Bcast { root, payload } => mpi.ibcast(comm, root, payload).await,
-                SimColl::Allgather { mine } => mpi.iallgather(comm, mine).await,
-                SimColl::Alltoall { input, block } => mpi.ialltoall(comm, input, block).await,
-                SimColl::Gather { root, mine } => mpi.igather(comm, root, mine).await,
-                SimColl::Scatter { root, input, block } => {
-                    mpi.iscatter(comm, root, input, block).await
-                }
-            };
+            let req = op.issue(mpi, comm).await;
             inflight.push(InFlight { req, done, out });
         }
         SimCmd::Shutdown => return false,
@@ -825,14 +796,19 @@ mod tests {
         let (outs, _) = run_offloaded(4, |off| {
             Box::pin(async move {
                 let mine = f64s_to_bytes(&[off.rank() as f64, 2.0]);
-                let sum = off
-                    .allreduce(COMM_WORLD, Bytes::real(mine), Dtype::F64, ReduceOp::Sum)
-                    .await;
+                let sum = SimColl::Allreduce {
+                    payload: Bytes::real(mine),
+                    dtype: Dtype::F64,
+                    op: ReduceOp::Sum,
+                };
+                let sum = off.icoll(COMM_WORLD, sum).await;
+                off.wait(&sum).await;
                 off.barrier(COMM_WORLD).await;
-                let g = off
-                    .allgather(COMM_WORLD, Bytes::real(vec![off.rank() as u8]))
-                    .await;
-                (bytes_to_f64s(&sum.to_vec()), g.to_vec())
+                let mine = Bytes::real(vec![off.rank() as u8]);
+                let g = off.icoll(COMM_WORLD, SimColl::Allgather { mine }).await;
+                off.wait(&g).await;
+                let data = |r: &OffReq| r.take_data().expect("collective result").to_vec();
+                (bytes_to_f64s(&data(&sum)), data(&g))
             })
         });
         for (sum, g) in &outs {

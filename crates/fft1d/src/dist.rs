@@ -18,7 +18,7 @@
 //! overlapping the remaining segments' compute with communication — the
 //! pipelining the paper exploits for overlap.
 
-use approaches::{Comm, CommReq};
+use approaches::{Comm, CommReq, SimColl};
 use mpisim::Bytes;
 use numeric::{Complex, Complex64};
 use std::f64::consts::TAU;
@@ -184,11 +184,7 @@ pub fn gather_natural(plan: &DistPlan, outs: &[Vec<Complex64>]) -> Vec<Complex64
 /// Blocking transpose-algorithm distributed FFT in decimated layouts (see
 /// [`scatter_natural`]/[`gather_natural`] for the index mapping). `local`
 /// holds this rank's `n1/p` rows of length `n2`.
-pub async fn fft_dist<C: Comm>(
-    comm: &C,
-    plan: &DistPlan,
-    mut local: Vec<Complex64>,
-) -> Vec<Complex64> {
+pub async fn fft_dist(comm: &Comm, plan: &DistPlan, mut local: Vec<Complex64>) -> Vec<Complex64> {
     assert_eq!(local.len(), plan.local_len());
     assert_eq!(comm.size(), plan.p);
     let rank = comm.rank();
@@ -216,8 +212,8 @@ pub async fn fft_dist<C: Comm>(
 /// `segments`; each segment's all-to-all is posted as soon as its row FFTs
 /// complete, so later segments' compute overlaps earlier segments'
 /// communication. Numerically identical to [`fft_dist`].
-pub async fn fft_dist_pipelined<C: Comm>(
-    comm: &C,
+pub async fn fft_dist_pipelined(
+    comm: &Comm,
     plan: &DistPlan,
     mut local: Vec<Complex64>,
     segments: usize,
@@ -238,7 +234,8 @@ pub async fn fft_dist_pipelined<C: Comm>(
     let mut pending: Vec<CommReq> = Vec::with_capacity(segments);
     for s in 0..segments {
         let buf = rows_fft_twiddle_pack(plan, rank, &mut local, s * seg_rows, seg_rows);
-        pending.push(comm.ialltoall(Bytes::real(buf), seg_block).await);
+        let (input, block) = (Bytes::real(buf), seg_block);
+        pending.push(comm.icollective(SimColl::Alltoall { input, block }).await);
         comm.progress_hint().await;
     }
     // Drain in order, scattering into the column matrix.

@@ -11,10 +11,8 @@
 //! simulated transpose (every rank's slab is deterministic, so any rank
 //! can reconstruct exactly what it must receive).
 
-use std::time::{Duration, Instant};
-
 use approaches::live::{CollKind, LiveApproach, LiveComm};
-use harness::{nbc_overlap_live, NbcOverlapRow};
+use harness::{overlap_live, OverlapRow};
 use numeric::{Complex, Complex64, SplitMix64};
 use rtmpi::{Transport, TransportError};
 
@@ -87,7 +85,7 @@ pub fn nbc_overlap_panel<T: Transport>(
     approach: LiveApproach,
     transport: T,
     iters: usize,
-) -> (NbcOverlapRow, T) {
+) -> (OverlapRow, T) {
     let rank = transport.rank();
     let plan = panel_plan(transport.size());
     let rows_local = plan.rows_local();
@@ -99,26 +97,26 @@ pub fn nbc_overlap_panel<T: Transport>(
     // local slab, the stage the pipelined variant overlaps.
     let mut scratch = rank_slab(&plan, rank);
     let n2 = plan.n2;
-    nbc_overlap_live(
+    overlap_live(
         approach,
         transport,
         input.len(),
         iters,
-        || CollKind::Alltoall {
-            input: input.clone(),
-            block,
+        |comm| {
+            comm.icollective(CollKind::Alltoall {
+                input: input.clone(),
+                block,
+            })
         },
-        move |comm: &mut LiveComm<T>, dur: Duration| {
-            let end = Instant::now() + dur;
-            while Instant::now() < end {
-                for row in scratch.chunks_exact_mut(n2) {
-                    fft(row);
-                }
-                comm.progress_hint();
-                std::thread::yield_now();
+        |comm, req| {
+            let out = comm.coll_wait(req).expect("alltoall");
+            assert_eq!(out, expected, "transpose blocks permuted intact");
+        },
+        || {
+            for row in scratch.chunks_exact_mut(n2) {
+                fft(row);
             }
         },
-        |out| assert_eq!(out, &expected[..], "transpose blocks permuted intact"),
     )
 }
 

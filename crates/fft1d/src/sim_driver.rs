@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use approaches::{Approach, Comm, CommReq};
+use approaches::{Approach, Comm, CommReq, SimColl};
 use mpisim::Bytes;
 use simnet::MachineProfile;
 use team::Team;
@@ -98,8 +98,8 @@ pub fn run_fft(profile: MachineProfile, approach: Approach, cfg: &FftConfig) -> 
     }
 }
 
-async fn rank_driver<C: Comm>(
-    comm: C,
+async fn rank_driver(
+    comm: Comm,
     cfg: Rc<FftConfig>,
     profile: MachineProfile,
     n_local: usize,
@@ -151,10 +151,9 @@ async fn rank_driver<C: Comm>(
                     t_internal += env.now() - t0;
                     if ctx.is_master() {
                         let t0 = env.now();
-                        reqs.push(
-                            comm.ialltoall(Bytes::synthetic(seg_block * p), seg_block)
-                                .await,
-                        );
+                        let input = Bytes::synthetic(seg_block * p);
+                        let block = seg_block;
+                        reqs.push(comm.icollective(SimColl::Alltoall { input, block }).await);
                         t_post += env.now() - t0;
                     }
                 }

@@ -2,7 +2,7 @@
 //! carrying real complex data through the simulated MPI must match the
 //! local reference transform under every approach.
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use fft1d::dist::{fft_dist, fft_dist_pipelined, gather_natural, scatter_natural, DistPlan};
 use fft1d::local::{fft, max_rel_error};
 use numeric::{Complex, Complex64, SplitMix64};
@@ -28,7 +28,7 @@ fn check_dist(approach: Approach, n1: usize, n2: usize, p: usize, segments: Opti
         simnet::MachineProfile::xeon(),
         approach,
         false,
-        move |comm: AnyComm| {
+        move |comm: Comm| {
             let locals = locals.clone();
             async move {
                 let local = locals[comm.rank()].clone();
@@ -91,7 +91,7 @@ fn pipelined_equals_blocking_exactly() {
             simnet::MachineProfile::xeon(),
             Approach::Baseline,
             false,
-            move |comm: AnyComm| {
+            move |comm: Comm| {
                 let locals = locals.clone();
                 async move {
                     let local = locals[comm.rank()].clone();

@@ -1,8 +1,8 @@
-//! The paper's microbenchmarks (§4), implemented over the `Comm` trait:
+//! The paper's microbenchmarks (§4), implemented over `approaches::Comm`:
 //! compute–communication overlap, nonblocking call issue cost, OSU
 //! latency/bandwidth, and the multithreaded OSU latency test.
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm, SimColl};
 use destime::Nanos;
 use mpisim::{Bytes, Dtype, ReduceOp};
 use simnet::MachineProfile;
@@ -62,53 +62,47 @@ pub fn overlap_p2p_observed(
     size: usize,
     iters: usize,
 ) -> ObservedOverlap {
-    let (outs, _) = run_approach(
-        2,
-        internode(profile),
-        approach,
-        false,
-        move |comm: AnyComm| {
-            async move {
-                let env = comm.env().clone();
-                let peer = 1 - comm.rank();
-                let mut post_acc = 0u64;
-                let mut wait1_acc = 0u64;
-                let mut comm_acc = 0u64;
-                let mut wait2_acc = 0u64;
-                let mut during_compute = obs::Snapshot::default();
-                // Warmup round (protocol caches, helper threads spinning up).
-                exchange(&comm, peer, size, 0).await;
-                for _ in 0..iters {
-                    // Step 1: no compute.
-                    let t0 = env.now();
-                    let reqs = post_pair(&comm, peer, size).await;
-                    let t1 = env.now();
-                    comm.waitall(&reqs).await;
-                    let t2 = env.now();
-                    post_acc += t1 - t0;
-                    wait1_acc += t2 - t1;
-                    comm_acc += t2 - t0;
-                    // Step 2: compute for the measured communication time.
-                    let reqs = post_pair(&comm, peer, size).await;
-                    let before = comm.obs_registry().snapshot();
-                    env.advance(t2 - t0).await;
-                    during_compute = comm.obs_registry().snapshot().diff(&before);
-                    let t3 = env.now();
-                    comm.waitall(&reqs).await;
-                    wait2_acc += env.now() - t3;
-                    // Resynchronize.
-                    comm.barrier().await;
-                }
-                let service = comm.offload_service_obs().map(|r| r.snapshot());
-                let n = iters as u64;
-                (
-                    (post_acc / n, wait1_acc / n, comm_acc / n, wait2_acc / n),
-                    during_compute,
-                    service,
-                )
+    let (outs, _) = run_approach(2, internode(profile), approach, false, move |comm: Comm| {
+        async move {
+            let env = comm.env().clone();
+            let peer = 1 - comm.rank();
+            let mut post_acc = 0u64;
+            let mut wait1_acc = 0u64;
+            let mut comm_acc = 0u64;
+            let mut wait2_acc = 0u64;
+            let mut during_compute = obs::Snapshot::default();
+            // Warmup round (protocol caches, helper threads spinning up).
+            exchange(&comm, peer, size).await;
+            for _ in 0..iters {
+                // Step 1: no compute.
+                let t0 = env.now();
+                let reqs = post_pair(&comm, peer, size).await;
+                let t1 = env.now();
+                comm.waitall(&reqs).await;
+                let t2 = env.now();
+                post_acc += t1 - t0;
+                wait1_acc += t2 - t1;
+                comm_acc += t2 - t0;
+                // Step 2: compute for the measured communication time.
+                let reqs = post_pair(&comm, peer, size).await;
+                let before = comm.obs_registry().snapshot();
+                env.advance(t2 - t0).await;
+                during_compute = comm.obs_registry().snapshot().diff(&before);
+                let t3 = env.now();
+                comm.waitall(&reqs).await;
+                wait2_acc += env.now() - t3;
+                // Resynchronize.
+                comm.barrier().await;
             }
-        },
-    );
+            let service = comm.offload_service_obs().map(|r| r.snapshot());
+            let n = iters as u64;
+            (
+                (post_acc / n, wait1_acc / n, comm_acc / n, wait2_acc / n),
+                during_compute,
+                service,
+            )
+        }
+    });
     let ((post, wait1, comm, wait2), during_compute, service) =
         outs.into_iter().next().expect("rank 0 output");
     let overlap = wait1.saturating_sub(wait2);
@@ -127,15 +121,27 @@ pub fn overlap_p2p_observed(
     }
 }
 
-async fn post_pair<C: Comm>(comm: &C, peer: usize, size: usize) -> Vec<approaches::CommReq> {
+async fn post_pair(comm: &Comm, peer: usize, size: usize) -> Vec<approaches::CommReq> {
     let rx = comm.irecv(Some(peer), Some(1)).await;
     let tx = comm.isend(peer, 1, Bytes::synthetic(size)).await;
     vec![rx, tx]
 }
 
-async fn exchange<C: Comm>(comm: &C, peer: usize, size: usize, _tag: u32) {
+async fn exchange(comm: &Comm, peer: usize, size: usize) {
     let reqs = post_pair(comm, peer, size).await;
     comm.waitall(&reqs).await;
+}
+
+/// One blocking round trip of `size` bytes: rank 0 sends on `tags.0` and
+/// receives on `tags.1`, its peer the reverse.
+async fn ping_pong(comm: &Comm, peer: usize, tags: (u32, u32), size: usize) {
+    if comm.rank() == 0 {
+        comm.send(peer, tags.0, Bytes::synthetic(size)).await;
+        let _ = comm.recv(Some(peer), Some(tags.1)).await;
+    } else {
+        let _ = comm.recv(Some(peer), Some(tags.0)).await;
+        comm.send(peer, tags.1, Bytes::synthetic(size)).await;
+    }
 }
 
 /// Time spent *inside* the `MPI_Isend` call during a ping-pong
@@ -151,11 +157,11 @@ pub fn isend_issue_cost(
         internode(profile),
         approach,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let env = comm.env().clone();
             let peer = 1 - comm.rank();
             let mut acc = 0u64;
-            exchange(&comm, peer, size, 0).await;
+            exchange(&comm, peer, size).await;
             for _ in 0..iters {
                 if comm.rank() == 0 {
                     let rx = comm.irecv(Some(peer), Some(2)).await;
@@ -214,29 +220,34 @@ impl CollOp {
     }
 }
 
-async fn start_coll<C: Comm>(comm: &C, op: CollOp, size: usize) -> approaches::CommReq {
+async fn start_coll(comm: &Comm, kind: CollOp, size: usize) -> approaches::CommReq {
     let p = comm.size();
     // `size` is the per-rank payload, padded to a dtype lane.
-    let lanes = size.max(8).div_ceil(8) * 8;
-    match op {
-        CollOp::Barrier => comm.ibarrier().await,
-        CollOp::Bcast => comm.ibcast(0, Bytes::synthetic(lanes)).await,
-        CollOp::Reduce => {
-            comm.ireduce(0, Bytes::synthetic(lanes), Dtype::F64, ReduceOp::Sum)
-                .await
-        }
-        CollOp::Allreduce => {
-            comm.iallreduce(Bytes::synthetic(lanes), Dtype::F64, ReduceOp::Sum)
-                .await
-        }
-        CollOp::Gather => comm.igather(0, Bytes::synthetic(lanes)).await,
+    let block = size.max(8).div_ceil(8) * 8;
+    let (payload, mine) = (Bytes::synthetic(block), Bytes::synthetic(block));
+    let (root, dtype, op) = (0, Dtype::F64, ReduceOp::Sum);
+    comm.icollective(match kind {
+        CollOp::Barrier => SimColl::Barrier,
+        CollOp::Bcast => SimColl::Bcast { root, payload },
+        CollOp::Reduce => SimColl::Reduce {
+            root,
+            payload,
+            dtype,
+            op,
+        },
+        CollOp::Allreduce => SimColl::Allreduce { payload, dtype, op },
+        CollOp::Gather => SimColl::Gather { root, mine },
         CollOp::Scatter => {
-            let input = (comm.rank() == 0).then(|| Bytes::synthetic(lanes * p));
-            comm.iscatter(0, input, lanes).await
+            let input = (comm.rank() == root).then(|| Bytes::synthetic(block * p));
+            SimColl::Scatter { root, input, block }
         }
-        CollOp::Allgather => comm.iallgather(Bytes::synthetic(lanes)).await,
-        CollOp::Alltoall => comm.ialltoall(Bytes::synthetic(lanes * p), lanes).await,
-    }
+        CollOp::Allgather => SimColl::Allgather { mine },
+        CollOp::Alltoall => {
+            let input = Bytes::synthetic(block * p);
+            SimColl::Alltoall { input, block }
+        }
+    })
+    .await
 }
 
 /// IMB-NBC-style overlap measurement for a nonblocking collective
@@ -249,7 +260,7 @@ pub fn nbc_overlap(
     size: usize,
     iters: usize,
 ) -> f64 {
-    let (outs, _) = run_approach(ranks, profile, approach, false, move |comm: AnyComm| {
+    let (outs, _) = run_approach(ranks, profile, approach, false, move |comm: Comm| {
         async move {
             let env = comm.env().clone();
             // Warmup.
@@ -302,7 +313,7 @@ pub fn nbc_issue_cost(
         profile,
         approach,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let env = comm.env().clone();
             let r = start_coll(&comm, op, size).await;
             comm.wait(&r).await;
@@ -333,19 +344,13 @@ pub fn osu_latency(
         internode(profile),
         approach,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let env = comm.env().clone();
             let peer = 1 - comm.rank();
-            exchange(&comm, peer, size, 0).await;
+            exchange(&comm, peer, size).await;
             let t0 = env.now();
             for _ in 0..iters {
-                if comm.rank() == 0 {
-                    comm.send(peer, 1, Bytes::synthetic(size)).await;
-                    let _ = comm.recv(Some(peer), Some(2)).await;
-                } else {
-                    let _ = comm.recv(Some(peer), Some(1)).await;
-                    comm.send(peer, 2, Bytes::synthetic(size)).await;
-                }
+                ping_pong(&comm, peer, (1, 2), size).await;
             }
             (env.now() - t0) / (2 * iters as u64)
         },
@@ -367,10 +372,10 @@ pub fn osu_bandwidth(
         internode(profile),
         approach,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let env = comm.env().clone();
             let peer = 1 - comm.rank();
-            exchange(&comm, peer, size, 0).await;
+            exchange(&comm, peer, size).await;
             let t0 = env.now();
             for _ in 0..iters {
                 if comm.rank() == 0 {
@@ -406,51 +411,32 @@ pub fn osu_mt_latency(
     size: usize,
     iters: usize,
 ) -> Nanos {
-    let (outs, _) = run_approach(
-        2,
-        internode(profile),
-        approach,
-        true,
-        move |comm: AnyComm| {
-            async move {
-                let env = comm.env().clone();
-                let peer = 1 - comm.rank();
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let comm = comm.clone();
-                    let env2 = env.clone();
-                    handles.push(env.spawn(async move {
-                        let tag_a = 100 + t as u32;
-                        let tag_b = 200 + t as u32;
-                        // Warmup.
-                        if comm.rank() == 0 {
-                            comm.send(peer, tag_a, Bytes::synthetic(size)).await;
-                            let _ = comm.recv(Some(peer), Some(tag_b)).await;
-                        } else {
-                            let _ = comm.recv(Some(peer), Some(tag_a)).await;
-                            comm.send(peer, tag_b, Bytes::synthetic(size)).await;
-                        }
-                        let t0 = env2.now();
-                        for _ in 0..iters {
-                            if comm.rank() == 0 {
-                                comm.send(peer, tag_a, Bytes::synthetic(size)).await;
-                                let _ = comm.recv(Some(peer), Some(tag_b)).await;
-                            } else {
-                                let _ = comm.recv(Some(peer), Some(tag_a)).await;
-                                comm.send(peer, tag_b, Bytes::synthetic(size)).await;
-                            }
-                        }
-                        (env2.now() - t0) / (2 * iters as u64)
-                    }));
-                }
-                let mut acc = 0u64;
-                for h in handles {
-                    acc += h.join().await;
-                }
-                acc / threads as u64
+    let (outs, _) = run_approach(2, internode(profile), approach, true, move |comm: Comm| {
+        async move {
+            let env = comm.env().clone();
+            let peer = 1 - comm.rank();
+            let mut handles = Vec::new();
+            for t in 0..threads {
+                let comm = comm.clone();
+                let env2 = env.clone();
+                handles.push(env.spawn(async move {
+                    let tags = (100 + t as u32, 200 + t as u32);
+                    // Warmup.
+                    ping_pong(&comm, peer, tags, size).await;
+                    let t0 = env2.now();
+                    for _ in 0..iters {
+                        ping_pong(&comm, peer, tags, size).await;
+                    }
+                    (env2.now() - t0) / (2 * iters as u64)
+                }));
             }
-        },
-    );
+            let mut acc = 0u64;
+            for h in handles {
+                acc += h.join().await;
+            }
+            acc / threads as u64
+        }
+    });
     outs[0]
 }
 
@@ -471,7 +457,7 @@ pub fn osu_mt_latency_observed(
         internode(profile),
         approach,
         true,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let env = comm.env().clone();
             let peer = 1 - comm.rank();
             let mut handles = Vec::new();
@@ -479,17 +465,10 @@ pub fn osu_mt_latency_observed(
                 let comm = comm.clone();
                 let env2 = env.clone();
                 handles.push(env.spawn(async move {
-                    let tag_a = 100 + t as u32;
-                    let tag_b = 200 + t as u32;
+                    let tags = (100 + t as u32, 200 + t as u32);
                     let t0 = env2.now();
                     for _ in 0..iters {
-                        if comm.rank() == 0 {
-                            comm.send(peer, tag_a, Bytes::synthetic(size)).await;
-                            let _ = comm.recv(Some(peer), Some(tag_b)).await;
-                        } else {
-                            let _ = comm.recv(Some(peer), Some(tag_a)).await;
-                            comm.send(peer, tag_b, Bytes::synthetic(size)).await;
-                        }
+                        ping_pong(&comm, peer, tags, size).await;
                     }
                     (env2.now() - t0) / (2 * iters as u64)
                 }));

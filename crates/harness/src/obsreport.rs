@@ -1,7 +1,7 @@
 //! Metric snapshots in benchmark reports, and the `--trace <path>` hook.
 //!
 //! Experiments capture an [`obs::Snapshot`] per phase (via
-//! `Comm::obs_registry` / `AnyComm::offload_service_obs`), diff consecutive
+//! `Comm::obs_registry` / `Comm::offload_service_obs`), diff consecutive
 //! snapshots to attribute activity to the phase, and append the result to
 //! the same table/CSV reports the timing numbers go to.
 

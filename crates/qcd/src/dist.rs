@@ -55,8 +55,8 @@ pub fn decode_spinors(bytes: &[u8]) -> Vec<Spinor<f64>> {
 /// `[lx, ly, lz, lt_local]`; `gauge` is the full global gauge field
 /// (replicated — these tests run tiny lattices). Ghost planes are
 /// exchanged with ring neighbors through `comm`.
-pub async fn dslash_slab<C: Comm>(
-    comm: &C,
+pub async fn dslash_slab(
+    comm: &Comm,
     gauge: &GaugeField<f64>,
     global_dims: [usize; 4],
     psi_local: &[Spinor<f64>],

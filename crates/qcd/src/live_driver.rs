@@ -11,11 +11,9 @@
 //! and wait, so the measurement is the paper's: lattice math hiding
 //! reduction rounds.
 
-use std::time::{Duration, Instant};
-
-use approaches::live::{CollKind, LiveApproach, LiveComm};
-use harness::{nbc_overlap_live, NbcOverlapRow};
-use mpisim::types::{Dtype, ReduceOp};
+use approaches::live::{CollKind, LiveApproach};
+use harness::{overlap_live, OverlapRow};
+use mpisim::types::{bytes_to_f64s, f64s_to_bytes, Dtype, ReduceOp};
 use numeric::SplitMix64;
 use rtmpi::Transport;
 
@@ -70,22 +68,11 @@ pub fn expected_sums(size: usize) -> Vec<f64> {
     acc
 }
 
-fn encode_f64(lanes: &[f64]) -> Vec<u8> {
-    lanes.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-fn decode_f64(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte lane")))
-        .collect()
-}
-
 /// Check an allreduce result against the expected global sums. The NBC
 /// schedules associate the sum differently per algorithm (recursive
 /// doubling vs Rabenseifner), so equality is relative, not bitwise.
 pub fn check_sums(out: &[u8], expected: &[f64]) {
-    let got = decode_f64(out);
+    let got = bytes_to_f64s(out);
     assert_eq!(got.len(), expected.len(), "lane count");
     for (i, (g, e)) in got.iter().zip(expected).enumerate() {
         let rel = (g - e).abs() / e.abs().max(1e-300);
@@ -101,36 +88,32 @@ pub fn nbc_overlap_panel<T: Transport>(
     approach: LiveApproach,
     transport: T,
     iters: usize,
-) -> (NbcOverlapRow, T) {
+) -> (OverlapRow, T) {
     let rank = transport.rank();
     let size = transport.size();
-    let payload = encode_f64(&lane_dots(&rank_field(rank)));
+    let payload = f64s_to_bytes(&lane_dots(&rank_field(rank)));
     let bytes = payload.len();
     let expected = expected_sums(size);
     let mut rng = SplitMix64::new(rank_seed(rank) ^ 0x5u64);
     let gauge = GaugeField::random(DIMS, &mut rng);
     let psi = rank_field(rank);
-    nbc_overlap_live(
+    overlap_live(
         approach,
         transport,
         bytes,
         iters,
-        || CollKind::Allreduce {
-            dtype: Dtype::F64,
-            op: ReduceOp::Sum,
-            data: payload.clone(),
+        |comm| {
+            comm.icollective(CollKind::Allreduce {
+                dtype: Dtype::F64,
+                op: ReduceOp::Sum,
+                data: payload.clone(),
+            })
         },
-        |comm: &mut LiveComm<T>, dur: Duration| {
-            // Real lattice kernel between post and wait, with the
-            // progress hints an instrumented compute loop would make.
-            let end = Instant::now() + dur;
-            while Instant::now() < end {
-                std::hint::black_box(dslash(&gauge, &psi));
-                comm.progress_hint();
-                std::thread::yield_now();
-            }
+        |comm, req| check_sums(&comm.coll_wait(req).expect("allreduce"), &expected),
+        // Real lattice kernel between post and wait.
+        || {
+            std::hint::black_box(dslash(&gauge, &psi));
         },
-        |out| check_sums(out, &expected),
     )
 }
 
@@ -150,12 +133,12 @@ mod tests {
             assert!(e > m);
         }
         // And the check accepts a reference summation of the same data.
-        check_sums(&encode_f64(&exp), &exp);
+        check_sums(&f64s_to_bytes(&exp), &exp);
     }
 
     #[test]
     fn lane_payload_is_rendezvous_sized() {
-        let bytes = encode_f64(&lane_dots(&rank_field(0))).len();
+        let bytes = f64s_to_bytes(&lane_dots(&rank_field(0))).len();
         assert_eq!(bytes, LANES * 8);
         assert!(bytes > 4096, "must exceed the default eager crossover");
     }

@@ -111,8 +111,8 @@ pub fn run_dslash(profile: MachineProfile, approach: Approach, cfg: &DslashConfi
     }
 }
 
-async fn rank_driver<C: Comm>(
-    comm: C,
+async fn rank_driver(
+    comm: Comm,
     decomp: Rc<Decomposition>,
     cfg: Rc<DslashConfig>,
     profile: MachineProfile,

@@ -3,7 +3,7 @@
 //! offload infrastructure), must match the single-rank reference operator
 //! bit-for-bit-close.
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use numeric::SplitMix64;
 use qcd::dist::{decode_spinors, dslash_slab, encode_spinors};
 use qcd::dslash::{dslash, FermionField, GaugeField};
@@ -36,7 +36,7 @@ fn run_distributed(approach: Approach, ranks: usize) {
         MachineProfile::xeon(),
         approach,
         false,
-        move |comm: AnyComm| {
+        move |comm: Comm| {
             let gauge = gauge.clone();
             let psi = psi.clone();
             let expect = expect.clone();
@@ -107,7 +107,7 @@ fn single_rank_slab_equals_reference() {
         MachineProfile::xeon(),
         Approach::Baseline,
         false,
-        move |comm: AnyComm| {
+        move |comm: Comm| {
             let gauge = gauge.clone();
             let psi = psi.clone();
             let expect = expect.clone();

@@ -20,7 +20,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::engine::{WireComm, WireConfig};
+use crate::engine::{bad_env, env_whole, WireComm, WireConfig};
 use crate::fabric::{SocketFabric, Stream};
 use crate::proto::{FrameKind, Header, HEADER_LEN};
 use crate::shm::ShmLink;
@@ -35,7 +35,7 @@ pub fn from_env() -> std::io::Result<WireComm> {
     let size: usize = env_req(crate::ENV_SIZE)?;
     let dir = std::env::var(crate::ENV_DIR)
         .map_err(|_| bad_input(format!("{} not set", crate::ENV_DIR)))?;
-    let cfg = WireConfig::from_env();
+    let cfg = WireConfig::from_env()?;
     let plane = StatsPlaneEnv::from_env()?;
     let mut comm = connect_mesh(rank, size, Path::new(&dir), cfg)?;
     attach_observability(&mut comm, &plane, Path::new(&dir));
@@ -60,7 +60,7 @@ pub fn from_env_packed() -> std::io::Result<Vec<WireComm>> {
     let count = pack.min(size.saturating_sub(base)).max(1);
     let dir = std::env::var(crate::ENV_DIR)
         .map_err(|_| bad_input(format!("{} not set", crate::ENV_DIR)))?;
-    let cfg = WireConfig::from_env();
+    let cfg = WireConfig::from_env()?;
     let plane = StatsPlaneEnv::from_env()?;
     let handles: Vec<_> = (base..base + count)
         .map(|rank| {
@@ -129,13 +129,9 @@ impl StatsPlaneEnv {
 /// An optional whole number ≥ 1 from the environment: `None` when unset,
 /// an error naming the variable when it is anything else.
 fn at_least_one(get: &impl Fn(&str) -> Option<String>, name: &str) -> std::io::Result<Option<u64>> {
-    let Some(raw) = get(name) else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(v) if v >= 1 => Ok(Some(v)),
-        Ok(_) => Err(bad_input(format!("{name}={raw:?}: must be at least 1"))),
-        Err(_) => Err(bad_input(format!("{name}={raw:?}: not a whole number"))),
+    match env_whole(get, name)? {
+        Some(0) => Err(bad_env(name, "0", "must be at least 1")),
+        v => Ok(v),
     }
 }
 
@@ -368,9 +364,11 @@ fn connect_mesh(
 /// the identical framing/protocol code. Each [`WireComm`] is `Send` —
 /// hand one to each thread. Knobs come from the environment, so
 /// `WIRE_SHM=1` (and friends) reach in-process worlds like the matching
-/// matrix exactly as they reach spawned ranks.
+/// matrix exactly as they reach spawned ranks — and a wrong value panics
+/// with the message [`from_env`] would return.
 pub fn loopback(n: usize) -> Vec<WireComm> {
-    loopback_configured(n, WireConfig::from_env())
+    let cfg = WireConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+    loopback_configured(n, cfg)
 }
 
 /// As [`loopback`] with explicit knobs (crossover, timeout, shm, tcp —
@@ -478,6 +476,43 @@ mod tests {
         assert_eq!(p.interval, Duration::from_millis(50));
         assert_eq!(p.stall, Some(Duration::from_millis(500)));
         assert_eq!(p.relay_arity, Some(8));
+    }
+
+    fn wire_config(vars: &[(&str, &str)]) -> std::io::Result<WireConfig> {
+        WireConfig::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    /// `WIRE_EAGER_MAX=4k` used to run at 4096 and `WIRE_SHM=true` over
+    /// sockets, both without a word.
+    #[test]
+    fn wire_config_rejects_wrong_values_by_name() {
+        let cfg = wire_config(&[]).expect("nothing set is fine");
+        assert_eq!((cfg.eager_max, cfg.tcp, cfg.shm), (4096, false, false));
+        let cfg = wire_config(&[
+            (crate::ENV_EAGER_MAX, " 65536 "),
+            (crate::ENV_TIMEOUT_MS, "10000"),
+            (crate::ENV_SHM, "1"),
+            (crate::ENV_TCP, "0"),
+        ])
+        .expect("what ci.sh and the launcher set parses");
+        assert_eq!((cfg.eager_max, cfg.tcp, cfg.shm), (65536, false, true));
+        assert_eq!(cfg.timeout, Duration::from_secs(10));
+        for (name, value) in [
+            (crate::ENV_EAGER_MAX, "4k"),
+            (crate::ENV_EAGER_MAX, "-1"),
+            (crate::ENV_TIMEOUT_MS, "30s"),
+            (crate::ENV_SHM, "true"),
+            (crate::ENV_TCP, ""),
+            (crate::ENV_SHM_FORCE_FALLBACK, "yes"),
+        ] {
+            let err = wire_config(&[(name, value)]).expect_err(value);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(name), "{err} names {name}");
+        }
     }
 
     /// `WIRE_RELAY_ARITY=eight` used to mean "flat" and a garbled interval

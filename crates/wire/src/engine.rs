@@ -95,33 +95,55 @@ impl Default for WireConfig {
 }
 
 impl WireConfig {
-    /// Defaults overridden by `WIRE_EAGER_MAX` / `WIRE_TIMEOUT_MS` /
-    /// `WIRE_TCP` / `WIRE_SHM` (+ `WIRE_SHM_SLOTS`, `WIRE_SHM_SLOT_BYTES`,
-    /// `WIRE_SHM_FORCE_FALLBACK`).
-    pub fn from_env() -> Self {
+    /// Defaults overridden by `WIRE_EAGER_MAX` / `WIRE_TIMEOUT_MS` (whole
+    /// numbers) and `WIRE_TCP` / `WIRE_SHM` / `WIRE_SHM_FORCE_FALLBACK`
+    /// (`1`, or `0` for off). Anything else is an error naming the
+    /// variable, never a silent default.
+    pub fn from_env() -> std::io::Result<Self> {
+        Self::parse(|name| std::env::var(name).ok())
+    }
+
+    /// [`WireConfig::from_env`] over any lookup (tests pass a map).
+    pub(crate) fn parse(get: impl Fn(&str) -> Option<String>) -> std::io::Result<Self> {
+        let flag = |name: &str| match get(name).as_deref().map(str::trim) {
+            None | Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            Some(raw) => Err(bad_env(name, raw, "must be 0 or 1")),
+        };
         let mut cfg = Self::default();
-        if let Some(v) = env_usize(crate::ENV_EAGER_MAX) {
-            cfg.eager_max = v;
+        if let Some(v) = env_whole(&get, crate::ENV_EAGER_MAX)? {
+            cfg.eager_max = v as usize;
         }
-        if let Some(v) = env_usize(crate::ENV_TIMEOUT_MS) {
-            cfg.timeout = Duration::from_millis(v as u64);
+        if let Some(v) = env_whole(&get, crate::ENV_TIMEOUT_MS)? {
+            cfg.timeout = Duration::from_millis(v);
         }
-        cfg.tcp = std::env::var(crate::ENV_TCP).is_ok_and(|v| v == "1");
-        cfg.shm = std::env::var(crate::ENV_SHM).is_ok_and(|v| v == "1");
-        if let Some(v) = env_usize(crate::ENV_SHM_SLOTS) {
-            cfg.shm_slots = v as u32;
-        }
-        if let Some(v) = env_usize(crate::ENV_SHM_SLOT_BYTES) {
-            cfg.shm_slot_bytes = v as u32;
-        }
-        cfg.shm_force_fallback =
-            std::env::var(crate::ENV_SHM_FORCE_FALLBACK).is_ok_and(|v| v == "1");
-        cfg
+        cfg.tcp = flag(crate::ENV_TCP)?;
+        cfg.shm = flag(crate::ENV_SHM)?;
+        cfg.shm_force_fallback = flag(crate::ENV_SHM_FORCE_FALLBACK)?;
+        Ok(cfg)
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
+/// An optional whole number from the environment: `None` when unset, an
+/// error naming the variable when it does not parse.
+pub(crate) fn env_whole(
+    get: &impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> std::io::Result<Option<u64>> {
+    let Some(raw) = get(name) else {
+        return Ok(None);
+    };
+    match raw.trim().parse() {
+        Ok(v) => Ok(Some(v)),
+        Err(_) => Err(bad_env(name, &raw, "not a whole number")),
+    }
+}
+
+pub(crate) fn bad_env(name: &str, raw: &str, why: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("{name}={raw:?}: {why}"),
+    )
 }
 
 /// A buffered arrival awaiting a matching receive.

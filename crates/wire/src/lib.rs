@@ -59,7 +59,6 @@
 //! * `WIRE_TCP=1` — TCP over loopback instead of Unix-domain sockets.
 //! * `WIRE_SHM=1` — shared-memory data plane between peers (UDS meshes
 //!   only; degrades per-pair to the socket path when unavailable).
-//!   `WIRE_SHM_SLOTS` / `WIRE_SHM_SLOT_BYTES` tune the ring geometry.
 //! * `WIRE_STATS_SOCK` / `WIRE_STATS_INTERVAL_MS` / `WIRE_STALL_MS` /
 //!   `WIRE_RELAY_ARITY` — the observability plane: the launcher's
 //!   collector socket, how often to ship a snapshot, the progress-stall
@@ -102,10 +101,6 @@ pub const ENV_TCP: &str = "WIRE_TCP";
 /// Set to `1` to negotiate the shared-memory data plane per peer pair
 /// (UDS meshes only; every failure degrades gracefully to the socket).
 pub const ENV_SHM: &str = "WIRE_SHM";
-/// Ring slot count override (power of two; default 128).
-pub const ENV_SHM_SLOTS: &str = "WIRE_SHM_SLOTS";
-/// Ring slot payload size override, in bytes (default 16384).
-pub const ENV_SHM_SLOT_BYTES: &str = "WIRE_SHM_SLOT_BYTES";
 /// Set to `1` to force the shm handshake down its fallback path (tests).
 pub const ENV_SHM_FORCE_FALLBACK: &str = "WIRE_SHM_FORCE_FALLBACK";
 /// Path of the launcher's stats-collector Unix socket; when set, every

@@ -163,9 +163,14 @@ mod tests {
         pool.recycle(big); // capacity ≥ buf_cap, so this one IS kept
         let small_miss = pool.lease(8); // shelf holds the big buffer → hit
         assert!(small_miss.capacity() >= 4096, "big recycled buffer reused");
+        assert_eq!(pool.shelved(), 0, "the one shelved buffer is out on lease");
         let diff = registry.snapshot().diff(&before);
-        assert_eq!(diff.counter("wire.regpool.leases"), 2);
-        assert_eq!(diff.counter("wire.regpool.heap_alloc"), 1);
+        #[cfg(feature = "obs-enabled")]
+        {
+            assert_eq!(diff.counter("wire.regpool.leases"), 2);
+            assert_eq!(diff.counter("wire.regpool.heap_alloc"), 1);
+        }
+        let _ = diff;
     }
 
     #[test]
@@ -179,7 +184,9 @@ mod tests {
         }
         assert_eq!(pool.shelved(), 2, "max_free bounds the shelf");
         let diff = registry.snapshot().diff(&before);
+        #[cfg(feature = "obs-enabled")]
         assert_eq!(diff.counter("wire.regpool.recycle_drop"), 2);
+        let _ = diff;
         // Small (not pool-shaped) buffers are never shelved.
         pool.recycle(Vec::with_capacity(8));
         assert_eq!(pool.shelved(), 2);
@@ -195,8 +202,11 @@ mod tests {
         // waits on anything.
         let bufs: Vec<_> = (0..16).map(|_| pool.lease(100)).collect();
         assert_eq!(bufs.len(), 16);
+        assert!(bufs.iter().all(|b| b.capacity() >= 256), "pool-shaped");
         let diff = registry.snapshot().diff(&before);
+        #[cfg(feature = "obs-enabled")]
         assert_eq!(diff.counter("wire.regpool.heap_alloc"), 16);
+        let _ = diff;
     }
 
     #[test]
@@ -224,10 +234,14 @@ mod tests {
         }
         assert!(pool.shelved() <= 8, "shelf stayed bounded under churn");
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("wire.regpool.leases"), 8_000);
-        // try_lock contention may force heap fallbacks, but the pool must
-        // have served a healthy share from the shelf.
-        assert!(snap.counter("wire.regpool.heap_alloc") <= 8_000);
+        #[cfg(feature = "obs-enabled")]
+        {
+            assert_eq!(snap.counter("wire.regpool.leases"), 8_000);
+            // try_lock contention may force heap fallbacks, but the pool
+            // must have served a healthy share from the shelf.
+            assert!(snap.counter("wire.regpool.heap_alloc") <= 8_000);
+        }
+        let _ = snap;
     }
 
     #[test]

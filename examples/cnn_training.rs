@@ -10,7 +10,7 @@
 //! the gradient all-reduce as an NBC schedule through the live
 //! strategies: `offload-run -n 4 cnn_training` (see `cnn::live_driver`).
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use cnn::network::{synthetic_batch, SmallCnn};
 use cnn::Tensor;
 use mpisim::{Bytes, Dtype, ReduceOp};
@@ -41,7 +41,6 @@ fn wire_main() {
     use rtmpi::Transport as _;
     let (rank, size) = (transport.rank(), transport.size());
     assert!(size >= 2, "data-parallel training needs at least 2 ranks");
-    let iters = if harness::quick_mode() { 2 } else { 4 };
 
     // Correctness: every strategy trains the same replicas to (nearly)
     // the same weights — reductions may reassociate, nothing more.
@@ -68,26 +67,14 @@ fn wire_main() {
     }
 
     // Overlap panel: the step-0 gradient reduction with forward/backward
-    // passes inserted, repeated for the perf snapshot.
-    let mut by_repeat = Vec::new();
-    for _ in 0..harness::bench_repeats() {
-        let mut rows = Vec::new();
-        for approach in approaches::live::LiveApproach::ALL {
-            let (row, back) = live_driver::nbc_overlap_panel(approach, t, iters);
-            t = back;
-            rows.push(row);
-        }
-        by_repeat.push(rows);
-    }
-    if rank == 0 {
-        println!("\n== gradient allreduce overlap over the wire, {size} ranks ==");
-        harness::nbc_overlap_table(by_repeat.last().expect("one repeat")).print("rank 0 observed");
-        harness::emit_snapshot(&harness::nbc_overlap_snapshot(
-            "cnn_wire",
-            "§5.3 data-parallel gradient allreduce over the socket wire (rank 0)",
-            &by_repeat,
-        ));
-    }
+    // passes inserted.
+    harness::run_overlap_panel(
+        t,
+        "cnn_wire",
+        "§5.3 data-parallel gradient allreduce over the socket wire (rank 0)",
+        &format!("\n== gradient allreduce overlap over the wire, {size} ranks =="),
+        live_driver::nbc_overlap_panel,
+    );
     println!("rank {rank} ok");
 }
 
@@ -139,7 +126,7 @@ fn main() {
         simnet::MachineProfile::xeon(),
         Approach::Offload,
         false,
-        move |comm: AnyComm| {
+        move |comm: Comm| {
             let batches = batches.clone();
             async move {
                 let mut rng = SplitMix64::new(90210);

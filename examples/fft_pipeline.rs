@@ -12,7 +12,7 @@
 //! `offload-run -n 4 fft_pipeline` (fig-5-style panel, see
 //! `fft1d::live_driver`).
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use fft1d::dist::{fft_dist, fft_dist_pipelined, gather_natural, scatter_natural, DistPlan};
 use fft1d::local::{fft, max_rel_error};
 use numeric::{Complex, Complex64, SplitMix64};
@@ -22,7 +22,7 @@ use std::rc::Rc;
 /// first the blocking distributed transform under each live strategy
 /// (correctness — the spectrum must match the reference column FFTs of
 /// the expected transpose), then the fig-5-style alltoall overlap
-/// measurement, repeated `bench_repeats()` times for the perf snapshot.
+/// measurement (`harness::run_overlap_panel`).
 fn wire_main() {
     use fft1d::live_driver;
     let transport = match wire::from_env() {
@@ -35,7 +35,6 @@ fn wire_main() {
     use rtmpi::Transport as _;
     let (rank, size) = (transport.rank(), transport.size());
     let plan = live_driver::panel_plan(size);
-    let iters = if harness::quick_mode() { 2 } else { 4 };
 
     let mut t = transport;
     // Correctness: the full transform over the live collective agrees
@@ -76,28 +75,16 @@ fn wire_main() {
         t = comm.finalize();
     }
 
-    let mut by_repeat = Vec::new();
-    for _ in 0..harness::bench_repeats() {
-        let mut rows = Vec::new();
-        for approach in approaches::live::LiveApproach::ALL {
-            let (row, back) = live_driver::nbc_overlap_panel(approach, t, iters);
-            t = back;
-            rows.push(row);
-        }
-        by_repeat.push(rows);
-    }
-    if rank == 0 {
-        println!(
-            "\n== live FFT transpose over the wire: {}x{} points, {} ranks ==",
-            plan.n1, plan.n2, size
-        );
-        harness::nbc_overlap_table(by_repeat.last().expect("one repeat")).print("rank 0 observed");
-        harness::emit_snapshot(&harness::nbc_overlap_snapshot(
-            "fft_wire",
-            "§5.2 transpose alltoall over the socket wire (rank 0, row-FFT compute)",
-            &by_repeat,
-        ));
-    }
+    harness::run_overlap_panel(
+        t,
+        "fft_wire",
+        "§5.2 transpose alltoall over the socket wire (rank 0, row-FFT compute)",
+        &format!(
+            "\n== live FFT transpose over the wire: {}x{} points, {size} ranks ==",
+            plan.n1, plan.n2
+        ),
+        live_driver::nbc_overlap_panel,
+    );
     println!("rank {rank} ok");
 }
 
@@ -132,7 +119,7 @@ fn main() {
             simnet::MachineProfile::xeon(),
             Approach::Baseline,
             false,
-            move |comm: AnyComm| {
+            move |comm: Comm| {
                 let locals = locals.clone();
                 async move {
                     let local = locals[comm.rank()].clone();
@@ -158,7 +145,7 @@ fn main() {
             simnet::MachineProfile::xeon(),
             approach,
             false,
-            move |comm: AnyComm| {
+            move |comm: Comm| {
                 let locals = locals.clone();
                 async move {
                     let local = locals[comm.rank()].clone();

@@ -17,7 +17,7 @@
 //! merge into one timeline (`harness::merge_traces`) because each rank
 //! occupies its own pid row.
 
-use approaches::{run_approach_traced, AnyComm, Approach, Comm};
+use approaches::{run_approach_traced, Approach, Comm};
 use harness::Table;
 use mpisim::Bytes;
 use simnet::MachineProfile;
@@ -28,11 +28,15 @@ const COMPUTE_NS: u64 = 2_000_000; // 2 ms internal volume
 /// Face size for the live (socket) panel: still far above the eager
 /// crossover, small enough that the ci smoke lane stays quick.
 const WIRE_FACE_BYTES: usize = 256 * 1024;
+/// Not trimmed in quick mode: the gated handshake counts of
+/// `BENCH_live_overlap.json` (warmup + 2 per iteration) stay what they were.
 const WIRE_ITERS: usize = 4;
 
 /// One rank of the multi-process panel (we are inside `offload-run`).
 /// Ranks pair up (0↔1, 2↔3, …) and run the §4.1 overlap measurement
-/// under each live strategy sequentially over the same socket mesh.
+/// under each live strategy sequentially over the same socket mesh
+/// (`harness::run_overlap_panel`); the snapshot's wall-clock series are
+/// `info`, its handshake counters gate.
 fn wire_main() {
     let mut transport = match wire::from_env() {
         Ok(t) => t,
@@ -62,27 +66,26 @@ fn wire_main() {
     // rows in Perfetto (dump_trace_prefixed restamps pids per rank).
     transport.set_flow_track(recorder.track(0, 1, "wire rendezvous"));
 
-    let mut rows = Vec::new();
-    let mut t = transport;
-    for approach in approaches::live::LiveApproach::ALL {
-        let t0 = recorder.now_ns();
-        let (row, back) = harness::live_overlap(approach, t, peer, WIRE_FACE_BYTES, WIRE_ITERS);
-        t = back;
-        track.complete_at(approach.name(), t0, recorder.now_ns());
-        rows.push(row);
-    }
+    harness::run_overlap_panel(
+        transport,
+        "live_overlap",
+        "§4.1 live overlap over the socket wire (rank 0, pairwise halo exchange)",
+        &format!(
+            "== live halo exchange over the wire: {} faces, {size} ranks (this pair: 0↔1) ==",
+            harness::fmt_bytes(WIRE_FACE_BYTES)
+        ),
+        |approach, t, _| {
+            let t0 = recorder.now_ns();
+            let out = harness::p2p_overlap_live(approach, t, peer, WIRE_FACE_BYTES, WIRE_ITERS);
+            track.complete_at(approach.name(), t0, recorder.now_ns());
+            out
+        },
+    );
 
     if let Some(prefix) = &trace_prefix {
         harness::dump_trace_prefixed(&recorder, &prefix.display().to_string(), rank);
     }
     if rank == 0 {
-        println!(
-            "== live halo exchange over the wire: {} faces, {} ranks (this pair: 0↔1) ==",
-            harness::fmt_bytes(WIRE_FACE_BYTES),
-            size
-        );
-        harness::live_overlap_table(&rows).print("rank 0 observed");
-        emit_live_overlap_snapshot(&rows);
         println!(
             "\nrndv@wait counts rendezvous handshakes that had to wait for the\n\
              application to reach MPI; rndv async counts handshakes a progress\n\
@@ -92,60 +95,9 @@ fn wire_main() {
     }
 }
 
-/// Perf-trajectory snapshot of the §4.1 socket panel (rank 0 only; written
-/// when `BENCH_SNAPSHOT_DIR` is set). Wall-clock overlap and wait are
-/// `info` series — this box decides those. The rendezvous handshake
-/// counters are protocol facts and gate: the baseline must never complete
-/// a handshake asynchronously, and offload must never be caught completing
-/// one at wait.
-fn emit_live_overlap_snapshot(rows: &[harness::LiveOverlapRow]) {
-    use harness::{Direction, PanelSnapshot};
-    let mut snap = PanelSnapshot::new(
-        "live_overlap",
-        "§4.1 live overlap over the socket wire (rank 0, pairwise halo exchange)",
-    );
-    for r in rows {
-        let name = r.approach.name();
-        snap.push_series(
-            format!("overlap_pct.{name}"),
-            "%",
-            Direction::Info,
-            vec![r.overlap_pct],
-        );
-        snap.push_series(
-            format!("wait_us.{name}"),
-            "us",
-            Direction::Info,
-            vec![r.wait_ns as f64 / 1e3],
-        );
-        let (at_wait_dir, async_dir) = match r.approach {
-            // Offload must keep completing every handshake asynchronously.
-            approaches::live::LiveApproach::Offload => (Direction::Lower, Direction::Higher),
-            // The baseline gaining async progress would mean the model of
-            // the paper's pathology broke; iprobe sits in between, so its
-            // counters are informational.
-            approaches::live::LiveApproach::Baseline => (Direction::Info, Direction::Lower),
-            approaches::live::LiveApproach::Iprobe => (Direction::Info, Direction::Info),
-        };
-        snap.push_series(
-            format!("rndv_at_wait.{name}"),
-            "count",
-            at_wait_dir,
-            vec![r.rndv_at_wait as f64],
-        );
-        snap.push_series(
-            format!("rndv_async.{name}"),
-            "count",
-            async_dir,
-            vec![r.rndv_async as f64],
-        );
-    }
-    harness::emit_snapshot(&snap);
-}
-
 type IterOut = ((u64, u64, u64), obs::Snapshot, Option<obs::Snapshot>);
 
-async fn stencil_iteration(comm: AnyComm) -> IterOut {
+async fn stencil_iteration(comm: Comm) -> IterOut {
     let env = comm.env().clone();
     let (r, p) = (comm.rank(), comm.size());
     let right = (r + 1) % p;

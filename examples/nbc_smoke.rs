@@ -9,125 +9,16 @@
 //! `offload-run -n 4 nbc_smoke` and gates on the per-rank
 //! `wire.coll_tx` counters in the stats report.
 
-use approaches::live::{LiveApproach, LiveComm};
-use mpisim::types::{Dtype, ReduceOp};
+use approaches::live::{verify_collectives, LiveApproach, LiveComm};
 use rtmpi::Transport;
-
-/// Rendezvous-regime payload lanes: 1024 × 8 B = 8 KiB per contribution,
-/// so the schedules exercise real RTS/CTS/DATA rounds, not eager drops.
-const LANES: usize = 1024;
-
-fn f64_bytes(vals: impl Iterator<Item = f64>) -> Vec<u8> {
-    vals.flat_map(|x| x.to_le_bytes()).collect()
-}
-
-fn f64_lanes(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte lane")))
-        .collect()
-}
-
-/// The deterministic per-rank contribution: lane `i` of rank `r` is
-/// `r·LANES + i`, so every reduction/permutation has a closed form.
-fn contribution(rank: usize) -> Vec<u8> {
-    f64_bytes((0..LANES).map(|i| (rank * LANES + i) as f64))
-}
-
-fn assert_lanes(tag: &str, got: &[u8], want: impl Fn(usize) -> f64) {
-    let lanes = f64_lanes(got);
-    for (i, g) in lanes.iter().enumerate() {
-        let w = want(i);
-        assert!(
-            (g - w).abs() < 1e-6 * w.abs().max(1.0),
-            "{tag}: lane {i} got {g}, want {w}"
-        );
-    }
-}
-
-/// Exercise the full collective surface once under `approach`, verifying
-/// every result, and hand the transport back.
-fn run_all<T: Transport>(approach: LiveApproach, transport: T) -> T {
-    let mut comm = LiveComm::start(approach, transport);
-    let (r, n) = (comm.rank(), comm.size());
-    let name = approach.name();
-
-    comm.barrier().expect("barrier");
-
-    let got = comm
-        .bcast(1, if r == 1 { contribution(1) } else { Vec::new() })
-        .expect("bcast");
-    assert_lanes(name, &got, |i| (LANES + i) as f64);
-
-    let got = comm
-        .reduce(0, Dtype::F64, ReduceOp::Sum, contribution(r))
-        .expect("reduce");
-    if r == 0 {
-        // Σ_r (r·LANES + i) = n·i + LANES·n(n−1)/2.
-        assert_lanes(name, &got, |i| {
-            (n * i) as f64 + (LANES * n * (n - 1) / 2) as f64
-        });
-    }
-
-    let got = comm
-        .allreduce(Dtype::F64, ReduceOp::Sum, contribution(r))
-        .expect("allreduce sum");
-    assert_lanes(name, &got, |i| {
-        (n * i) as f64 + (LANES * n * (n - 1) / 2) as f64
-    });
-
-    let got = comm
-        .allreduce(Dtype::F64, ReduceOp::Max, contribution(r))
-        .expect("allreduce max");
-    assert_lanes(name, &got, |i| ((n - 1) * LANES + i) as f64);
-
-    let got = comm.allgather(contribution(r)).expect("allgather");
-    assert_eq!(got.len(), n * LANES * 8);
-    for src in 0..n {
-        assert_lanes(name, &got[src * LANES * 8..(src + 1) * LANES * 8], |i| {
-            (src * LANES + i) as f64
-        });
-    }
-
-    // Alltoall: my block for dest d carries lanes (r·n + d)·LANES + i.
-    let block = LANES * 8;
-    let input = f64_bytes((0..n * LANES).map(|j| {
-        let (d, i) = (j / LANES, j % LANES);
-        ((r * n + d) * LANES + i) as f64
-    }));
-    let got = comm.alltoall(input, block).expect("alltoall");
-    for src in 0..n {
-        assert_lanes(name, &got[src * block..(src + 1) * block], |i| {
-            ((src * n + r) * LANES + i) as f64
-        });
-    }
-
-    let got = comm.gather(0, contribution(r)).expect("gather");
-    if r == 0 {
-        for src in 0..n {
-            assert_lanes(name, &got[src * LANES * 8..(src + 1) * LANES * 8], |i| {
-                (src * LANES + i) as f64
-            });
-        }
-    }
-
-    let input = if r == 1 {
-        f64_bytes((0..n * LANES).map(|j| (7 * j) as f64))
-    } else {
-        Vec::new()
-    };
-    let got = comm.scatter(1, input, block).expect("scatter");
-    assert_lanes(name, &got, |i| (7 * (r * LANES + i)) as f64);
-
-    comm.barrier().expect("closing barrier");
-    comm.finalize()
-}
 
 fn rank_main(transport: wire::WireComm) {
     let rank = transport.rank();
     let mut t = transport;
     for approach in LiveApproach::ALL {
-        t = run_all(approach, t);
+        let mut comm = LiveComm::start(approach, t);
+        verify_collectives(&mut comm);
+        t = comm.finalize();
     }
     println!("rank {rank} ok");
 }

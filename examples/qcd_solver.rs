@@ -11,7 +11,7 @@
 //! with Dslash as the overlap compute: `offload-run -n 4 qcd_solver`
 //! (fig-3-style panel, see `qcd::live_driver`).
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use numeric::SplitMix64;
 use qcd::dist::dslash_slab;
 use qcd::dslash::{dslash, wilson_m, FermionField, GaugeField};
@@ -25,7 +25,7 @@ const KAPPA: f64 = 0.11;
 /// One rank of the multi-process panel (we are inside `offload-run`):
 /// the fig-3-style NBC overlap measurement — lane-dot allreduces with
 /// Dslash inserted — under each live strategy sequentially over the same
-/// socket mesh, repeated `bench_repeats()` times for the perf snapshot.
+/// socket mesh (`harness::run_overlap_panel`).
 fn wire_main() {
     let transport = match wire::from_env() {
         Ok(t) => t,
@@ -37,32 +37,17 @@ fn wire_main() {
     use rtmpi::Transport as _;
     let (rank, size) = (transport.rank(), transport.size());
     assert!(size >= 2, "the reduction panel needs at least 2 ranks");
-    let iters = if harness::quick_mode() { 2 } else { 4 };
-
-    let mut by_repeat = Vec::new();
-    let mut t = transport;
-    for _ in 0..harness::bench_repeats() {
-        let mut rows = Vec::new();
-        for approach in approaches::live::LiveApproach::ALL {
-            let (row, back) = qcd::live_driver::nbc_overlap_panel(approach, t, iters);
-            t = back;
-            rows.push(row);
-        }
-        by_repeat.push(rows);
-    }
-
+    harness::run_overlap_panel(
+        transport,
+        "qcd_wire",
+        "§5.1 CG-style lane-dot allreduce over the socket wire (rank 0, Dslash compute)",
+        &format!(
+            "== live QCD reductions over the wire: {} lanes x f64, {size} ranks ==",
+            qcd::live_driver::LANES
+        ),
+        qcd::live_driver::nbc_overlap_panel,
+    );
     if rank == 0 {
-        println!(
-            "== live QCD reductions over the wire: {} lanes x f64, {} ranks ==",
-            qcd::live_driver::LANES,
-            size
-        );
-        harness::nbc_overlap_table(by_repeat.last().expect("one repeat")).print("rank 0 observed");
-        harness::emit_snapshot(&harness::nbc_overlap_snapshot(
-            "qcd_wire",
-            "§5.1 CG-style lane-dot allreduce over the socket wire (rank 0, Dslash compute)",
-            &by_repeat,
-        ));
         println!(
             "\nEvery allreduce result was checked against the globally expected\n\
              sums. coll tx counts round sends in the reserved tag space; the\n\
@@ -119,7 +104,7 @@ fn main() {
         MachineProfile::xeon(),
         Approach::Offload,
         false,
-        move |comm: AnyComm| {
+        move |comm: Comm| {
             let gauge = gauge.clone();
             let psi = psi.clone();
             let expect = expect.clone();

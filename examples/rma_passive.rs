@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release --example rma_passive`
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use harness::Table;
 use mpisim::Bytes;
 use simnet::MachineProfile;
@@ -24,7 +24,7 @@ fn origin_wait(approach: Approach) -> u64 {
         MachineProfile::xeon(),
         approach,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let env = comm.env().clone();
             let mpi = comm.mpi().clone();
             let win = mpi.win_create(vec![0u8; PUT_BYTES]).await;

@@ -17,8 +17,10 @@
 //!   progress engine advances **only when polled**, reproducing the
 //!   asynchronous-progress problem the paper solves.
 //! * [`approaches`] — baseline / iprobe / comm-self / core-spec / offload
-//!   behind the uniform [`approaches::Comm`] trait, so applications run
-//!   unmodified under every strategy (the paper's `LD_PRELOAD` property).
+//!   behind one comm object, [`approaches::Comm`], started with the
+//!   strategy as a value, so applications run unmodified under every
+//!   strategy (the paper's `LD_PRELOAD` property);
+//!   [`approaches::live::LiveComm`] is its counterpart over real transports.
 //! * [`qcd`], [`fft1d`], [`cnn`] — the three applications of §5, with real
 //!   validated kernels and cluster-scale performance drivers.
 //! * [`destime`], [`simnet`], [`team`], [`rtmpi`], [`numeric`],
@@ -53,7 +55,7 @@
 //! ## Quick start (simulation mode, virtual time)
 //!
 //! ```
-//! use approaches::{run_approach, Approach, Comm};
+//! use approaches::{run_approach, Approach};
 //! use mpisim::Bytes;
 //!
 //! let (outs, elapsed_virtual_ns) = run_approach(

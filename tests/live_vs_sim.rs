@@ -2,7 +2,7 @@
 //! `rtmpi` and the DES model over `mpisim` — must compute identical
 //! results for the same program (only their notion of time differs).
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use mpisim::{Bytes, Dtype, ReduceOp};
 use simnet::MachineProfile;
 use std::sync::Arc;
@@ -61,7 +61,7 @@ fn sim_offload_runs_the_program_identically() {
         MachineProfile::xeon(),
         Approach::Offload,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let me = comm.rank();
             let right = (me + 1) % comm.size();
             let left = (me + comm.size() - 1) % comm.size();
@@ -123,7 +123,7 @@ fn collectives_agree_between_modes() {
         MachineProfile::xeon(),
         Approach::Offload,
         false,
-        move |comm: AnyComm| async move {
+        move |comm: Comm| async move {
             let me = comm.rank();
             let sum_b = comm
                 .allreduce(

@@ -3,7 +3,7 @@
 //! gets against exposure windows, fence synchronization, and the
 //! passive-target progress problem that dedicated progress agents solve.
 
-use approaches::{run_approach, AnyComm, Approach, Comm};
+use approaches::{run_approach, Approach, Comm};
 use destime::Nanos;
 use mpisim::{Bytes, Mpi, ThreadLevel, Universe};
 use simnet::MachineProfile;
@@ -89,7 +89,7 @@ fn passive_target_put_needs_async_progress() {
             MachineProfile::xeon(),
             approach,
             false,
-            move |comm: AnyComm| async move {
+            move |comm: Comm| async move {
                 let env = comm.env().clone();
                 let mpi = comm.mpi().clone();
                 let win = mpi.win_create(vec![0u8; 1 << 20]).await;
