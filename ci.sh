@@ -375,30 +375,35 @@ if cargo miri --version >/dev/null 2>&1; then
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p rtmpi --lib \
     || { echo "cargo miri lane FAILED (rtmpi)"; exit 1; }
-  # The wire data plane's safe layers: the receive path's reassembly
-  # (split headers, bodies built in their final Arc, hostile lengths), the
-  # buffer pool, and the ring protocol over its std facade (the
-  # mmap'd-segment module itself is foreign memory Miri cannot model; its
-  # discipline is confined to crates/wire/src/shm.rs by offload-lint).
-  # Miri cannot make the poll(2) FFI call in crates/wire/src/sys.rs, nor
-  # open a socketpair, so the wire filter keeps to tests that open no
-  # sockets; every other wire test runs natively only ($WIRE_NATIVE_ONLY,
-  # named in the footer). The 10k-message threaded stream test is
-  # skipped — minutes under the interpreter, covered natively.
+  # The wire data plane's safe layers and the write-once body under them:
+  # the receive path's reassembly (split headers, bodies built in their
+  # final Arc, hostile lengths), the same reassembly fed by heap-ring pops
+  # that copy straight into a never-zero-filled body (hostile slots
+  # included), the sys body type itself (delivered only when full, freed
+  # unread when not), the buffer pool, and the ring protocol over its std
+  # facade (the mmap'd-segment module itself is foreign memory Miri cannot
+  # model; its discipline is confined to crates/wire/src/shm.rs by
+  # offload-lint). Miri cannot make the poll(2)/readv(2) FFI calls in
+  # crates/wire/src/sys.rs, nor open a socketpair, so the wire filter
+  # keeps to tests that open no descriptor; every other wire test runs
+  # natively only ($WIRE_NATIVE_ONLY, named in the footer). The
+  # 10k-message threaded stream test is skipped — minutes under the
+  # interpreter, covered natively.
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p wire --lib -- regpool:: fabric::tests::reassembly \
-    || { echo "cargo miri lane FAILED (wire regpool + reassembly)"; exit 1; }
+      fabric::tests::ring_reassembly sys::tests::rx_body \
+    || { echo "cargo miri lane FAILED (wire regpool + reassembly + rx_body)"; exit 1; }
   run env MIRIFLAGS="-Zmiri-disable-isolation" \
     cargo miri test -p shmring --test plain -- --skip threaded_stream \
     || { echo "cargo miri lane FAILED (shmring)"; exit 1; }
-  gated ran "miri[offload,rtmpi,wire:regpool+reassembly,shmring]"
+  gated ran "miri[offload,rtmpi,wire:regpool+reassembly+rx_body,shmring]"
 else
   echo "== cargo miri not installed; skipping weak-memory lane =="
-  gated skipped "miri[offload,rtmpi,wire:regpool+reassembly,shmring]"
+  gated skipped "miri[offload,rtmpi,wire:regpool+reassembly+rx_body,shmring]"
 fi
 # Whatever Miri did, these wire tests only ever run natively (sockets,
 # poll): say so where the lanes are summed up.
-WIRE_NATIVE_ONLY="all of crates/wire but regpool:: and fabric::tests::reassembly_* (sockets, poll, mmap)"
+WIRE_NATIVE_ONLY="all of crates/wire but regpool::, fabric::tests::{reassembly_*,ring_reassembly_*} and sys::tests::rx_body_* (sockets, poll, readv, mmap)"
 
 # Perf-trajectory gate: quick panels under the pinned CI shape, diffed
 # against the committed BENCH_*.json baselines using each series'

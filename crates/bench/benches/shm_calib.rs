@@ -28,7 +28,11 @@
 //! 0`: every socket write on an shm link is a doorbell),
 //! `wire.shm_frames > 0` (the frames took the ring), `wire.shm_fallback
 //! == 0` (the segment actually mapped) and `wire.eager_alloc == 0`
-//! (bodies ride `Arc` clones into the ring, never a staging copy).
+//! (bodies ride `Arc` clones into the ring, never a staging copy) — and,
+//! over the shm bulk loop, `rx_writes_per_byte.256KB ≤ 1.1`
+//! (`wire.rx_copy_bytes` per body byte received: a ring pop copies a slot
+//! straight into the body, which was never zero-filled; only a body's
+//! first slot is staged while its header is parsed).
 
 use bench::{benchjson, emit, us, Direction, PanelSnapshot};
 use harness::Table;
@@ -103,20 +107,29 @@ fn main() {
     // Deterministic under the protocol, so the last repeat's counters
     // stand for all of them — exactly what the gated series verify.
     let mut shm_counters = obs::Snapshot::default();
+    let mut shm_rx_writes = Vec::new();
+    let mut uds_rx_writes = Vec::new();
+    // Rank 0 receives one bulk body per round trip.
+    let bulk_iters = iters / 8;
+    let writes_per_byte =
+        |c: &obs::Snapshot| c.counter("wire.rx_copy_bytes") as f64 / (bulk_iters * bulk) as f64;
     for _ in 0..repeats {
         let (s, sc) = ping_pong(shm_cfg.clone(), small, iters);
         let (u, _) = ping_pong(uds_cfg.clone(), small, iters);
         let (t, _) = ping_pong(tcp_cfg.clone(), small, iters);
-        let (sb, _) = ping_pong(shm_cfg.clone(), bulk, iters / 8);
-        let (ub, _) = ping_pong(uds_cfg.clone(), bulk, iters / 8);
+        let (sb, sbc) = ping_pong(shm_cfg.clone(), bulk, bulk_iters);
+        let (ub, ubc) = ping_pong(uds_cfg.clone(), bulk, bulk_iters);
         shm_rtt.push(s / 1e3);
         uds_rtt.push(u / 1e3);
         tcp_rtt.push(t / 1e3);
         // Ping-pong moves the payload both ways per round trip.
         shm_bw.push(2.0 * bulk as f64 / sb * 1e3); // MB/s
         uds_bw.push(2.0 * bulk as f64 / ub * 1e3);
+        shm_rx_writes.push(writes_per_byte(&sbc));
+        uds_rx_writes.push(writes_per_byte(&ubc));
         shm_counters = sc;
     }
+    let shm_rx_writes_max = shm_rx_writes.iter().copied().fold(0.0, f64::max);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
 
     let mut t = Table::new(vec!["transport", "eager rtt us (1KB)", "rndv MB/s (256KB)"]);
@@ -188,6 +201,22 @@ fn main() {
         Direction::Lower,
         vec![payload_writes as f64; repeats],
     );
+    // Bytes user code writes on the receive path per body byte delivered:
+    // 1 is a write-once body; only the first slot of a body (staged so its
+    // header can be parsed) is written twice. Over UDS the kernel decides
+    // how reads split, so that figure is for reading only.
+    snap.push_series(
+        "rx_writes_per_byte.256KB",
+        "ratio",
+        Direction::Lower,
+        shm_rx_writes,
+    );
+    snap.push_series(
+        "uds_rx_writes_per_byte.256KB",
+        "ratio",
+        Direction::Info,
+        uds_rx_writes,
+    );
     benchjson::emit_snapshot(&snap);
 
     // The acceptance bar: what the ring guarantees, counted. A clock
@@ -202,4 +231,8 @@ fn main() {
     );
     assert_eq!(shm_counters.counter("wire.shm_fallback"), 0);
     assert_eq!(shm_counters.counter("wire.eager_alloc"), 0);
+    assert!(
+        shm_rx_writes_max <= 1.1,
+        "a received ring byte was written {shm_rx_writes_max:.2} times, not once"
+    );
 }

@@ -34,7 +34,8 @@
 //! * `unsafe-confinement` — inside `crates/wire`, `unsafe` lives only in
 //!   the files listed in [`WIRE_UNSAFE_HOMES`], each with its reason
 //!   (`src/shm.rs`: the mapped segment and fd passing; `src/sys.rs`: the
-//!   `poll(2)` call std does not offer) and each answering to
+//!   `poll(2)` and `readv(2)` calls std does not offer, and the write-once
+//!   receive body they and the ring fill) and each answering to
 //!   `safety-comment` per use; the mmap surface lives in `src/shm.rs`
 //!   alone. The rest of the transport stays safe Rust, so reviewing the
 //!   shared-memory trust boundary means reading exactly one file, and

@@ -11,7 +11,14 @@
 //!   facade so the vector-clock race detector validates each handoff.
 //! * `wire::shm`'s segment-backed memory — raw pointers into the shared
 //!   mapping. That impl lives in `wire` (keeping every `unsafe` of the
-//!   subsystem in `shm.rs`); this crate stays 100% safe code.
+//!   subsystem in `shm.rs`); the protocol here is safe code.
+//!
+//! `RingMem` is an `unsafe trait` for one promise: `read` initialises the
+//! prefix of the uninitialised destination it is handed. That is what
+//! lets [`Consumer::try_pop_into`] copy a slot straight into a body that
+//! was never zero-filled — the slot's bytes written once, like a
+//! `readv(2)` into `[body remainder, staging]` — and [`Consumer::try_pop`]
+//! is the same pop with an empty direct destination.
 //!
 //! The slot discipline mirrors `crates/core`'s Vyukov-style MPMC queue,
 //! specialised to SPSC: each slot carries a `seq` counter initialised to
@@ -23,10 +30,12 @@
 //! Unlike the in-process queue, the far side of a ring is *another
 //! process* and therefore untrusted input: a hostile or corrupt peer can
 //! scribble anything into the control words. The protocol never panics on
-//! ring state — a bogus `seq` simply reads as "full"/"empty" (the link
-//! wedges and the engine's timeout reaps it), and a `len` beyond the slot
-//! capacity is reported as [`Pop::Corrupt`] so the caller can kill the
-//! link, exactly as a corrupt frame header kills a socket link.
+//! ring state. A bogus `seq` reads as "full" to the producer (its link
+//! wedges and the engine's timeout reaps it); the consumer knows the only
+//! two values an honest producer leaves at its tail (`tail`, `tail + 1`)
+//! and reports any other as [`Pop::Corrupt`], as it does a `len` beyond
+//! the slot capacity, so the caller can kill the link — exactly as a
+//! corrupt frame header kills a socket link.
 //!
 //! # Park/doorbell handshake
 //!

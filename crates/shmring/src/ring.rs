@@ -6,13 +6,23 @@
 // this crate ever *depending* on `check` (a regular edge would close the
 // check → wire → shmring package cycle; a dev-dep does not).
 
+use std::mem::MaybeUninit;
+
 use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// The memory a ring runs over: control words (per-slot `seq` + `len`,
 /// one `parked` word) and fixed-size payload slots. Implementations
 /// provide storage and byte copies; the protocol above them decides when
 /// each access is permitted.
-pub trait RingMem {
+///
+/// # Safety
+///
+/// [`RingMem::read`] must initialise the first `min(n, direct.len())`
+/// bytes of `direct`: a consumer marks them filled on the strength of a
+/// [`Pop::Got`] alone (see [`Consumer::try_pop_into`]).
+// SAFETY: `unsafe` so that consumers may rely on that promise; each impl
+// states how it keeps it.
+pub unsafe trait RingMem {
     /// Slot count; must be a power of two.
     fn slots(&self) -> u32;
 
@@ -32,12 +42,15 @@ pub trait RingMem {
     /// producer calls this, and only on a slot it has claimed.
     fn write(&self, slot: u32, off: u32, data: &[u8]);
 
-    /// Append the slot's first `n` payload bytes to `out`. Only the
-    /// consumer calls this, on a published slot, with `n ≤ slot_size`.
-    fn read(&self, slot: u32, out: &mut Vec<u8>, n: u32);
+    /// Copy the slot's first `n` payload bytes out, once: the first
+    /// `min(n, direct.len())` into `direct`, the rest appended to `out`.
+    /// Only the consumer calls this, on a published slot, with
+    /// `n ≤ slot_size`.
+    fn read(&self, slot: u32, n: u32, direct: &mut [MaybeUninit<u8>], out: &mut Vec<u8>);
 }
 
-impl<M: RingMem> RingMem for std::sync::Arc<M> {
+// SAFETY: forwards `read` to `M`, whose own impl upholds the contract.
+unsafe impl<M: RingMem> RingMem for std::sync::Arc<M> {
     fn slots(&self) -> u32 {
         (**self).slots()
     }
@@ -56,8 +69,8 @@ impl<M: RingMem> RingMem for std::sync::Arc<M> {
     fn write(&self, slot: u32, off: u32, data: &[u8]) {
         (**self).write(slot, off, data)
     }
-    fn read(&self, slot: u32, out: &mut Vec<u8>, n: u32) {
-        (**self).read(slot, out, n)
+    fn read(&self, slot: u32, n: u32, direct: &mut [MaybeUninit<u8>], out: &mut Vec<u8>) {
+        (**self).read(slot, n, direct, out)
     }
 }
 
@@ -110,7 +123,8 @@ impl HeapMem {
     }
 }
 
-impl RingMem for HeapMem {
+// SAFETY: `read` initialises `direct`'s prefix with `write_copy_of_slice`.
+unsafe impl RingMem for HeapMem {
     fn slots(&self) -> u32 {
         self.slots
     }
@@ -141,12 +155,14 @@ impl RingMem for HeapMem {
         });
     }
 
-    fn read(&self, slot: u32, out: &mut Vec<u8>, n: u32) {
+    fn read(&self, slot: u32, n: u32, direct: &mut [MaybeUninit<u8>], out: &mut Vec<u8>) {
         self.data[slot as usize].with(|p| {
             // SAFETY: the consumer only reads a published slot, which the
             // producer will not touch again until it is recycled.
             let buf = unsafe { &*p };
-            out.extend_from_slice(&buf[..n as usize]);
+            let (head, tail) = buf[..n as usize].split_at(direct.len().min(n as usize));
+            direct[..head.len()].write_copy_of_slice(head);
+            out.extend_from_slice(tail);
         });
     }
 }
@@ -269,15 +285,19 @@ impl<M: RingMem> Producer<M> {
     }
 }
 
-/// What one [`Consumer::try_pop`] found.
+/// What one [`Consumer::try_pop_into`] (or [`Consumer::try_pop`]) found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pop {
     /// No published slot at the tail.
     Empty,
-    /// One chunk of this many bytes was appended to `out`.
+    /// One chunk of this many bytes was taken: its first
+    /// `min(n, direct.len())` bytes went to the direct destination, the
+    /// rest were appended to `out` (all of them, for `try_pop`).
     Got(usize),
-    /// The published slot's `len` exceeds the slot capacity — the peer is
-    /// hostile or corrupt; the caller should kill the link.
+    /// The tail slot's control words are impossible — a `len` beyond the
+    /// slot capacity, or a `seq` no producer following the protocol can
+    /// leave there. The peer is hostile or corrupt; the caller should
+    /// kill the link. Nothing was copied.
     Corrupt,
 }
 
@@ -305,14 +325,31 @@ impl<M: RingMem> Consumer<M> {
         }
     }
 
-    /// Take the next published chunk, appending its bytes to `out`.
+    /// Take the next published chunk, appending its bytes to `out`: the
+    /// empty-destination case of [`Self::try_pop_into`].
     pub fn try_pop(&mut self, out: &mut Vec<u8>) -> Pop {
+        self.try_pop_into(&mut [], out)
+    }
+
+    /// Take the next published chunk, copying each byte once: as many as
+    /// fit into `direct` (the unfilled rest of whatever the caller is
+    /// assembling), what follows appended to `out` — the shape of a
+    /// `readv(2)` into `[direct, out]`. On `Got(n)` the first
+    /// `min(n, direct.len())` bytes of `direct` are initialised.
+    pub fn try_pop_into(&mut self, direct: &mut [MaybeUninit<u8>], out: &mut Vec<u8>) -> Pop {
         let idx = (self.tail & self.mask) as u32;
         // ORDERING: Acquire pairs with the producer's publish — the slot
-        // bytes and `len` written before it are visible below. Any value
-        // other than `tail + 1` reads as "empty".
-        if self.mem.seq(idx).load(Ordering::Acquire) != self.tail.wrapping_add(1) {
-            return Pop::Empty;
+        // bytes and `len` written before it are visible below.
+        let seq = self.mem.seq(idx).load(Ordering::Acquire);
+        if seq != self.tail.wrapping_add(1) {
+            // The slot at the tail holds `tail` until the producer
+            // publishes it (our own recycle, or the initial value, wrote
+            // that); any other value is peer-written garbage.
+            return if seq == self.tail {
+                Pop::Empty
+            } else {
+                Pop::Corrupt
+            };
         }
         // ORDERING: Relaxed — ordered by the Acquire seq load above.
         let n = self.mem.len(idx).load(Ordering::Relaxed);
@@ -321,7 +358,7 @@ impl<M: RingMem> Consumer<M> {
         if n > self.mem.slot_size() {
             return Pop::Corrupt;
         }
-        self.mem.read(idx, out, n);
+        self.mem.read(idx, n, direct, out);
         // ORDERING: Release recycle pairs with the producer's claim
         // Acquire — our payload reads complete before it may overwrite.
         self.mem

@@ -38,8 +38,10 @@ fn capped_dfs() -> check::Config {
 
 /// The data-plane handoff: producer pushes three distinct chunks through
 /// a two-slot ring (covering the full→recycle path) while the consumer
-/// pops. FIFO and payload integrity must hold on every schedule, and the
-/// detector validates the publish/claim edges around each slot copy.
+/// pops each one split across a one-byte direct destination and the
+/// staging vector, as the wire fabric pops into a body in progress. FIFO
+/// and payload integrity must hold on every schedule, and the detector
+/// validates the publish/claim edges around both copies out of the slot.
 #[test]
 fn spsc_handoff_is_race_free_and_fifo() {
     check::model_with(capped_dfs(), || {
@@ -51,13 +53,19 @@ fn spsc_handoff_is_race_free_and_fifo() {
                 }
             }
         });
+        let mut direct: Vec<u8> = Vec::with_capacity(1);
         let mut out = Vec::new();
         let mut next = 0u8;
         while next < 3 {
+            direct.clear();
             out.clear();
-            match rx.try_pop(&mut out) {
+            match rx.try_pop_into(&mut direct.spare_capacity_mut()[..1], &mut out) {
                 Pop::Got(2) => {
-                    assert_eq!(out, vec![next, next + 10], "FIFO or payload broken");
+                    // SAFETY: `Got(2)` into a one-byte destination
+                    // initialised that byte.
+                    unsafe { direct.set_len(1) };
+                    assert_eq!(direct, vec![next], "FIFO or payload broken");
+                    assert_eq!(out, vec![next + 10], "FIFO or payload broken");
                     next += 1;
                 }
                 Pop::Got(n) => panic!("unexpected chunk size {n}"),

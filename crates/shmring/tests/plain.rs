@@ -90,12 +90,48 @@ fn corrupt_len_is_reported_not_trusted() {
 }
 
 #[test]
-fn garbage_seq_wedges_but_never_panics() {
+fn garbage_seq_wedges_the_producer_and_is_corrupt_to_the_consumer() {
     let (mut tx, mut rx, mem) = heap_ring(2, 8);
     mem.seq(0).store(0xdead_beef, Ordering::Relaxed);
     assert!(!tx.try_push(b"a"), "garbage seq reads as full");
     let mut out = Vec::new();
-    assert_eq!(rx.try_pop(&mut out), Pop::Empty, "…and as empty");
+    assert_eq!(
+        rx.try_pop(&mut out),
+        Pop::Corrupt,
+        "…and is no seq a producer leaves"
+    );
+    assert!(out.is_empty());
+}
+
+#[test]
+fn pop_into_fills_the_direct_destination_first_and_stages_the_rest() {
+    let (mut tx, mut rx, _) = heap_ring(4, 8);
+    assert!(tx.try_push(b"abcdef"));
+    assert!(tx.try_push(b"gh"));
+    assert!(tx.try_push(b"ij"));
+    let mut body: Vec<u8> = Vec::with_capacity(8);
+    let mut out = Vec::new();
+    // Room for 4: the chunk splits 4 direct + 2 staged.
+    assert_eq!(
+        rx.try_pop_into(&mut body.spare_capacity_mut()[..4], &mut out),
+        Pop::Got(6)
+    );
+    // SAFETY: `Got(6)` into a 4-byte destination initialised all 4.
+    unsafe { body.set_len(4) };
+    assert_eq!((&body[..], &out[..]), (&b"abcd"[..], &b"ef"[..]));
+    // Room for more than the chunk: all of it direct, nothing staged.
+    out.clear();
+    assert_eq!(
+        rx.try_pop_into(&mut body.spare_capacity_mut()[..4], &mut out),
+        Pop::Got(2)
+    );
+    // SAFETY: `Got(2)` into a 4-byte destination initialised 2.
+    unsafe { body.set_len(6) };
+    assert_eq!(&body[..], b"abcdgh");
+    assert!(out.is_empty());
+    // An empty destination is `try_pop`.
+    assert_eq!(rx.try_pop_into(&mut [], &mut out), Pop::Got(2));
+    assert_eq!(&out[..], b"ij");
 }
 
 #[test]

@@ -50,10 +50,14 @@
 //! header that arrived split, and the one body in progress. A frame that
 //! is complete in the receive buffer becomes its `Arc<[u8]>` straight
 //! from there (one copy) — the `Arc` the application receives. A body not
-//! yet complete is allocated at its final `Arc` and the bytes still to
-//! come are read directly into it (no user-space copy), what follows it
-//! in the stream landing in the receive buffer through the same vectored
-//! read. Bodyless frames share one empty `Arc`.
+//! yet complete is allocated at its final `Arc` — uninitialised, never
+//! zero-filled (`crate::sys::RxBody`) — and the bytes still to come are
+//! read directly into it by `readv(2)` (no user-space copy), what follows
+//! it in the stream landing in the receive buffer through the same
+//! vectored read. The body becomes the delivered `Arc<[u8]>` only when its
+//! last byte is in; a link that dies first drops it. Bodyless frames
+//! share one empty `Arc`. `wire.rx_copy_bytes` counts every byte user
+//! code writes on this path.
 //!
 //! **An announced length is peer input.** A destination is allocated at
 //! the announced size only when that fits the receive buffer or the
@@ -72,9 +76,13 @@
 //! per-link FIFO holds trivially. The socket stays open for peer-death
 //! detection (EOF) and the park/doorbell nudge; the sweep's verdict on it
 //! decides whether a pass reads it at all. Ring chunks go through the
-//! same reassembly as socket bytes (slot → chunk staging → `Arc`).
-//! [`crate::regpool::RegPool`] is no longer on this path: nothing stages
-//! a body, so nothing leases one.
+//! same reassembly as socket bytes, and a pop has the shape of that
+//! `readv`: it copies the slot into the unfilled rest of the body in
+//! progress, and only what follows that body into the chunk staging
+//! (slot → `Arc`, one copy). A slot that completes small frames, or that
+//! carries a body's header and first bytes, is staged first (slot →
+//! staging → `Arc`). [`crate::regpool::RegPool`] is no longer on this
+//! path: nothing stages a body, so nothing leases one.
 //!
 //! [`queue`]: FrameFabric::queue
 //! [`queue_shared`]: FrameFabric::queue_shared
@@ -85,15 +93,17 @@
 //! [`alive`]: FrameFabric::alive
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, IoSliceMut, Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
+use shmring::{Consumer, Pop, Producer, RingMem};
+
 use crate::proto::{FrameKind, Header, HEADER_LEN};
 use crate::shm::ShmLink;
-use crate::sys::PollSet;
+use crate::sys::{PollSet, RxBody};
 
 /// What one [`FrameFabric::flush`] / [`FrameFabric::recv`] call did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -194,13 +204,6 @@ impl Stream {
         }
     }
 
-    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> std::io::Result<usize> {
-        match self {
-            Stream::Uds(s) => s.read_vectored(bufs),
-            Stream::Tcp(s) => s.read_vectored(bufs),
-        }
-    }
-
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             Stream::Uds(s) => s.write(buf),
@@ -271,6 +274,30 @@ impl OutFrame {
     }
 }
 
+/// A link's outbound side: queued frames not yet fully flushed, and its
+/// cumulative byte marks.
+#[derive(Default)]
+struct Outbox {
+    frames: VecDeque<OutFrame>,
+    /// How many bytes of the front frame already went out.
+    off: usize,
+    /// Cumulative bytes ever queued / ever flushed.
+    queued: u64,
+    flushed: u64,
+}
+
+impl Outbox {
+    /// Queue one frame; returns the mark at which it is fully flushed.
+    fn push(&mut self, hdr: &Header, body: Body) -> u64 {
+        self.queued += (HEADER_LEN + body.as_slice().len()) as u64;
+        self.frames.push_back(OutFrame {
+            hdr: hdr.encode(),
+            body,
+        });
+        self.queued
+    }
+}
+
 /// How many frames one `write_vectored` batch may carry (two slices per
 /// frame). Enough to amortise the syscall; small enough that the slice
 /// array lives on the stack.
@@ -287,42 +314,39 @@ const RX_BUF_MIN: usize = 4096;
 
 /// The destination of a body still arriving.
 enum BodyBuf {
-    /// Allocated at the announced length — the `Arc` it is delivered in;
-    /// `filled` bytes are in. Socket bytes are read straight into the
-    /// rest.
-    Sized { buf: Arc<[u8]>, filled: usize },
+    /// Allocated at the announced length and never zero-filled: the `Arc`
+    /// it is delivered in. Socket bytes are read, and ring bytes copied,
+    /// straight into its unfilled rest.
+    Sized(RxBody),
     /// The announced length is the peer's word only: grows with the bytes
     /// received.
     Growing(Vec<u8>),
 }
 
 impl BodyBuf {
-    fn filled(&self) -> usize {
+    /// Copy in as much of `bytes` as the body (`want` bytes in all) still
+    /// lacks; returns how many were taken.
+    fn put(&mut self, want: usize, bytes: &[u8]) -> usize {
         match self {
-            BodyBuf::Sized { filled, .. } => *filled,
-            BodyBuf::Growing(v) => v.len(),
-        }
-    }
-
-    /// Copy in as much of `bytes` as the body still lacks; returns how
-    /// many were taken, or `None` if the destination is not writable
-    /// (unreachable: an in-progress `Arc` has one owner).
-    fn put(&mut self, want: usize, bytes: &[u8]) -> Option<usize> {
-        let n = bytes.len().min(want - self.filled());
-        match self {
-            BodyBuf::Sized { buf, filled } => {
-                Arc::get_mut(buf)?[*filled..*filled + n].copy_from_slice(&bytes[..n]);
-                *filled += n;
+            BodyBuf::Sized(b) => b.put(bytes),
+            BodyBuf::Growing(v) => {
+                let n = bytes.len().min(want - v.len());
+                v.extend_from_slice(&bytes[..n]);
+                n
             }
-            BodyBuf::Growing(v) => v.extend_from_slice(&bytes[..n]),
         }
-        Some(n)
     }
 
-    fn finish(self) -> Arc<[u8]> {
+    /// The delivered body once all `want` bytes are in; the body in
+    /// progress otherwise.
+    fn finish(self, want: usize, copies: &obs::Counter) -> Result<Arc<[u8]>, Self> {
         match self {
-            BodyBuf::Sized { buf, .. } => buf,
-            BodyBuf::Growing(v) => Arc::from(v),
+            BodyBuf::Sized(b) => b.finish().map_err(BodyBuf::Sized),
+            BodyBuf::Growing(v) if v.len() == want => {
+                copies.add(want as u64);
+                Ok(Arc::from(v))
+            }
+            growing => Err(growing),
         }
     }
 }
@@ -340,18 +364,18 @@ impl Reassembly {
     /// Consume `bytes` (the next bytes of the stream), appending every
     /// frame they complete to `out`. The header is peer-controlled input:
     /// a decode failure is `Err` (dead link), never a panic.
-    fn feed(
-        &mut self,
-        mut bytes: &[u8],
-        granted: &dyn Fn(&Header) -> bool,
-        empty: &Arc<[u8]>,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), ()> {
+    fn feed(&mut self, mut bytes: &[u8], cx: &RxCtx<'_>, out: &mut Vec<Frame>) -> Result<(), ()> {
         while !bytes.is_empty() {
             if let Some((hdr, body)) = self.body.as_mut() {
-                let took = body.put(hdr.body_len(), bytes).ok_or(())?;
+                let took = body.put(hdr.body_len(), bytes);
+                if took == 0 {
+                    // Unreachable: a body in progress has room, and its
+                    // `Arc` one owner.
+                    return Err(());
+                }
+                cx.obs.rx_copy_bytes.add(took as u64);
                 bytes = &bytes[took..];
-                self.finish_body(out);
+                self.finish_body(cx, out);
                 continue;
             }
             let hdr = if self.hdr_len == 0 && bytes.len() >= HEADER_LEN {
@@ -371,14 +395,14 @@ impl Reassembly {
             };
             let len = hdr.body_len();
             if len == 0 {
-                out.push((hdr, Arc::clone(empty)));
+                out.push((hdr, Arc::clone(cx.empty)));
             } else if bytes.len() >= len {
                 let (body, rest) = bytes.split_at(len);
                 bytes = rest;
+                cx.obs.rx_copy_bytes.add(len as u64);
                 out.push((hdr, Arc::from(body)));
-            } else if len <= RX_BUF || granted(&hdr) {
-                let buf = std::iter::repeat_n(0u8, len).collect();
-                self.body = Some((hdr, BodyBuf::Sized { buf, filled: 0 }));
+            } else if len <= RX_BUF || (cx.granted)(&hdr) {
+                self.body = Some((hdr, BodyBuf::Sized(RxBody::new(len))));
             } else {
                 self.body = Some((hdr, BodyBuf::Growing(Vec::new())));
             }
@@ -386,30 +410,31 @@ impl Reassembly {
         Ok(())
     }
 
-    /// Where the kernel may write the next bytes of the stream directly:
-    /// the unfilled rest of a body allocated at its final size, else
-    /// nothing.
-    fn direct(&mut self) -> &mut [u8] {
+    /// Where the next bytes of the stream may land directly: a body
+    /// allocated at its final size, else nowhere.
+    fn direct(&mut self) -> Option<&mut RxBody> {
         match &mut self.body {
-            Some((_, BodyBuf::Sized { buf, filled })) => {
-                Arc::get_mut(buf).map_or(&mut [], |b| &mut b[*filled..])
-            }
-            _ => &mut [],
+            Some((_, BodyBuf::Sized(b))) => Some(b),
+            _ => None,
         }
     }
 
-    /// `n` bytes were written into [`Self::direct`].
-    fn filled_direct(&mut self, n: usize, out: &mut Vec<Frame>) {
-        if let Some((_, BodyBuf::Sized { filled, .. })) = &mut self.body {
-            *filled += n;
+    /// How many bytes [`Self::direct`] still lacks.
+    fn room(&self) -> usize {
+        match &self.body {
+            Some((_, BodyBuf::Sized(b))) => b.len() - b.filled(),
+            _ => 0,
         }
-        self.finish_body(out);
     }
 
     /// Deliver the body in progress if its last byte is in.
-    fn finish_body(&mut self, out: &mut Vec<Frame>) {
-        if let Some((hdr, body)) = self.body.take_if(|(h, b)| b.filled() == h.body_len()) {
-            out.push((hdr, body.finish()));
+    fn finish_body(&mut self, cx: &RxCtx<'_>, out: &mut Vec<Frame>) {
+        let Some((hdr, body)) = self.body.take() else {
+            return;
+        };
+        match body.finish(hdr.body_len(), &cx.obs.rx_copy_bytes) {
+            Ok(buf) => out.push((hdr, buf)),
+            Err(body) => self.body = Some((hdr, body)),
         }
     }
 }
@@ -425,13 +450,7 @@ struct SocketLink {
     /// apart from `rx` so a nudge can never interleave into the middle of
     /// a partially-assembled ring frame.
     oob: Reassembly,
-    /// Queued frames not yet fully flushed; `out_off` is how many bytes
-    /// of the front frame already went out.
-    out: VecDeque<OutFrame>,
-    out_off: usize,
-    /// Cumulative bytes ever queued / ever flushed on this link.
-    queued_total: u64,
-    flushed_total: u64,
+    tx: Outbox,
     /// The shared-memory sibling, when bootstrap negotiated one. All
     /// data-plane frames go through it; the socket keeps EOF + doorbell.
     shm: Option<ShmLink>,
@@ -444,12 +463,17 @@ impl SocketLink {
             alive: true,
             rx: Reassembly::default(),
             oob: Reassembly::default(),
-            out: VecDeque::new(),
-            out_off: 0,
-            queued_total: 0,
-            flushed_total: 0,
+            tx: Outbox::default(),
             shm: None,
         }
+    }
+
+    /// Mark the link failed. A body still in progress is dropped, never
+    /// finished.
+    fn die(&mut self) {
+        self.alive = false;
+        self.rx = Reassembly::default();
+        self.oob = Reassembly::default();
     }
 }
 
@@ -462,19 +486,22 @@ struct FabricObs {
     shm_frames: obs::Counter,
     shm_fallback: obs::Counter,
     shm_doorbell: obs::Counter,
+    /// Bytes user code writes on the receive path: copies out of a ring
+    /// slot (into a body or the staging), copies from a buffer into a
+    /// body or a delivered `Arc`. What the kernel writes is not counted;
+    /// nothing is zero-filled.
+    rx_copy_bytes: obs::Counter,
     sys_poll: obs::Counter,
     sys_read: obs::Counter,
     sys_write: obs::Counter,
 }
 
-/// What the receive functions share besides the link: the fabric's one
-/// receive buffer, its ring-chunk staging, the empty body and counters.
+/// What parsing a link's bytes needs besides the link: the engine's word
+/// on which announced lengths to trust, the shared empty body, counters.
 struct RxCtx<'a> {
-    rxbuf: &'a mut Vec<u8>,
-    chunk: &'a mut Vec<u8>,
+    granted: &'a dyn Fn(&Header) -> bool,
     empty: &'a Arc<[u8]>,
     obs: &'a FabricObs,
-    granted: &'a dyn Fn(&Header) -> bool,
 }
 
 /// The real fabric: one nonblocking stream socket per peer, optionally
@@ -564,12 +591,7 @@ impl FrameFabric for SocketFabric {
             }
             body.to_vec()
         };
-        link.out.push_back(OutFrame {
-            hdr: hdr.encode(),
-            body: Body::Owned(owned),
-        });
-        link.queued_total += (HEADER_LEN + body.len()) as u64;
-        link.queued_total
+        link.tx.push(hdr, Body::Owned(owned))
     }
 
     fn queue_shared(&mut self, peer: usize, hdr: &Header, body: &Arc<[u8]>) -> u64 {
@@ -577,20 +599,15 @@ impl FrameFabric for SocketFabric {
         let Some(link) = self.links[peer].as_mut() else {
             return 0;
         };
-        link.out.push_back(OutFrame {
-            hdr: hdr.encode(),
-            body: Body::Shared(Arc::clone(body)),
-        });
-        link.queued_total += (HEADER_LEN + body.len()) as u64;
-        link.queued_total
+        link.tx.push(hdr, Body::Shared(Arc::clone(body)))
     }
 
     fn queued(&self, peer: usize) -> u64 {
-        self.links[peer].as_ref().map_or(0, |l| l.queued_total)
+        self.links[peer].as_ref().map_or(0, |l| l.tx.queued)
     }
 
     fn flushed(&self, peer: usize) -> u64 {
-        self.links[peer].as_ref().map_or(0, |l| l.flushed_total)
+        self.links[peer].as_ref().map_or(0, |l| l.tx.flushed)
     }
 
     fn flush(&mut self, peer: usize) -> LinkPoll {
@@ -607,7 +624,7 @@ impl FrameFabric for SocketFabric {
             flush_socket(link, &self.obs, &mut res);
         }
         if res.died {
-            link.alive = false;
+            link.die();
             self.poll.remove(peer);
         }
         res
@@ -640,21 +657,34 @@ impl FrameFabric for SocketFabric {
         if !link.alive {
             return res;
         }
-        let mut cx = RxCtx {
-            rxbuf: &mut self.rxbuf,
-            chunk: &mut self.chunk,
+        let cx = RxCtx {
+            granted,
             empty: &self.empty,
             obs: &self.obs,
-            granted,
         };
+        let socket_ready = self.poll.ready(peer);
         if link.shm.is_some() {
-            recv_shm(link, self.poll.ready(peer), &mut cx, out, &mut res);
+            recv_shm(
+                link,
+                socket_ready,
+                &mut self.rxbuf,
+                &mut self.chunk,
+                &cx,
+                out,
+                &mut res,
+            );
         } else {
-            let SocketLink { stream, rx, .. } = link;
-            read_socket(stream, rx, &mut cx, out, &mut res);
+            read_socket(
+                &link.stream,
+                &mut link.rx,
+                &mut self.rxbuf,
+                &cx,
+                out,
+                &mut res,
+            );
         }
         if res.died {
-            link.alive = false;
+            link.die();
             self.poll.remove(peer);
         }
         res
@@ -668,6 +698,7 @@ impl FrameFabric for SocketFabric {
             shm_frames: c("wire.shm_frames"),
             shm_fallback: c("wire.shm_fallback"),
             shm_doorbell: c("wire.shm_doorbell"),
+            rx_copy_bytes: c("wire.rx_copy_bytes"),
             sys_poll: c("wire.sys.poll"),
             sys_read: c("wire.sys.read"),
             sys_write: c("wire.sys.write"),
@@ -684,17 +715,17 @@ impl FrameFabric for SocketFabric {
 /// by those reads, so nothing complete is lost and nothing partial
 /// delivered.
 fn read_socket(
-    stream: &mut Stream,
+    stream: &Stream,
     rx: &mut Reassembly,
-    cx: &mut RxCtx<'_>,
+    rxbuf: &mut Vec<u8>,
+    cx: &RxCtx<'_>,
     out: &mut Vec<Frame>,
     res: &mut LinkPoll,
 ) {
+    let room = rx.room();
     let got = loop {
         cx.obs.sys_read.inc();
-        let mut bufs = [IoSliceMut::new(rx.direct()), IoSliceMut::new(cx.rxbuf)];
-        match stream.read_vectored(&mut bufs) {
-            Ok(0) => break 0,
+        match crate::sys::readv_into(stream.raw_fd(), rx.direct(), rxbuf) {
             Ok(n) => break n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -707,17 +738,13 @@ fn read_socket(
     }
     res.bytes += got as u64;
     res.moved = true;
-    let direct = got.min(rx.direct().len());
-    rx.filled_direct(direct, out);
-    let buffered = got - direct;
-    if rx
-        .feed(&cx.rxbuf[..buffered], cx.granted, cx.empty, out)
-        .is_err()
-    {
+    rx.finish_body(cx, out);
+    let buffered = got - got.min(room);
+    if rx.feed(&rxbuf[..buffered], cx, out).is_err() {
         res.died = true;
     }
-    if buffered == cx.rxbuf.len() && buffered < RX_BUF {
-        cx.rxbuf.resize(2 * buffered, 0);
+    if buffered == rxbuf.len() && buffered < RX_BUF {
+        rxbuf.resize(2 * buffered, 0);
     }
 }
 
@@ -725,11 +752,12 @@ fn read_socket(
 /// syscall, header and body as separate slices built on the stack — no
 /// staging copy, no allocation.
 fn flush_socket(link: &mut SocketLink, obs: &FabricObs, res: &mut LinkPoll) {
-    while !link.out.is_empty() {
+    let SocketLink { stream, tx, .. } = link;
+    while !tx.frames.is_empty() {
         let mut slices = [IoSlice::new(&[]); 2 * MAX_WRITEV_FRAMES];
         let mut n_slices = 0;
-        let mut skip = link.out_off;
-        for f in link.out.iter().take(MAX_WRITEV_FRAMES) {
+        let mut skip = tx.off;
+        for f in tx.frames.iter().take(MAX_WRITEV_FRAMES) {
             let body = f.body.as_slice();
             // Only the front frame is partially flushed (`skip` > 0).
             if skip < HEADER_LEN {
@@ -743,25 +771,27 @@ fn flush_socket(link: &mut SocketLink, obs: &FabricObs, res: &mut LinkPoll) {
             skip = 0;
         }
         obs.sys_write.inc();
-        match link.stream.write_vectored(&slices[..n_slices]) {
+        match stream.write_vectored(&slices[..n_slices]) {
             Ok(0) => {
                 res.died = true;
                 return;
             }
             Ok(mut n) => {
-                link.flushed_total += n as u64;
+                tx.flushed += n as u64;
                 res.bytes += n as u64;
                 res.moved = true;
                 while n > 0 {
-                    let Some(front) = link.out.front() else { break };
-                    let remaining = front.wire_len() - link.out_off;
+                    let Some(front) = tx.frames.front() else {
+                        break;
+                    };
+                    let remaining = front.wire_len() - tx.off;
                     if n >= remaining {
                         n -= remaining;
-                        link.out.pop_front();
-                        link.out_off = 0;
+                        tx.frames.pop_front();
+                        tx.off = 0;
                         obs.writev_frames.inc();
                     } else {
-                        link.out_off += n;
+                        tx.off += n;
                         n = 0;
                     }
                 }
@@ -776,49 +806,14 @@ fn flush_socket(link: &mut SocketLink, obs: &FabricObs, res: &mut LinkPoll) {
     }
 }
 
-/// Shared-memory flush: copy queued frames straight into ring slots, one
-/// chunk per slot, resumable mid-frame when the ring fills. After any
-/// publish, ring the UDS doorbell if the consumer announced it may park.
+/// Shared-memory flush: the queued frames into the ring, then — after
+/// any publish — the UDS doorbell if the consumer announced it may park.
 fn flush_shm(link: &mut SocketLink, obs: &FabricObs, res: &mut LinkPoll) {
     let SocketLink {
-        stream,
-        out,
-        out_off,
-        flushed_total,
-        shm,
-        ..
+        stream, tx, shm, ..
     } = link;
     let Some(shm) = shm.as_mut() else { return };
-    let mut pushed_any = false;
-    'frames: while let Some(front) = out.front() {
-        let body = front.body.as_slice();
-        let total = HEADER_LEN + body.len();
-        while *out_off < total {
-            let start = *out_off;
-            let Some(end) = shm.tx.try_push_with(|w| {
-                let mut off = start;
-                if off < HEADER_LEN {
-                    off += w.put(&front.hdr[off..]);
-                }
-                if off >= HEADER_LEN {
-                    off += w.put(&body[off - HEADER_LEN..]);
-                }
-                off
-            }) else {
-                break 'frames; // ring full; resume at out_off next poll
-            };
-            let wrote = (end - start) as u64;
-            *out_off = end;
-            *flushed_total += wrote;
-            res.bytes += wrote;
-            res.moved = true;
-            pushed_any = true;
-        }
-        out.pop_front();
-        *out_off = 0;
-        obs.shm_frames.inc();
-    }
-    if pushed_any && shm.tx.doorbell_needed() {
+    if push_ring(&mut shm.tx, tx, obs, res) && shm.tx.doorbell_needed() {
         // Best-effort nudge on the socket: the consumer's poll loop (and
         // its timeout backstop) make a dropped doorbell a latency blip,
         // never a hang.
@@ -835,13 +830,55 @@ fn flush_shm(link: &mut SocketLink, obs: &FabricObs, res: &mut LinkPoll) {
     }
 }
 
+/// Copy queued frames straight into ring slots, one chunk per slot,
+/// resumable mid-frame when the ring fills. Returns whether anything was
+/// published.
+fn push_ring<M: RingMem>(
+    ring: &mut Producer<M>,
+    tx: &mut Outbox,
+    obs: &FabricObs,
+    res: &mut LinkPoll,
+) -> bool {
+    let mut pushed_any = false;
+    'frames: while let Some(front) = tx.frames.front() {
+        let body = front.body.as_slice();
+        let total = HEADER_LEN + body.len();
+        while tx.off < total {
+            let start = tx.off;
+            let Some(end) = ring.try_push_with(|w| {
+                let mut off = start;
+                if off < HEADER_LEN {
+                    off += w.put(&front.hdr[off..]);
+                }
+                if off >= HEADER_LEN {
+                    off += w.put(&body[off - HEADER_LEN..]);
+                }
+                off
+            }) else {
+                break 'frames; // ring full; resume at `off` next poll
+            };
+            let wrote = (end - start) as u64;
+            tx.off = end;
+            tx.flushed += wrote;
+            res.bytes += wrote;
+            res.moved = true;
+            pushed_any = true;
+        }
+        tx.frames.pop_front();
+        tx.off = 0;
+        obs.shm_frames.inc();
+    }
+    pushed_any
+}
+
 /// Shared-memory receive: read the socket if the sweep said so
-/// (doorbells; EOF is how a dead peer is noticed), then drain the ring a
-/// chunk at a time through the data reassembly.
+/// (doorbells; EOF is how a dead peer is noticed), then drain the ring.
 fn recv_shm(
     link: &mut SocketLink,
     socket_ready: bool,
-    cx: &mut RxCtx<'_>,
+    rxbuf: &mut Vec<u8>,
+    staging: &mut Vec<u8>,
+    cx: &RxCtx<'_>,
     out: &mut Vec<Frame>,
     res: &mut LinkPoll,
 ) {
@@ -865,22 +902,41 @@ fn recv_shm(
     // first. Out-of-band frames parse first too: a doorbell precedes the
     // frame it announces.
     if socket_ready {
-        read_socket(stream, oob, cx, out, res);
+        read_socket(stream, oob, rxbuf, cx, out, res);
     }
+    drain_ring(&mut shm.rx, rx, staging, cx, out, res);
+}
+
+/// Drain the ring a chunk at a time through the data reassembly, each
+/// pop shaped like [`read_socket`]'s `readv`: the body in progress takes
+/// its bytes straight from the slot, and only what follows it in the
+/// chunk is staged and parsed. A corrupt slot kills the link.
+fn drain_ring<M: RingMem>(
+    ring: &mut Consumer<M>,
+    rx: &mut Reassembly,
+    staging: &mut Vec<u8>,
+    cx: &RxCtx<'_>,
+    out: &mut Vec<Frame>,
+    res: &mut LinkPoll,
+) {
     let before = out.len();
     loop {
-        cx.chunk.clear();
-        match shm.rx.try_pop(cx.chunk) {
-            shmring::Pop::Got(n) => {
+        staging.clear();
+        match crate::shm::pop_into(ring, rx.direct(), staging) {
+            Pop::Got(n) => {
                 res.bytes += n as u64;
                 res.moved = true;
-                if rx.feed(cx.chunk, cx.granted, cx.empty, out).is_err() {
+                // Each byte leaves its slot by one copy: into the body, or
+                // into the staging.
+                cx.obs.rx_copy_bytes.add(n as u64);
+                rx.finish_body(cx, out);
+                if rx.feed(staging, cx, out).is_err() {
                     res.died = true;
                     break;
                 }
             }
-            shmring::Pop::Empty => break,
-            shmring::Pop::Corrupt => {
+            Pop::Empty => break,
+            Pop::Corrupt => {
                 res.died = true;
                 break;
             }

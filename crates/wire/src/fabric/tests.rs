@@ -2,9 +2,9 @@
 //! receive path — reassembly, one read per pass, EOF ordering, hostile
 //! lengths, the shm socket-before-ring rule, and the syscall counts.
 //!
-//! `reassembly_*` tests open no sockets (they are the ones the Miri lane
-//! can run); everything else needs `socketpair` and `poll` and runs
-//! natively only.
+//! `reassembly_*` and `ring_reassembly_*` tests open no sockets and map
+//! no segment (they are the ones the Miri lane can run); everything else
+//! needs `socketpair`, `poll` or `mmap` and runs natively only.
 
 use super::*;
 use crate::engine::{WireComm, WireConfig};
@@ -12,16 +12,20 @@ use crate::proto::MAX_FRAME_LEN;
 use proptest::prelude::*;
 use rtmpi::{OpOutcome, Transport};
 
+/// The ring geometry the shm tests use unless they vary it: 4 × 128 B.
+const SMALL_RING: Option<(u32, u32)> = Some((4, 128));
+
 /// Two fabrics joined by one socketpair (A sees the peer as rank 1,
-/// B as rank 0), with an optional in-process shm segment attached.
-fn joined(shm: bool) -> (SocketFabric, SocketFabric) {
+/// B as rank 0), with an optional in-process shm segment of `ring`
+/// (slots, slot bytes) attached.
+fn joined(ring: Option<(u32, u32)>) -> (SocketFabric, SocketFabric) {
     let (sa, sb) = UnixStream::pair().expect("socketpair");
     sa.set_nonblocking(true).expect("nonblocking");
     sb.set_nonblocking(true).expect("nonblocking");
     let mut a = SocketFabric::new(vec![None, Some(Stream::from(sa))]);
     let mut b = SocketFabric::new(vec![Some(Stream::from(sb)), None]);
-    if shm {
-        let (la, lb) = crate::shm::loopback_pair(4, 128).expect("segment");
+    if let Some((slots, slot_size)) = ring {
+        let (la, lb) = crate::shm::loopback_pair(slots, slot_size).expect("segment");
         a.attach_shm(1, la);
         b.attach_shm(0, lb);
     }
@@ -123,14 +127,25 @@ fn frames_from(seeds: &[u64]) -> Vec<(Header, Vec<u8>)> {
 
 // ---- reassembly (no sockets) -------------------------------------------
 
+/// Run `f` with a parse context that grants what `granted` says.
+fn with_cx(granted: &dyn Fn(&Header) -> bool, f: impl FnOnce(&RxCtx<'_>)) {
+    let empty: Arc<[u8]> = Arc::from(Vec::new());
+    let obs = FabricObs::default();
+    f(&RxCtx {
+        granted,
+        empty: &empty,
+        obs: &obs,
+    })
+}
+
 fn feed_all(chunks: &[&[u8]]) -> (Reassembly, Vec<Frame>) {
     let mut rx = Reassembly::default();
     let mut out = Vec::new();
-    let empty: Arc<[u8]> = Arc::from(Vec::new());
-    for c in chunks {
-        rx.feed(c, &|h: &Header| h.xid == 1, &empty, &mut out)
-            .expect("well-formed stream");
-    }
+    with_cx(&|h: &Header| h.xid == 1, |cx| {
+        for c in chunks {
+            rx.feed(c, cx, &mut out).expect("well-formed stream");
+        }
+    });
     (rx, out)
 }
 
@@ -164,7 +179,7 @@ fn reassembly_trusts_an_announced_length_only_when_granted_or_small() {
     let (rx, out) = feed_all(&[&hdr_of(1).encode(), &[0xaa; 10]]);
     assert!(out.is_empty());
     match rx.body {
-        Some((_, BodyBuf::Sized { buf, filled })) => assert_eq!((buf.len(), filled), (big, 10)),
+        Some((_, BodyBuf::Sized(b))) => assert_eq!((b.len(), b.filled()), (big, 10)),
         _ => panic!("granted body is allocated at its final size"),
     }
     // Not granted: the peer's word buys only what it actually sent.
@@ -176,33 +191,158 @@ fn reassembly_trusts_an_announced_length_only_when_granted_or_small() {
     // Small enough for the receive buffer: sized on the header's say-so.
     let small = frame(FrameKind::Eager, 9, &[0; 100]);
     let (rx, _) = feed_all(&[&small.encode(), &[1; 3]]);
-    assert!(matches!(
-        rx.body,
-        Some((_, BodyBuf::Sized { filled: 3, .. }))
-    ));
+    assert!(matches!(rx.body, Some((_, BodyBuf::Sized(b))) if b.filled() == 3));
 }
 
 #[test]
 fn reassembly_rejects_a_corrupt_header_without_panicking() {
-    let mut rx = Reassembly::default();
     let mut out = Vec::new();
-    let empty: Arc<[u8]> = Arc::from(Vec::new());
     let mut bad = eager(1, &[]).encode();
     bad[0] = 0xff;
-    assert!(rx.feed(&bad, &|_| false, &empty, &mut out).is_err());
+    with_cx(&|_| false, |cx| {
+        assert!(Reassembly::default().feed(&bad, cx, &mut out).is_err());
+    });
     let mut huge = eager(1, &[]).encode();
     huge[16..24].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-    assert!(Reassembly::default()
-        .feed(&huge, &|_| true, &empty, &mut out)
-        .is_err());
+    with_cx(&|_| true, |cx| {
+        assert!(Reassembly::default().feed(&huge, cx, &mut out).is_err());
+    });
     assert!(out.is_empty());
+}
+
+// ---- ring reassembly (no sockets, heap rings) --------------------------
+
+/// Move `frames` through a `slots` × `slot_size` heap ring into the
+/// fabric's `drain_ring` (the ring half of `recv_shm`), one ring's worth
+/// per round, until everything is across or the link died. Unless
+/// `packed`, they are queued on an outbox and pushed by `push_ring` (the
+/// ring half of `flush_shm`), which starts every frame in a fresh slot;
+/// `packed`, their encoded bytes fill every slot, so a body's tail and
+/// the next frame share one, as any producer may send them.
+/// `hostile(mem, round)` may scribble on the ring between a round's push
+/// and its drain. DATA frames with an even xid are granted. Returns the
+/// frames delivered, whether the link died, and the counted receive-side
+/// copies.
+fn through_ring(
+    frames: &[(Header, Vec<u8>)],
+    slots: u32,
+    slot_size: u32,
+    packed: bool,
+    mut hostile: impl FnMut(&shmring::HeapMem, u32),
+) -> (Vec<Frame>, bool, u64) {
+    let (mut ptx, mut crx, mem) = shmring::heap_ring(slots, slot_size);
+    let registry = obs::Registry::default();
+    let obs = FabricObs {
+        rx_copy_bytes: registry.counter("wire.rx_copy_bytes"),
+        ..FabricObs::default()
+    };
+    let empty: Arc<[u8]> = Arc::from(Vec::new());
+    let granted = |h: &Header| h.kind == FrameKind::Data && h.xid.is_multiple_of(2);
+    let cx = RxCtx {
+        granted: &granted,
+        empty: &empty,
+        obs: &obs,
+    };
+    let mut tx = Outbox::default();
+    let (bytes, mut sent) = (encoded(frames), 0);
+    if !packed {
+        for (h, b) in frames {
+            tx.push(h, Body::Owned(b.clone()));
+        }
+        sent = bytes.len();
+    }
+    let (mut rx, mut staging, mut out) = (Reassembly::default(), Vec::new(), Vec::new());
+    let mut res = LinkPoll::default();
+    let mut round = 0;
+    while !res.died
+        && (!tx.frames.is_empty() || sent < bytes.len() || rx.body.is_some() || rx.hdr_len > 0)
+    {
+        let mut pushed = push_ring(&mut ptx, &mut tx, &obs, &mut LinkPoll::default());
+        while sent < bytes.len() {
+            let end = bytes.len().min(sent + slot_size as usize);
+            if !ptx.try_push(&bytes[sent..end]) {
+                break;
+            }
+            (sent, pushed) = (end, true);
+        }
+        hostile(&mem, round);
+        drain_ring(&mut crx, &mut rx, &mut staging, &cx, &mut out, &mut res);
+        round += 1;
+        if !pushed && !res.died {
+            break; // wedged: nothing moves any more
+        }
+    }
+    #[cfg(feature = "obs-enabled")]
+    let copies = registry.snapshot().counter("wire.rx_copy_bytes");
+    #[cfg(not(feature = "obs-enabled"))]
+    let copies = 0;
+    (out, res.died, copies)
+}
+
+#[test]
+fn ring_reassembly_delivers_a_body_tail_and_the_next_header_from_one_slot() {
+    // Packed into 100-byte slots, the 150-byte granted body's tail (the
+    // 74 bytes after the first slot's 76) shares the second slot with
+    // the next frame's header; at 64 bytes, headers straddle slots too.
+    let want = vec![
+        (frame(FrameKind::Data, 2, &[5; 150]), vec![5; 150]),
+        (eager(3, &[6; 10]), vec![6; 10]),
+        (frame(FrameKind::Cts, 4, &[]), vec![]),
+        (frame(FrameKind::Data, 1, &[7; 700]), vec![7; 700]),
+        (frame(FrameKind::Data, 6, &[8; 3000]), vec![8; 3000]),
+        (eager(5, &[9; 40]), vec![9; 40]),
+    ];
+    for packed in [false, true] {
+        for (slots, slot_size) in [(2, 64), (4, 100), (8, 1000), (2, 16 * 1024)] {
+            let (out, died, _) = through_ring(&want, slots, slot_size, packed, |_, _| {});
+            assert!(!died, "{slots} x {slot_size}, packed {packed}");
+            assert_same(&out, &want);
+        }
+    }
+}
+
+#[cfg(feature = "obs-enabled")]
+#[test]
+fn ring_reassembly_writes_a_granted_body_once_but_its_first_chunk() {
+    // A 256 KiB granted body through 16 KiB slots: only the first slot,
+    // whose header must be parsed before the body exists, is staged and
+    // then copied again.
+    let body = vec![0x5a; 256 * 1024];
+    let want = vec![(frame(FrameKind::Data, 0, &body), body)];
+    let (out, _, copies) = through_ring(&want, 4, 16 * 1024, false, |_, _| {});
+    assert_same(&out, &want);
+    let staged = 16 * 1024 - HEADER_LEN as u64;
+    assert_eq!(copies, (256 * 1024 + HEADER_LEN as u64) + staged);
+}
+
+#[test]
+fn ring_reassembly_kills_the_link_on_a_hostile_slot_mid_body() {
+    // A granted 2000-byte body through a 4 × 64 ring: the third slot of
+    // the second round is published with a corrupt control word.
+    let body: Vec<u8> = (0..2000u32).map(|i| i as u8).collect();
+    let want = [(frame(FrameKind::Data, 0, &body), body)];
+    let hostile_len = |mem: &shmring::HeapMem, round: u32| {
+        if round == 1 {
+            mem.len(2).store(65, std::sync::atomic::Ordering::Relaxed);
+        }
+    };
+    let hostile_seq = |mem: &shmring::HeapMem, round: u32| {
+        if round == 1 {
+            mem.seq(2)
+                .store(0xdead_beef, std::sync::atomic::Ordering::Relaxed);
+        }
+    };
+    let (out, died, _) = through_ring(&want, 4, 64, false, hostile_len);
+    assert!(died && out.is_empty(), "len beyond the slot");
+    let (out, died, _) = through_ring(&want, 4, 64, false, hostile_seq);
+    assert!(died && out.is_empty(), "garbage seq");
 }
 
 // ---- flush side --------------------------------------------------------
 
 #[test]
 fn doorbell_rings_once_per_park_and_rides_the_socket() {
-    let (mut a, mut b) = joined(true);
+    let (mut a, mut b) = joined(SMALL_RING);
     let registry = obs::Registry::default();
     a.register_obs(&registry);
     // The consumer announces it may park; the empty ring permits it.
@@ -244,7 +384,7 @@ fn doorbell_rings_once_per_park_and_rides_the_socket() {
 fn shm_flush_resumes_a_frame_wider_than_the_ring() {
     // 600-byte body through a 4x128 ring: the frame cannot fit in one
     // ring's worth of slots, so flush must park mid-frame and resume.
-    let (mut a, mut b) = joined(true);
+    let (mut a, mut b) = joined(SMALL_RING);
     let body: Vec<u8> = (0..600u32).map(|i| i as u8).collect();
     a.queue(1, &eager(3, &body), &body);
     let mut out = Vec::new();
@@ -260,7 +400,7 @@ fn shm_flush_resumes_a_frame_wider_than_the_ring() {
 
 #[test]
 fn writev_flush_counts_whole_frames() {
-    let (mut a, mut b) = joined(false);
+    let (mut a, mut b) = joined(None);
     let registry = obs::Registry::default();
     a.register_obs(&registry);
     for t in 0..3 {
@@ -319,6 +459,53 @@ proptest! {
         let rx = &f.links[1].as_ref().expect("link").rx;
         prop_assert!(rx.body.is_none() && rx.hdr_len == 0);
     }
+
+    /// The same streams through a shared-memory segment with slots of
+    /// 64 B (the smallest a peer may offer) to 16 KiB come out of
+    /// `recv_shm` identical — bodies filled straight from their slots,
+    /// granted and ungranted bodies alike — whether `flush_shm` sent them
+    /// (every frame from a fresh slot) or their bytes were pushed in
+    /// chunks of any size a slot holds, so that a body's tail and the
+    /// next header share a slot.
+    #[test]
+    fn any_frame_stream_through_any_ring_comes_out_identical(
+        seeds in prop::collection::vec(any::<u64>(), 1..20),
+        cuts in prop::collection::vec(1usize..16 * 1024, 1..12),
+        geometry in any::<u64>(),
+    ) {
+        let want = frames_from(&seeds);
+        let slot_size = ((64u32 << (geometry % 9)) - (geometry >> 8) as u32 % 64).max(64);
+        let ring = Some((2 << ((geometry >> 16) % 3), slot_size));
+        let (mut a, mut b) = joined(ring);
+        for (h, body) in &want {
+            a.queue(1, h, body);
+        }
+        let mut out = Vec::new();
+        while a.flushed(1) < a.queued(1) {
+            prop_assert!(!a.flush(1).died);
+            prop_assert!(!pass(&mut b, 0, &mut out).died);
+        }
+        pass(&mut b, 0, &mut out);
+        assert_same(&out, &want);
+
+        let bytes = encoded(&want);
+        let (mut a, mut b) = joined(ring);
+        let tx = &mut a.links[1].as_mut().expect("link").shm.as_mut().expect("shm").tx;
+        let mut out = Vec::new();
+        let (mut sent, mut cut) = (0, 0);
+        while sent < bytes.len() {
+            let end = bytes.len().min(sent + cuts[cut % cuts.len()].min(slot_size as usize));
+            if tx.try_push(&bytes[sent..end]) {
+                (sent, cut) = (end, cut + 1);
+            } else {
+                prop_assert!(!pass(&mut b, 0, &mut out).died);
+            }
+        }
+        pass(&mut b, 0, &mut out);
+        assert_same(&out, &want);
+        let rx = &b.links[0].as_ref().expect("link").rx;
+        prop_assert!(rx.body.is_none() && rx.hdr_len == 0);
+    }
 }
 
 #[test]
@@ -350,6 +537,28 @@ fn eof_mid_body_reports_death_and_delivers_nothing_partial() {
         let mut out = Vec::new();
         let died = (0..4).any(|_| pass(&mut f, 1, &mut out).died);
         assert!(died && out.is_empty());
+    }
+}
+
+#[test]
+fn shm_eof_mid_body_reports_death_and_delivers_nothing_partial() {
+    for granted_xid in [0, 1] {
+        let (mut a, mut b) = joined(SMALL_RING);
+        let body = vec![7; 200_000];
+        a.queue(1, &frame(FrameKind::Data, granted_xid, &body), &body);
+        let mut out = Vec::new();
+        for _ in 0..8 {
+            a.flush(1);
+            pass(&mut b, 0, &mut out);
+        }
+        assert!(b.links[0].as_ref().expect("link").rx.body.is_some());
+        drop(a);
+        let died = (0..4).any(|_| pass(&mut b, 0, &mut out).died);
+        assert!(died && out.is_empty());
+        assert!(
+            b.links[0].as_ref().expect("link").rx.body.is_none(),
+            "the partial body is dropped with the link"
+        );
     }
 }
 
@@ -405,7 +614,7 @@ fn shm_frame_pushed_then_closed_is_not_lost() {
     // Regression for the socket-before-ring rule: the peer publishes into
     // the ring and closes. The pass that sees the hang-up must still
     // deliver the ring's chunks before the link dies.
-    let (mut a, mut b) = joined(true);
+    let (mut a, mut b) = joined(SMALL_RING);
     a.queue(1, &eager(4, &[8; 300]), &[8; 300]);
     a.flush(1);
     drop(a);

@@ -45,14 +45,16 @@
 //! impl. `offload-lint` enforces that confinement.
 
 use std::io;
+use std::mem::MaybeUninit;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use shmring::RingMem;
+use shmring::{Pop, RingMem};
 
 use crate::fabric::Stream;
 use crate::proto::{FrameKind, Header, HEADER_LEN};
+use crate::sys::RxBody;
 
 /// Default ring geometry: 128 slots × 16 KiB ≈ 2 MiB per direction.
 /// A slot comfortably holds the largest eager frame (`WIRE_EAGER_MAX`
@@ -321,7 +323,8 @@ impl ShmMem {
     }
 }
 
-impl shmring::RingMem for ShmMem {
+// SAFETY: `read` copies `min(n, direct.len())` slot bytes into `direct`.
+unsafe impl shmring::RingMem for ShmMem {
     fn slots(&self) -> u32 {
         self.slots
     }
@@ -361,19 +364,49 @@ impl shmring::RingMem for ShmMem {
         }
     }
 
-    fn read(&self, slot: u32, out: &mut Vec<u8>, n: u32) {
+    fn read(&self, slot: u32, n: u32, direct: &mut [MaybeUninit<u8>], out: &mut Vec<u8>) {
         let n = (n.min(self.slot_size)) as usize;
+        let d = n.min(direct.len());
         let start = out.len();
-        out.resize(start + n, 0);
+        out.reserve(n - d);
         // SAFETY: src is within this slot's payload (n clamped to
-        // slot_size); dst is the freshly reserved tail of `out`. The
-        // producer does not rewrite a published slot until we recycle it
-        // — and if a hostile peer does anyway, we copy torn bytes, which
-        // the frame parser then rejects; never UB on our side.
+        // slot_size); the destinations are `direct[..d]` and the `n - d`
+        // bytes just reserved past `out.len()`, which the copy initialises
+        // before `set_len` exposes them. The producer does not rewrite a
+        // published slot until we recycle it — and if a hostile peer does
+        // anyway, we copy torn bytes, which the frame parser then rejects;
+        // never UB on our side.
         unsafe {
-            std::ptr::copy_nonoverlapping(self.slot_data(slot), out.as_mut_ptr().add(start), n);
+            let src = self.slot_data(slot);
+            std::ptr::copy_nonoverlapping(src, direct.as_mut_ptr().cast::<u8>(), d);
+            std::ptr::copy_nonoverlapping(src.add(d), out.as_mut_ptr().add(start), n - d);
+            out.set_len(start + n - d);
         }
     }
+}
+
+/// One ring pop shaped like [`crate::sys::readv_into`]: the chunk fills
+/// the unfilled rest of `body` first, and only what follows that body is
+/// appended to `staging`. On `Got(n)` the body's share is already counted
+/// filled.
+pub(crate) fn pop_into<M: RingMem>(
+    ring: &mut shmring::Consumer<M>,
+    body: Option<&mut RxBody>,
+    staging: &mut Vec<u8>,
+) -> Pop {
+    let Some(body) = body else {
+        return ring.try_pop(staging);
+    };
+    let spare = body.spare();
+    let room = spare.len();
+    let pop = ring.try_pop_into(spare, staging);
+    if let Pop::Got(n) = pop {
+        // SAFETY: `try_pop_into` handed `spare` to `RingMem::read`, whose
+        // contract (an `unsafe trait`) is to initialise its first
+        // `min(n, room)` bytes.
+        unsafe { body.advance(n.min(room)) };
+    }
+    pop
 }
 
 /// Both directions of one peer pair's data plane.
@@ -699,7 +732,6 @@ pub(crate) fn accept_segment(stream: &mut Stream, rank: u32) -> io::Result<Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmring::Pop;
 
     #[test]
     fn layout_rejects_degenerate_and_hostile_geometry() {
