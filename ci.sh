@@ -2,7 +2,7 @@
 # Local/CI gate: build, test (both observability modes), format, lint.
 # Fully offline — all dependencies are path deps inside the repo.
 #
-# Usage: ci.sh [all|bench-gate|bench-baseline|loc]
+# Usage: ci.sh [all|bench-gate|bench-baseline|loc|options]
 #   all            — every lane below, including the perf-trajectory gate.
 #   bench-gate     — only the perf-trajectory gate: re-measure the quick
 #                    panels into a scratch dir and bench-compare them
@@ -14,6 +14,10 @@
 #   loc            — per-crate and workspace non-test line counts by the
 #                    CHANGES.md convention (what a PR's before/after LOC
 #                    table is made of; run it on either commit).
+#   options        — the independently settable values a simplicity
+#                    review counts (env variables, cargo features,
+#                    `offload-run` flags, `pub` config-struct fields);
+#                    like `loc`, run it on either commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -93,28 +97,33 @@ bench_baseline() {
   echo "bench-baseline: BENCH_*.json regenerated at the repo root — review the diff and commit"
 }
 
-# `all lines / code lines` of the non-test source: every .rs under a
-# crate's src/ and benches/ except files named tests.rs, each counted up
-# to its first column-0 `#[cfg(test)]`; a code line is neither blank nor a
-# `//` comment. `crates` sums crates/* (the "workspace" figure of CHANGES
-# up to PR 18); `workspace` adds the root package's examples/ (its own
-# 12-line lib and shims/ are left out of both).
+# The non-test source: every .rs under the given dirs except files named
+# tests.rs, each up to its first column-0 `#[cfg(test)]`.
+NONTEST='FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip { next }'
+nontest() { # nontest <awk program> <awk args…> -- <dir…>
+  local prog="$NONTEST $1" args=()
+  shift
+  while [ "$1" != "--" ]; do args+=("$1"); shift; done
+  shift
+  find "$@" -name '*.rs' ! -name tests.rs -print0 | xargs -0 awk "${args[@]}" "$prog"
+}
+
+# `all lines / code lines` of the non-test source of a crate's src/ and
+# benches/; a code line is neither blank nor a `//` comment. `crates` sums
+# crates/* (the "workspace" figure of older CHANGES entries); `workspace`
+# adds the root package's examples/ (its own 12-line lib and shims/ are
+# left out of both).
 loc() {
   local count='
-    FNR == 1 { skip = 0 }
-    /^#\[cfg\(test\)\]/ { skip = 1 }
-    skip { next }
     { all++ }
     !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { code++ }
     END { printf "%-12s %6d / %6d\n", label, all, code }'
   local d dirs
   {
     for d in crates/*/; do
-      dirs="${d}src"
-      [ -d "${d}benches" ] && dirs="$dirs ${d}benches"
-      # shellcheck disable=SC2086
-      find $dirs -name '*.rs' ! -name tests.rs -print0 \
-        | xargs -0 awk -v label="$(basename "$d")" "$count"
+      dirs=("${d}src")
+      [ -d "${d}benches" ] && dirs+=("${d}benches")
+      nontest "$count" -v label="$(basename "$d")" -- "${dirs[@]}"
     done
     echo crates
     awk -v label=examples "$count" examples/*.rs
@@ -125,9 +134,45 @@ loc() {
     END { total("workspace") }'
 }
 
+# The independently settable values, each by one textual rule over the
+# non-test source of crates/*/{src,benches}, examples/ and src/:
+#   env        names read through `env::var`/`env::var_os`/an `env_*`
+#              helper as a literal, or declared as `const ENV_*: &str`;
+#   features   `[features]` entries of every Cargo.toml but `default`;
+#   cli-flags  match arms of `offload-run`'s argument parser (`--help`
+#              sets nothing);
+#   config     `pub` fields of structs named *Config, *Opts, *Spec,
+#              *Profile, *Env or *Policy.
+options() {
+  local src=(crates/*/src examples src)
+  for d in crates/*/benches; do [ -d "$d" ] && src+=("$d"); done
+  local names
+  names=$(nontest '{ print }' -- "${src[@]}" \
+    | grep -oE '(env::var(_os)?|env_[a-z0-9_]+)\(\s*"[A-Z][A-Z0-9_]*"|const ENV_[A-Z0-9_]+: &str = "[A-Z][A-Z0-9_]*"' \
+    | grep -oE '"[A-Z][A-Z0-9_]*"' | tr -d '"' | sort -u)
+  printf '%-10s %4d  %s\n' env "$(grep -c . <<<"$names")" "$(echo $names)"
+  printf '%-10s %4d\n' features "$(awk '
+    /^\[/ { on = ($0 == "[features]") }
+    on && /^[A-Za-z0-9_-]+ *=/ && $1 != "default" { n++ }
+    END { print n + 0 }' Cargo.toml crates/*/Cargo.toml)"
+  printf '%-10s %4d\n' cli-flags "$(nontest '
+    /^[[:space:]]*"--?[a-z-]+"([[:space:]]*\|[[:space:]]*"--?[a-z-]+")*[[:space:]]*=>/ \
+      && !/"--help"/ { n++ }
+    END { print n + 0 }' -- crates/wire/src/launcher.rs)"
+  printf '%-10s %4d\n' config "$(nontest '
+    /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Opts|Spec|Profile|Env|Policy)[[:space:]]*(<[^>]*>)?[[:space:]]*\{/ { in_struct = 1; next }
+    in_struct && /^[[:space:]]*\}/ { in_struct = 0 }
+    in_struct && /^[[:space:]]*pub [a-z_][a-z0-9_]*:/ { n++ }
+    END { print n + 0 }' -- "${src[@]}")"
+}
+
 case "${1:-all}" in
   loc)
     loc
+    exit 0
+    ;;
+  options)
+    options
     exit 0
     ;;
   bench-gate)
@@ -142,7 +187,7 @@ case "${1:-all}" in
     ;;
   all) ;;
   *)
-    echo "usage: ci.sh [all|bench-gate|bench-baseline|loc]" >&2
+    echo "usage: ci.sh [all|bench-gate|bench-baseline|loc|options]" >&2
     exit 2
     ;;
 esac

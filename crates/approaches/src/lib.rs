@@ -27,8 +27,10 @@ use mpisim::{Bytes, Dtype, Mpi, Rank, ReduceOp, Status, Tag, ThreadLevel, COMM_W
 use offload::{OffReq, SimOffload};
 use std::future::Future;
 
-// [`Comm::icollective`] speaks `SimColl`; re-export it so application
-// drivers need no direct `offload` dependency.
+// [`Comm::icollective`] speaks `SimColl`, the simulator's instantiation of
+// the one collective type (`mpisim::nbc::CollOf`, whose live instantiation
+// is `live::CollKind`); re-export it so application drivers need no direct
+// `offload` dependency.
 pub use offload::SimColl;
 
 /// Which strategy to run an experiment under.
@@ -287,7 +289,7 @@ impl Comm {
     /// [`wait`]: Comm::wait
     pub async fn icollective(&self, kind: SimColl) -> CommReq {
         match &self.inner {
-            Inner::Direct { mpi, .. } => CommReq::Direct(kind.issue(mpi, COMM_WORLD).await),
+            Inner::Direct { mpi, .. } => CommReq::Direct(mpi.icollective(COMM_WORLD, kind).await),
             Inner::Offload(off) => CommReq::Off(off.icoll(COMM_WORLD, kind).await),
         }
     }
@@ -361,8 +363,8 @@ impl Comm {
         self.collective(SimColl::Barrier).await;
     }
 
-    pub async fn allreduce(&self, payload: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes {
-        let kind = SimColl::Allreduce { payload, dtype, op };
+    pub async fn allreduce(&self, data: Bytes, dtype: Dtype, op: ReduceOp) -> Bytes {
+        let kind = SimColl::Allreduce { data, dtype, op };
         self.collective(kind).await.expect("allreduce result")
     }
 
@@ -596,6 +598,40 @@ mod tests {
         assert!(cspec * 2 < base, "core-spec wait {cspec}ns vs {base}ns");
     }
 
+    /// The wildcard regression of `live`'s tests, on the DES clock: an
+    /// `ANY_SOURCE`/`ANY_TAG` receive posted before a barrier and an
+    /// allreduce takes neither's rounds, under every approach at 2–4
+    /// ranks, and completes with the application message sent after them.
+    #[test]
+    fn wildcard_recv_survives_collectives_under_every_approach() {
+        for approach in Approach::ALL {
+            for p in 2..=4 {
+                let (outs, _) = run_approach(
+                    p,
+                    MachineProfile::xeon(),
+                    approach,
+                    false,
+                    move |comm: Comm| async move {
+                        let r = comm.rank();
+                        let rx = comm.irecv(None, None).await;
+                        comm.barrier().await;
+                        let mine = Bytes::real(f64s_to_bytes(&[r as f64]));
+                        let sum = comm.allreduce(mine, Dtype::F64, ReduceOp::Sum).await;
+                        comm.send((r + 1) % p, 42, Bytes::real(vec![r as u8])).await;
+                        let st = comm.wait(&rx).await.expect("receive status");
+                        let data = rx.take_data().expect("receive data").to_vec();
+                        (bytes_to_f64s(&sum.to_vec())[0], st.source, st.tag, data)
+                    },
+                );
+                for (r, out) in outs.into_iter().enumerate() {
+                    let left = (r + p - 1) % p;
+                    let want = ((p * (p - 1) / 2) as f64, left, 42, vec![left as u8]);
+                    assert_eq!(out, want, "{} p={p} rank {r}", approach.name());
+                }
+            }
+        }
+    }
+
     /// Posting cost ordering (Fig 4): offload posts are cheapest; comm-self
     /// pays the THREAD_MULTIPLE penalty over baseline.
     #[test]
@@ -669,7 +705,7 @@ mod tests {
                     let env = comm.env().clone();
                     let r = comm
                         .icollective(SimColl::Allreduce {
-                            payload: Bytes::synthetic(16 * 1024),
+                            data: Bytes::synthetic(16 * 1024),
                             dtype: Dtype::F64,
                             op: ReduceOp::Sum,
                         })

@@ -159,7 +159,7 @@ async fn rank_driver(
                                 // next iteration to complete.
                                 comm.progress_hint().await;
                                 let grads = SimColl::Allreduce {
-                                    payload: Bytes::synthetic(l.weight_bytes),
+                                    data: Bytes::synthetic(l.weight_bytes),
                                     dtype: Dtype::F32,
                                     op: ReduceOp::Sum,
                                 };

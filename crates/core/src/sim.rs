@@ -23,7 +23,7 @@ use destime::channel::{channel, Receiver, Sender};
 use destime::futures::{race, Either};
 use destime::sync::Flag;
 use destime::{Env, Nanos};
-use mpisim::{Bytes, CommId, Dtype, Mpi, Rank, ReduceOp, Request, Status, Tag};
+use mpisim::{Bytes, CommId, Mpi, Rank, Request, Status, Tag};
 
 /// Completion payload written into the (modelled) request-pool slot.
 type OutSlot = Rc<RefCell<Option<(Option<Status>, Option<Bytes>)>>>;
@@ -125,66 +125,9 @@ impl OffReq {
     }
 }
 
-/// Offloadable collectives (simulation mode mirrors the live [`crate::live::CollKind`]).
-pub enum SimColl {
-    Barrier,
-    Allreduce {
-        payload: Bytes,
-        dtype: Dtype,
-        op: ReduceOp,
-    },
-    Reduce {
-        root: Rank,
-        payload: Bytes,
-        dtype: Dtype,
-        op: ReduceOp,
-    },
-    Bcast {
-        root: Rank,
-        payload: Bytes,
-    },
-    Allgather {
-        mine: Bytes,
-    },
-    Alltoall {
-        input: Bytes,
-        block: usize,
-    },
-    Gather {
-        root: Rank,
-        mine: Bytes,
-    },
-    Scatter {
-        root: Rank,
-        input: Option<Bytes>,
-        block: usize,
-    },
-}
-
-impl SimColl {
-    /// Issue this collective's nonblocking MPI call on `comm` — the one
-    /// place a collective kind becomes an `mpi.i*` call, shared by the
-    /// offload thread and by strategies that call MPI directly.
-    pub async fn issue(self, mpi: &Mpi, comm: CommId) -> Request {
-        match self {
-            SimColl::Barrier => mpi.ibarrier(comm).await,
-            SimColl::Allreduce { payload, dtype, op } => {
-                mpi.iallreduce(comm, payload, dtype, op).await
-            }
-            SimColl::Reduce {
-                root,
-                payload,
-                dtype,
-                op,
-            } => mpi.ireduce(comm, root, payload, dtype, op).await,
-            SimColl::Bcast { root, payload } => mpi.ibcast(comm, root, payload).await,
-            SimColl::Allgather { mine } => mpi.iallgather(comm, mine).await,
-            SimColl::Alltoall { input, block } => mpi.ialltoall(comm, input, block).await,
-            SimColl::Gather { root, mine } => mpi.igather(comm, root, mine).await,
-            SimColl::Scatter { root, input, block } => mpi.iscatter(comm, root, input, block).await,
-        }
-    }
-}
+/// Offloadable collectives: the live [`crate::CollKind`]'s type over
+/// simulator payloads, planned by the same `mpisim::nbc::plan_of`.
+pub type SimColl = mpisim::nbc::CollOf<Bytes>;
 
 enum SimCmd {
     Isend {
@@ -598,7 +541,7 @@ async fn issue(mpi: &Mpi, cmd: SimCmd, inflight: &mut Vec<InFlight>, lo: &LoopOb
             // Blocking collectives become their nonblocking equivalents so
             // the offload thread never stalls (paper §3.3).
             lo.converted.inc();
-            let req = op.issue(mpi, comm).await;
+            let req = mpi.icollective(comm, op).await;
             inflight.push(InFlight { req, done, out });
         }
         SimCmd::Shutdown => return false,
@@ -609,7 +552,9 @@ async fn issue(mpi: &Mpi, cmd: SimCmd, inflight: &mut Vec<InFlight>, lo: &LoopOb
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{bytes_to_f64s, f64s_to_bytes, ThreadLevel, Universe, COMM_WORLD};
+    use mpisim::{
+        bytes_to_f64s, f64s_to_bytes, Dtype, ReduceOp, ThreadLevel, Universe, COMM_WORLD,
+    };
     use simnet::MachineProfile;
 
     fn run_offloaded<T: 'static>(
@@ -797,7 +742,7 @@ mod tests {
             Box::pin(async move {
                 let mine = f64s_to_bytes(&[off.rank() as f64, 2.0]);
                 let sum = SimColl::Allreduce {
-                    payload: Bytes::real(mine),
+                    data: Bytes::real(mine),
                     dtype: Dtype::F64,
                     op: ReduceOp::Sum,
                 };

@@ -231,14 +231,18 @@ async fn start_coll(comm: &Comm, kind: CollOp, size: usize) -> approaches::CommR
         CollOp::Bcast => SimColl::Bcast { root, payload },
         CollOp::Reduce => SimColl::Reduce {
             root,
-            payload,
+            data: payload,
             dtype,
             op,
         },
-        CollOp::Allreduce => SimColl::Allreduce { payload, dtype, op },
+        CollOp::Allreduce => SimColl::Allreduce {
+            data: payload,
+            dtype,
+            op,
+        },
         CollOp::Gather => SimColl::Gather { root, mine },
         CollOp::Scatter => {
-            let input = (comm.rank() == root).then(|| Bytes::synthetic(block * p));
+            let input = Bytes::synthetic(if comm.rank() == root { block * p } else { 0 });
             SimColl::Scatter { root, input, block }
         }
         CollOp::Allgather => SimColl::Allgather { mine },

@@ -15,7 +15,7 @@ use destime::{Env, Nanos};
 use simnet::Fabric;
 
 use crate::engine::{CommId, RankInner, ReqInner, WireMsg};
-use crate::nbc;
+use crate::nbc::{self, CollOf};
 use crate::types::{Bytes, Dtype, Rank, ReduceOp, Status, Tag, ThreadLevel, TAG_INTERNAL_BASE};
 
 /// `MPI_COMM_WORLD`.
@@ -390,20 +390,28 @@ impl Mpi {
 
     // -- nonblocking collectives ---------------------------------------------
 
+    /// The next collective's tag on `comm`, by the live service loop's
+    /// rule: every member derives it from the same per-communicator
+    /// sequence, inside the reserved span no wildcard receive matches.
     fn next_coll_tag(&self, comm: CommId) -> Tag {
         let mut eng = self.cell().inner.borrow_mut();
         let seq = eng.coll_seq.entry(comm).or_insert(0);
         *seq = seq.wrapping_add(1);
-        TAG_INTERNAL_BASE + (*seq % 0x0fff_ffff)
+        rtmpi::TAG_COLL_BASE + (*seq % rtmpi::TAG_COLL_SPAN)
     }
 
-    async fn start_nbc(
-        &self,
-        comm: CommId,
-        acc: Bytes,
-        input: Option<Bytes>,
-        rounds: Vec<nbc::Round>,
-    ) -> Request {
+    /// Start a nonblocking collective (`MPI_Ibarrier`, `MPI_Iallreduce`,
+    /// …): `nbc::plan_of` — the live paths' planner — compiles it into
+    /// its accumulator, retained input and rounds, and the engine posts
+    /// round 0. The completed request carries the result
+    /// ([`Request::take_data`]).
+    pub async fn icollective(&self, comm: CommId, coll: CollOf<Bytes>) -> Request {
+        let (p, r) = {
+            let eng = self.cell().inner.borrow();
+            let info = eng.comm(comm);
+            (info.size(), info.my_rank)
+        };
+        let (acc, input, rounds) = nbc::plan_of(p, r, coll);
         let ctx = self.next_coll_tag(comm);
         let (guard, extra) = self.enter().await;
         let (inner, cost) = {
@@ -416,130 +424,6 @@ impl Mpi {
         self.world.env.advance(cost).await;
         drop(guard);
         Request { inner }
-    }
-
-    /// `MPI_Ibarrier`.
-    pub async fn ibarrier(&self, comm: CommId) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        self.start_nbc(comm, Bytes::synthetic(0), None, nbc::barrier_rounds(p, r))
-            .await
-    }
-
-    /// `MPI_Ibcast`: root supplies the payload; everyone's completed
-    /// request carries the broadcast data.
-    pub async fn ibcast(&self, comm: CommId, root: Rank, payload: impl Into<Bytes>) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        let acc = if r == root {
-            payload.into()
-        } else {
-            Bytes::synthetic(0)
-        };
-        self.start_nbc(comm, acc, None, nbc::bcast_rounds(p, r, root))
-            .await
-    }
-
-    /// `MPI_Ireduce` to `root`.
-    pub async fn ireduce(
-        &self,
-        comm: CommId,
-        root: Rank,
-        contribution: impl Into<Bytes>,
-        dtype: Dtype,
-        op: ReduceOp,
-    ) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        self.start_nbc(
-            comm,
-            contribution.into(),
-            None,
-            nbc::reduce_rounds(p, r, root, dtype, op),
-        )
-        .await
-    }
-
-    /// `MPI_Iallreduce`. Large payloads use the Rabenseifner
-    /// reduce-scatter + allgather schedule, small ones recursive doubling
-    /// (mirroring MPICH's size-dependent algorithm selection).
-    pub async fn iallreduce(
-        &self,
-        comm: CommId,
-        contribution: impl Into<Bytes>,
-        dtype: Dtype,
-        op: ReduceOp,
-    ) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        let contribution = contribution.into();
-        let rounds = nbc::allreduce_rounds_sized(p, r, dtype, op, contribution.len());
-        self.start_nbc(comm, contribution, None, rounds).await
-    }
-
-    /// `MPI_Iallgather`: each rank contributes `block` bytes; the completed
-    /// request carries the concatenation.
-    pub async fn iallgather(&self, comm: CommId, contribution: impl Into<Bytes>) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        let mine = contribution.into();
-        let block = mine.len();
-        let acc = prefill(p * block, r * block, &mine);
-        self.start_nbc(comm, acc, None, nbc::allgather_rounds(p, r, block))
-            .await
-    }
-
-    /// `MPI_Ialltoall`: `input` holds `P` blocks of `block` bytes, block
-    /// `i` destined for rank `i`. The completed request carries the output.
-    pub async fn ialltoall(&self, comm: CommId, input: impl Into<Bytes>, block: usize) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        let input = input.into();
-        assert_eq!(input.len(), p * block, "all-to-all input shape");
-        let own = slice_of(&input, r * block..(r + 1) * block);
-        let acc = prefill(p * block, r * block, &own);
-        self.start_nbc(comm, acc, Some(input), nbc::alltoall_rounds(p, r, block))
-            .await
-    }
-
-    /// `MPI_Igather` to `root` of equal-size blocks.
-    pub async fn igather(
-        &self,
-        comm: CommId,
-        root: Rank,
-        contribution: impl Into<Bytes>,
-    ) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        let mine = contribution.into();
-        let block = mine.len();
-        let acc = if r == root {
-            prefill(p * block, r * block, &mine)
-        } else {
-            mine
-        };
-        self.start_nbc(comm, acc, None, nbc::gather_rounds(p, r, root, block))
-            .await
-    }
-
-    /// `MPI_Iscatter` from `root`: root's `input` holds `P` blocks.
-    pub async fn iscatter(
-        &self,
-        comm: CommId,
-        root: Rank,
-        input: Option<Bytes>,
-        block: usize,
-    ) -> Request {
-        let (p, r) = self.comm_shape(comm);
-        let (acc, input) = if r == root {
-            let input = input.expect("root provides scatter input");
-            assert_eq!(input.len(), p * block, "scatter input shape");
-            let own = slice_of(&input, r * block..(r + 1) * block);
-            (own, Some(input))
-        } else {
-            (Bytes::synthetic(0), None)
-        };
-        self.start_nbc(comm, acc, input, nbc::scatter_rounds(p, r, root, block))
-            .await
-    }
-
-    fn comm_shape(&self, comm: CommId) -> (usize, Rank) {
-        let eng = self.cell().inner.borrow();
-        let info = eng.comm(comm);
-        (info.size(), info.my_rank)
     }
 
     // -- one-sided (RMA) -------------------------------------------------------
@@ -615,17 +499,22 @@ impl Mpi {
 
     // -- blocking collectives -------------------------------------------------
 
+    /// A blocking collective is its nonblocking form plus a wait.
+    async fn collective(&self, comm: CommId, coll: CollOf<Bytes>) -> Bytes {
+        let r = self.icollective(comm, coll).await;
+        self.wait(&r).await;
+        r.take_data().expect("collective result")
+    }
+
     /// `MPI_Barrier`.
     pub async fn barrier(&self, comm: CommId) {
-        let r = self.ibarrier(comm).await;
-        self.wait(&r).await;
+        self.collective(comm, CollOf::Barrier).await;
     }
 
     /// `MPI_Bcast`; returns the broadcast payload on every rank.
     pub async fn bcast(&self, comm: CommId, root: Rank, payload: impl Into<Bytes>) -> Bytes {
-        let r = self.ibcast(comm, root, payload).await;
-        self.wait(&r).await;
-        r.take_data().expect("bcast result")
+        let payload = payload.into();
+        self.collective(comm, CollOf::Bcast { root, payload }).await
     }
 
     /// `MPI_Allreduce`; returns the reduced payload.
@@ -636,9 +525,9 @@ impl Mpi {
         dtype: Dtype,
         op: ReduceOp,
     ) -> Bytes {
-        let r = self.iallreduce(comm, contribution, dtype, op).await;
-        self.wait(&r).await;
-        r.take_data().expect("allreduce result")
+        let data = contribution.into();
+        self.collective(comm, CollOf::Allreduce { dtype, op, data })
+            .await
     }
 
     /// `MPI_Reduce`; the root gets the reduction, others get their final
@@ -651,23 +540,27 @@ impl Mpi {
         dtype: Dtype,
         op: ReduceOp,
     ) -> Bytes {
-        let r = self.ireduce(comm, root, contribution, dtype, op).await;
-        self.wait(&r).await;
-        r.take_data().expect("reduce result")
+        let data = contribution.into();
+        let coll = CollOf::Reduce {
+            root,
+            dtype,
+            op,
+            data,
+        };
+        self.collective(comm, coll).await
     }
 
     /// `MPI_Allgather`.
     pub async fn allgather(&self, comm: CommId, contribution: impl Into<Bytes>) -> Bytes {
-        let r = self.iallgather(comm, contribution).await;
-        self.wait(&r).await;
-        r.take_data().expect("allgather result")
+        let mine = contribution.into();
+        self.collective(comm, CollOf::Allgather { mine }).await
     }
 
     /// `MPI_Alltoall`.
     pub async fn alltoall(&self, comm: CommId, input: impl Into<Bytes>, block: usize) -> Bytes {
-        let r = self.ialltoall(comm, input, block).await;
-        self.wait(&r).await;
-        r.take_data().expect("alltoall result")
+        let input = input.into();
+        self.collective(comm, CollOf::Alltoall { input, block })
+            .await
     }
 }
 
@@ -701,25 +594,5 @@ impl std::future::Future for WaitAnyDone {
             }
         }
         std::task::Poll::Pending
-    }
-}
-
-/// Build a `total`-byte buffer with `mine` placed at `offset` (synthetic
-/// stays synthetic).
-fn prefill(total: usize, offset: usize, mine: &Bytes) -> Bytes {
-    match mine.as_real() {
-        Some(data) => {
-            let mut out = vec![0u8; total];
-            out[offset..offset + data.len()].copy_from_slice(data);
-            Bytes::real(out)
-        }
-        None => Bytes::synthetic(total),
-    }
-}
-
-fn slice_of(b: &Bytes, range: std::ops::Range<usize>) -> Bytes {
-    match b.as_real() {
-        Some(v) => Bytes::real(v[range].to_vec()),
-        None => Bytes::synthetic(range.len()),
     }
 }

@@ -7,11 +7,12 @@
 //! borrow is ever held across an await.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use destime::sync::Flag;
 use destime::Nanos;
+use rtmpi::MatchQueue;
 use simnet::{Fabric, MachineProfile};
 
 use crate::nbc::{DataSrc, NbcInstance, RecvAction, Round};
@@ -84,20 +85,9 @@ pub(crate) enum WireMsg {
 /// One-sided communication window identifier.
 pub type WinId = u64;
 
-/// Request kind (diagnostics only; completion logic is uniform).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReqKind {
-    Send,
-    Recv,
-    Collective,
-}
-
 /// Internal request state. User-facing [`crate::Request`] wraps an `Rc` of
 /// this.
 pub struct ReqInner {
-    /// Diagnostic classification of the request.
-    #[allow(dead_code)]
-    pub(crate) kind: ReqKind,
     pub(crate) done: Flag,
     pub(crate) status: Cell<Option<Status>>,
     pub(crate) data: RefCell<Option<Bytes>>,
@@ -106,9 +96,8 @@ pub struct ReqInner {
 }
 
 impl ReqInner {
-    pub(crate) fn new(kind: ReqKind) -> Rc<Self> {
+    pub(crate) fn new() -> Rc<Self> {
         Rc::new(Self {
-            kind,
             done: Flag::new(),
             status: Cell::new(None),
             data: RefCell::new(None),
@@ -131,40 +120,21 @@ impl ReqInner {
     }
 }
 
-/// A posted (pending) receive.
-struct PostedRecv {
-    comm: CommId,
-    /// World-rank source filter (`None` = `MPI_ANY_SOURCE`).
-    src: Option<Rank>,
-    tag: Option<Tag>,
-    req: Rc<ReqInner>,
-}
-
 /// A message that arrived before its receive was posted.
-enum Unexpected {
-    Eager {
-        src: Rank,
-        comm: CommId,
-        tag: Tag,
-        payload: Bytes,
-    },
-    Rndv {
-        src: Rank,
-        comm: CommId,
-        tag: Tag,
+enum Arrival {
+    Eager(Bytes),
+    /// A rendezvous RTS: the payload waits at the sender until our CTS.
+    Rts {
         len: usize,
         sender_req: Rc<ReqInner>,
     },
 }
 
-impl Unexpected {
-    fn key(&self) -> (CommId, Rank, Tag) {
-        match self {
-            Unexpected::Eager { src, comm, tag, .. } => (*comm, *src, *tag),
-            Unexpected::Rndv { src, comm, tag, .. } => (*comm, *src, *tag),
-        }
-    }
-}
+/// One communicator's matching: the live substrates' queue, keyed by
+/// world rank, posted receives resolving to their request. Matching never
+/// crosses communicators, so a queue per communicator keeps the order of
+/// one queue over all of them.
+type Matching = MatchQueue<Rc<ReqInner>, Arrival>;
 
 /// Communicator bookkeeping.
 #[derive(Clone)]
@@ -237,8 +207,7 @@ impl Default for EngineObs {
 pub struct RankInner {
     pub(crate) world_rank: Rank,
     pub(crate) profile: MachineProfile,
-    posted: VecDeque<PostedRecv>,
-    unexpected: VecDeque<Unexpected>,
+    matching: HashMap<CommId, Matching>,
     pub(crate) nbcs: Vec<NbcInstance>,
     pub(crate) comms: HashMap<CommId, CommInfo>,
     dup_seq: HashMap<CommId, u64>,
@@ -267,8 +236,7 @@ impl RankInner {
         Self {
             world_rank,
             profile,
-            posted: VecDeque::new(),
-            unexpected: VecDeque::new(),
+            matching: HashMap::new(),
             nbcs: Vec::new(),
             comms,
             dup_seq: HashMap::new(),
@@ -283,10 +251,13 @@ impl RankInner {
     }
 
     /// Keep the queue-depth gauges (and their high-water marks) in step
-    /// with the matching structures. Cheap: three relaxed stores.
+    /// with the matching structures. Cheap: a sum over the communicators'
+    /// queues and three relaxed stores.
     fn sync_obs_depths(&self) {
-        self.obs.unexpected_depth.set(self.unexpected.len() as u64);
-        self.obs.posted_depth.set(self.posted.len() as u64);
+        self.obs
+            .unexpected_depth
+            .set(self.unexpected_depth() as u64);
+        self.obs.posted_depth.set(self.posted_depth() as u64);
         self.obs.active_nbcs.set(self.nbcs.len() as u64);
     }
 
@@ -358,7 +329,7 @@ impl RankInner {
         let info = self.comm(comm).clone();
         let dst_world = info.world_of(dst);
         let len = payload.len();
-        let req = ReqInner::new(ReqKind::Send);
+        let req = ReqInner::new();
         let p = &self.profile;
         let cost;
         if p.is_eager(len) {
@@ -416,61 +387,46 @@ impl RankInner {
         self.stats.recvs += 1;
         let info = self.comm(comm).clone();
         let src_world = src.map(|s| info.world_of(s));
-        let req = ReqInner::new(ReqKind::Recv);
+        let req = ReqInner::new();
         let mut cost = self.profile.match_cost_ns;
 
         // Check the unexpected queue first (MPI matching order).
-        if let Some(pos) = self.unexpected.iter().position(|u| {
-            let (ucomm, usrc, utag) = u.key();
-            ucomm == comm && src_world.is_none_or(|s| s == usrc) && tag.is_none_or(|t| t == utag)
-        }) {
-            self.stats.unexpected_hits += 1;
-            self.obs.unexpected_hits.inc();
-            let u = self.unexpected.remove(pos).expect("indexed entry");
-            match u {
-                Unexpected::Eager {
-                    src: usrc,
-                    tag: utag,
-                    payload,
-                    ..
-                } => {
-                    // Copy out of the internal eager buffer into user space.
-                    cost += MachineProfile::transfer_ns(payload.len(), self.profile.mem_copy_gbps);
-                    req.complete(
-                        Some(Status {
-                            source: usrc,
-                            tag: utag,
-                            len: payload.len(),
-                        }),
-                        Some(payload),
-                    );
-                }
-                Unexpected::Rndv {
-                    src: usrc,
-                    sender_req,
-                    ..
-                } => {
-                    // Reply CTS; completion when the data lands.
-                    cost += self.profile.rndv_ctrl_ns;
-                    fabric.transmit(
-                        self.world_rank,
-                        usrc,
-                        CTRL_BYTES,
-                        now + cost,
-                        WireMsg::Cts {
-                            sender_req,
-                            recv_req: req.clone(),
-                        },
-                    );
+        let queue = self.matching.entry(comm).or_default();
+        match queue.take_unexpected(src_world, tag) {
+            Some(u) => {
+                self.stats.unexpected_hits += 1;
+                self.obs.unexpected_hits.inc();
+                match u.msg {
+                    Arrival::Eager(payload) => {
+                        // Copy out of the internal eager buffer into user space.
+                        cost +=
+                            MachineProfile::transfer_ns(payload.len(), self.profile.mem_copy_gbps);
+                        req.complete(
+                            Some(Status {
+                                source: u.src,
+                                tag: u.tag,
+                                len: payload.len(),
+                            }),
+                            Some(payload),
+                        );
+                    }
+                    Arrival::Rts { sender_req, .. } => {
+                        // Reply CTS; completion when the data lands.
+                        cost += self.profile.rndv_ctrl_ns;
+                        fabric.transmit(
+                            self.world_rank,
+                            u.src,
+                            CTRL_BYTES,
+                            now + cost,
+                            WireMsg::Cts {
+                                sender_req,
+                                recv_req: req.clone(),
+                            },
+                        );
+                    }
                 }
             }
-        } else {
-            self.posted.push_back(PostedRecv {
-                comm,
-                src: src_world,
-                tag,
-                req: req.clone(),
-            });
+            None => queue.push_posted(src_world, tag, req.clone()),
         }
         self.sync_obs_depths();
         (req, cost)
@@ -479,30 +435,13 @@ impl RankInner {
     /// Nonblocking probe: does a matching message sit in the unexpected
     /// queue? (The caller should run a progress poll first.)
     pub fn iprobe(&self, comm: CommId, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        let info = self.comm(comm);
-        let src_world = src.map(|s| info.world_of(s));
-        self.unexpected
-            .iter()
-            .find(|u| {
-                let (ucomm, usrc, utag) = u.key();
-                ucomm == comm
-                    && src_world.is_none_or(|s| s == usrc)
-                    && tag.is_none_or(|t| t == utag)
-            })
-            .map(|u| match u {
-                Unexpected::Eager {
-                    src, tag, payload, ..
-                } => Status {
-                    source: *src,
-                    tag: *tag,
-                    len: payload.len(),
-                },
-                Unexpected::Rndv { src, tag, len, .. } => Status {
-                    source: *src,
-                    tag: *tag,
-                    len: *len,
-                },
-            })
+        let src_world = src.map(|s| self.comm(comm).world_of(s));
+        let (source, tag, msg) = self.matching.get(&comm)?.probe(src_world, tag)?;
+        let len = match msg {
+            Arrival::Eager(payload) => payload.len(),
+            Arrival::Rts { len, .. } => *len,
+        };
+        Some(Status { source, tag, len })
     }
 
     // -- one-sided (RMA) ------------------------------------------------------
@@ -533,7 +472,7 @@ impl RankInner {
         offset: usize,
         payload: Bytes,
     ) -> (Rc<ReqInner>, Nanos) {
-        let req = ReqInner::new(ReqKind::Send);
+        let req = ReqInner::new();
         let cost = self.profile.rndv_ctrl_ns
             + MachineProfile::transfer_ns(payload.len(), self.profile.eager_copy_gbps);
         fabric.transmit(
@@ -563,7 +502,7 @@ impl RankInner {
         offset: usize,
         len: usize,
     ) -> (Rc<ReqInner>, Nanos) {
-        let req = ReqInner::new(ReqKind::Recv);
+        let req = ReqInner::new();
         let cost = self.profile.rndv_ctrl_ns;
         fabric.transmit(
             self.world_rank,
@@ -623,10 +562,10 @@ impl RankInner {
                 payload,
             } => {
                 let mut cost = p.match_cost_ns;
-                if let Some(pos) = self.match_posted(comm, src, tag) {
-                    let pr = self.posted.remove(pos).expect("indexed entry");
+                let queue = self.matching.entry(comm).or_default();
+                if let Some(pr) = queue.take_posted(src, tag) {
                     cost += MachineProfile::transfer_ns(payload.len(), p.mem_copy_gbps);
-                    pr.req.complete(
+                    pr.token.complete(
                         Some(Status {
                             source: src,
                             tag,
@@ -635,13 +574,10 @@ impl RankInner {
                         Some(payload),
                     );
                 } else {
-                    self.unexpected.push_back(Unexpected::Eager {
-                        src,
-                        comm,
-                        tag,
-                        payload,
-                    });
-                    self.obs.unexpected_depth.set(self.unexpected.len() as u64);
+                    queue.push_unexpected(src, tag, Arrival::Eager(payload));
+                    self.obs
+                        .unexpected_depth
+                        .set(self.unexpected_depth() as u64);
                 }
                 cost
             }
@@ -653,8 +589,8 @@ impl RankInner {
                 sender_req,
             } => {
                 let mut cost = p.match_cost_ns + p.rndv_ctrl_ns;
-                if let Some(pos) = self.match_posted(comm, src, tag) {
-                    let pr = self.posted.remove(pos).expect("indexed entry");
+                let queue = self.matching.entry(comm).or_default();
+                if let Some(pr) = queue.take_posted(src, tag) {
                     fabric.transmit(
                         self.world_rank,
                         src,
@@ -662,19 +598,15 @@ impl RankInner {
                         now + cost,
                         WireMsg::Cts {
                             sender_req,
-                            recv_req: pr.req,
+                            recv_req: pr.token,
                         },
                     );
                 } else {
                     cost = p.match_cost_ns; // no CTS yet
-                    self.unexpected.push_back(Unexpected::Rndv {
-                        src,
-                        comm,
-                        tag,
-                        len,
-                        sender_req,
-                    });
-                    self.obs.unexpected_depth.set(self.unexpected.len() as u64);
+                    queue.push_unexpected(src, tag, Arrival::Rts { len, sender_req });
+                    self.obs
+                        .unexpected_depth
+                        .set(self.unexpected_depth() as u64);
                 }
                 cost
             }
@@ -782,12 +714,6 @@ impl RankInner {
         }
     }
 
-    fn match_posted(&self, comm: CommId, src: Rank, tag: Tag) -> Option<usize> {
-        self.posted.iter().position(|r| {
-            r.comm == comm && r.src.is_none_or(|s| s == src) && r.tag.is_none_or(|t| t == tag)
-        })
-    }
-
     // -- nonblocking collectives ---------------------------------------------
 
     /// Start a collective described by `rounds`; posts round 0 immediately.
@@ -805,7 +731,7 @@ impl RankInner {
     ) -> (Rc<ReqInner>, Nanos) {
         self.stats.nbc_started += 1;
         self.obs.nbc_started.inc();
-        let user_req = ReqInner::new(ReqKind::Collective);
+        let user_req = ReqInner::new();
         let mut inst = NbcInstance {
             comm,
             ctx_tag,
@@ -933,14 +859,14 @@ impl RankInner {
         self.nbcs.len()
     }
 
-    /// Unexpected-queue depth (diagnostics).
+    /// Unexpected-queue depth over every communicator (diagnostics).
     pub fn unexpected_depth(&self) -> usize {
-        self.unexpected.len()
+        self.matching.values().map(Matching::unexpected_len).sum()
     }
 
-    /// Posted-receive queue depth (diagnostics).
+    /// Posted-receive queue depth over every communicator (diagnostics).
     pub fn posted_depth(&self) -> usize {
-        self.posted.len()
+        self.matching.values().map(Matching::posted_len).sum()
     }
 }
 
@@ -1034,7 +960,7 @@ impl NbcInstance {
             recv_actions: Vec::new(),
             acc: Bytes::synthetic(0),
             input: None,
-            user_req: ReqInner::new(ReqKind::Collective),
+            user_req: ReqInner::new(),
         }
     }
 }

@@ -14,9 +14,12 @@
 //!   processes that CTS. With nobody polling, a nonblocking send makes no
 //!   progress during compute — precisely the overlap failure of §2.
 //! * **Tag/source matching** with wildcard support, posted-receive and
-//!   unexpected-message queues, FIFO per (source, communicator, tag).
+//!   unexpected-message queues, FIFO per (source, communicator, tag) —
+//!   one [`rtmpi::MatchQueue`] per communicator, the queue both live
+//!   substrates match with, so a wildcard never takes a collective round.
 //! * **Nonblocking collectives** as round-based schedules advanced only by
-//!   progress polls (libNBC-style).
+//!   progress polls (libNBC-style), planned by the live paths' planner
+//!   (`nbc::plan_of`, via [`Mpi::icollective`]).
 //! * **Thread levels**: under `MPI_THREAD_MULTIPLE`, every call takes the
 //!   library's global lock and pays the paper's measured extra
 //!   critical-section cost; contention between threads then emerges from
@@ -51,7 +54,7 @@ pub mod types;
 pub mod universe;
 
 pub use api::{Mpi, Request, COMM_WORLD};
-pub use engine::{CommId, RankStats, ReqKind, WinId};
+pub use engine::{CommId, RankStats, WinId};
 pub use types::{
     bytes_to_f64s, combine, f64s_to_bytes, Bytes, Dtype, Rank, ReduceOp, Status, Tag, ThreadLevel,
     ANY_SOURCE, ANY_TAG, TAG_INTERNAL_BASE,

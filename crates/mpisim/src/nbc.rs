@@ -16,13 +16,24 @@
 //! composition otherwise), ring allgather, pairwise-exchange all-to-all,
 //! linear gather/scatter.
 //!
-//! Two executors run these schedules. The discrete-event engine
-//! ([`NbcInstance`], `crate::engine`) is the virtual-time reference. Over
-//! a real [`rtmpi::Transport`] there is exactly one: [`NbcRun`], compiled
-//! by [`plan`] from a [`Coll`]. The offload thread, the direct
-//! (baseline/iprobe) modes, the wire fixtures, the protocol model checker
-//! and the benchmark's peers all step the same runner and differ only in
-//! who calls [`NbcRun::poll`], and when.
+//! **One planner.** `plan_of` is the only place a collective becomes its
+//! accumulator, retained input and rounds. It is generic over the
+//! [`Payload`] the buffers are made of, with two instantiations: [`Coll`]
+//! (`Vec<u8>`) on every live path, through the non-generic [`plan`], and
+//! `CollOf<Bytes>` in the simulator (`crate::Mpi::icollective`), where a
+//! synthetic payload stays synthetic.
+//!
+//! **Two executors.** Over a real [`rtmpi::Transport`] there is exactly
+//! one, [`NbcRun`]: the offload thread, the direct (baseline/iprobe)
+//! modes, the wire fixtures, the protocol model checker and the
+//! benchmark's peers all step it and differ only in who calls
+//! [`NbcRun::poll`], and when. The discrete-event engine runs its own,
+//! [`NbcInstance`] (`crate::engine`), the virtual-time reference. The two
+//! differ in one modelled cost: `NbcInstance` posts a round only once the
+//! previous round's *sends* completed too (a rendezvous send completes at
+//! CTS), while `NbcRun` retires sends lazily across rounds. Running
+//! `NbcRun` in the simulator would move virtual time, so the merge waits
+//! for a change that re-captures the DES golden on purpose.
 
 use std::ops::Range;
 use std::rc::Rc;
@@ -443,10 +454,13 @@ pub fn scatter_rounds(p: usize, r: Rank, root: Rank, block: usize) -> Vec<Round>
     }
 }
 
-/// A collective operation with its arguments — the full `Comm` collective
-/// surface. [`plan`] maps each onto the round generators above.
+/// A collective operation with its arguments — the full collective
+/// surface of both clocks. [`plan`] maps each onto the round generators
+/// above. `P` is what the buffers are made of: real bytes on a live
+/// transport ([`Coll`]), possibly synthetic ones in the simulator
+/// (`CollOf<Bytes>`).
 #[derive(Clone, Debug)]
-pub enum Coll {
+pub enum CollOf<P> {
     Barrier,
     /// Element-wise allreduce of `data` (raw little-endian lanes of
     /// `dtype`). Rabenseifner reduce-scatter + allgather kicks in for large
@@ -454,7 +468,7 @@ pub enum Coll {
     Allreduce {
         dtype: Dtype,
         op: ReduceOp,
-        data: Vec<u8>,
+        data: P,
     },
     /// Element-wise reduce to `root`; the result buffer is meaningful on
     /// the root only (other ranks get their partial back).
@@ -462,94 +476,162 @@ pub enum Coll {
         root: usize,
         dtype: Dtype,
         op: ReduceOp,
-        data: Vec<u8>,
+        data: P,
     },
     /// Personalized all-to-all of `block`-byte blocks.
     Alltoall {
-        input: Vec<u8>,
+        input: P,
         block: usize,
     },
     /// Broadcast from `root` (payload on root only).
     Bcast {
         root: usize,
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Allgather of equal contributions.
     Allgather {
-        mine: Vec<u8>,
+        mine: P,
     },
     /// Gather of equal `mine` blocks to `root` (root gets `size × block`
     /// bytes; other ranks get their own block back).
     Gather {
         root: usize,
-        mine: Vec<u8>,
+        mine: P,
     },
     /// Scatter of `block`-byte blocks from `root`'s `input` (empty on
     /// non-roots); every rank gets its block.
     Scatter {
         root: usize,
-        input: Vec<u8>,
+        input: P,
         block: usize,
     },
 }
 
+/// The collective over real bytes: what every live transport runs.
+pub type Coll = CollOf<Vec<u8>>;
+
+/// What [`plan`] needs of a collective's buffers — no more, so a
+/// synthetic simulator payload stays synthetic and allocates nothing.
+pub trait Payload: Sized {
+    /// The empty buffer (a non-root's accumulator before its block lands).
+    fn empty() -> Self;
+    fn len(&self) -> usize;
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// A `p`-block buffer holding `self[own]` as block `r`, zeros elsewhere.
+    fn placed(&self, own: Range<usize>, p: usize, r: usize) -> Self;
+    /// A copy of `self[range]`.
+    fn range(&self, range: Range<usize>) -> Self;
+}
+
+fn block_placed(block: &[u8], p: usize, r: usize) -> Vec<u8> {
+    let n = block.len();
+    let mut acc = vec![0u8; p * n];
+    acc[r * n..(r + 1) * n].copy_from_slice(block);
+    acc
+}
+
+impl Payload for Vec<u8> {
+    fn empty() -> Self {
+        Vec::new()
+    }
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+    fn placed(&self, own: Range<usize>, p: usize, r: usize) -> Self {
+        block_placed(&self[own], p, r)
+    }
+    fn range(&self, range: Range<usize>) -> Self {
+        self[range].to_vec()
+    }
+}
+
+impl Payload for Bytes {
+    fn empty() -> Self {
+        Bytes::synthetic(0)
+    }
+    fn len(&self) -> usize {
+        Bytes::len(self)
+    }
+    fn placed(&self, own: Range<usize>, p: usize, r: usize) -> Self {
+        match self.as_real() {
+            Some(v) => Bytes::real(block_placed(&v[own], p, r)),
+            None => Bytes::synthetic(p * own.len()),
+        }
+    }
+    fn range(&self, range: Range<usize>) -> Self {
+        match self.as_real() {
+            Some(v) => Bytes::real(v[range].to_vec()),
+            None => Bytes::synthetic(range.len()),
+        }
+    }
+}
+
+/// `plan_of` over real bytes: the entry every live path calls. It is not
+/// generic, so its one instance is compiled in this crate rather than
+/// again inside each crate that drives a live collective, and what those
+/// crates compile around their own hot code does not depend on the
+/// planner's payload type.
+pub fn plan(p: usize, r: usize, coll: Coll) -> (Vec<u8>, Option<Vec<u8>>, Vec<Round>) {
+    plan_of(p, r, coll)
+}
+
 /// Compile a collective into its initial accumulator, retained input
 /// buffer, and round schedule for world size `p`, rank `r`. This is the
-/// one mapping from the collective surface onto the round generators, so
-/// no two live paths can drift apart on algorithm selection (e.g. when
+/// one mapping from the collective surface onto the round generators, for
+/// the simulator (`CollOf<Bytes>`) and every live path ([`plan`]) alike,
+/// so no two of them can drift apart on algorithm selection (e.g. when
 /// Rabenseifner kicks in).
-pub fn plan(p: usize, r: usize, coll: Coll) -> (Vec<u8>, Option<Vec<u8>>, Vec<Round>) {
-    /// A `p`-block buffer with this rank's block pre-placed.
-    fn own_block_placed(p: usize, r: usize, mine: &[u8]) -> Vec<u8> {
-        let block = mine.len();
-        let mut acc = vec![0u8; p * block];
-        acc[r * block..(r + 1) * block].copy_from_slice(mine);
-        acc
-    }
+pub(crate) fn plan_of<P: Payload>(
+    p: usize,
+    r: usize,
+    coll: CollOf<P>,
+) -> (P, Option<P>, Vec<Round>) {
     match coll {
-        Coll::Barrier => (Vec::new(), None, barrier_rounds(p, r)),
-        Coll::Allreduce { dtype, op, data } => {
+        CollOf::Barrier => (P::empty(), None, barrier_rounds(p, r)),
+        CollOf::Allreduce { dtype, op, data } => {
             let rounds = allreduce_rounds_sized(p, r, dtype, op, data.len());
             (data, None, rounds)
         }
-        Coll::Reduce {
+        CollOf::Reduce {
             root,
             dtype,
             op,
             data,
         } => (data, None, reduce_rounds(p, r, root, dtype, op)),
-        Coll::Alltoall { input, block } => {
+        CollOf::Alltoall { input, block } => {
             assert_eq!(input.len(), p * block);
-            let acc = own_block_placed(p, r, &input[r * block..(r + 1) * block]);
+            let acc = input.placed(r * block..(r + 1) * block, p, r);
             (acc, Some(input), alltoall_rounds(p, r, block))
         }
-        Coll::Bcast { root, payload } => {
-            let acc = if r == root { payload } else { Vec::new() };
+        CollOf::Bcast { root, payload } => {
+            let acc = if r == root { payload } else { P::empty() };
             (acc, None, bcast_rounds(p, r, root))
         }
-        Coll::Allgather { mine } => {
+        CollOf::Allgather { mine } => {
             let rounds = allgather_rounds(p, r, mine.len());
-            (own_block_placed(p, r, &mine), None, rounds)
+            (mine.placed(0..mine.len(), p, r), None, rounds)
         }
-        Coll::Gather { root, mine } => {
+        CollOf::Gather { root, mine } => {
             let rounds = gather_rounds(p, r, root, mine.len());
             // Non-roots send their accumulator up and keep it.
             let acc = if r == root {
-                own_block_placed(p, r, &mine)
+                mine.placed(0..mine.len(), p, r)
             } else {
                 mine
             };
             (acc, None, rounds)
         }
-        Coll::Scatter { root, input, block } => {
+        CollOf::Scatter { root, input, block } => {
             let rounds = scatter_rounds(p, r, root, block);
             if r == root {
                 assert_eq!(input.len(), p * block);
-                let acc = input[r * block..(r + 1) * block].to_vec();
+                let acc = input.range(r * block..(r + 1) * block);
                 (acc, Some(input), rounds)
             } else {
                 // Replaced by the root's block on arrival.
-                (Vec::new(), None, rounds)
+                (P::empty(), None, rounds)
             }
         }
     }
@@ -935,6 +1017,86 @@ mod tests {
         assert!(allgather_rounds(1, 0, 8).is_empty());
         assert!(gather_rounds(1, 0, 0, 8).is_empty());
         assert!(scatter_rounds(1, 0, 0, 8).is_empty());
+    }
+
+    /// Every kind at rank `r` of `p`, its buffers made by `mk` from the
+    /// same real bytes; row 4 is the Rabenseifner-sized allreduce.
+    fn every_kind<P: Payload>(p: usize, r: usize, mk: impl Fn(Vec<u8>) -> P) -> Vec<CollOf<P>> {
+        const B: usize = 3;
+        let (root, dtype, op) = (p - 1, Dtype::F64, ReduceOp::Sum);
+        let bytes = |n: usize| mk((0..n).map(|i| (r * 31 + i) as u8).collect());
+        let at_root = |n: usize| bytes(if r == root { n } else { 0 });
+        vec![
+            CollOf::Barrier,
+            CollOf::Bcast {
+                root,
+                payload: at_root(5),
+            },
+            CollOf::Reduce {
+                root,
+                dtype,
+                op,
+                data: bytes(16),
+            },
+            CollOf::Allreduce {
+                dtype,
+                op,
+                data: bytes(16),
+            },
+            CollOf::Allreduce {
+                dtype,
+                op,
+                data: bytes(ALLREDUCE_RSAG_THRESHOLD),
+            },
+            CollOf::Allgather { mine: bytes(B) },
+            CollOf::Alltoall {
+                input: bytes(p * B),
+                block: B,
+            },
+            CollOf::Gather {
+                root,
+                mine: bytes(B),
+            },
+            CollOf::Scatter {
+                root,
+                input: at_root(p * B),
+                block: B,
+            },
+        ]
+    }
+
+    /// The one planner over both payload types, for every kind, world
+    /// size 1..=5 and rank: `Bytes::real(v)` plans to the accumulator,
+    /// input and rounds `v` plans to, and `Bytes::synthetic` to synthetic
+    /// buffers of the same lengths and the same rounds.
+    #[test]
+    fn plan_agrees_over_vec_real_and_synthetic_bytes() {
+        for p in 1..=5usize {
+            for r in 0..p {
+                let vecs = every_kind(p, r, |v| v);
+                let reals = every_kind(p, r, Bytes::real);
+                let synths = every_kind(p, r, |v| Bytes::synthetic(v.len()));
+                let rows = vecs.into_iter().zip(reals).zip(synths);
+                for (row, ((v, real), synth)) in rows.enumerate() {
+                    let at = format!("row {row} p={p} r={r}");
+                    let (acc, input, rounds) = plan(p, r, v);
+                    let (racc, rinput, rrounds) = plan_of(p, r, real);
+                    assert_eq!(racc.to_vec(), acc, "{at}");
+                    assert_eq!(rinput.map(|b| b.to_vec()), input, "{at}");
+                    assert_eq!(format!("{rrounds:?}"), format!("{rounds:?}"), "{at}");
+                    let (sacc, sinput, srounds) = plan_of(p, r, synth);
+                    let shape = |b: Bytes| (b.as_real().is_some(), b.len());
+                    assert_eq!(shape(sacc), (false, acc.len()), "{at}");
+                    let want = input.as_ref().map(|i| (false, i.len()));
+                    assert_eq!(sinput.map(shape), want, "{at}");
+                    assert_eq!(format!("{srounds:?}"), format!("{rounds:?}"), "{at}");
+                    if row == 4 && p.is_power_of_two() && p > 1 {
+                        let log2 = p.trailing_zeros() as usize;
+                        assert_eq!(rounds.len(), 2 * log2, "{at}: Rabenseifner");
+                    }
+                }
+            }
+        }
     }
 
     /// Counts requests issued against outcomes taken, so a finished run

@@ -10,8 +10,11 @@ pub type Tag = u32;
 
 /// Tags at or above this value are reserved for internal collective
 /// schedules. This is the one shared reserved-tag constant for the whole
-/// workspace — re-exported from `rtmpi` so the simulator, the live
-/// substrates, and the wildcard-matching rules all agree on the boundary.
+/// workspace, re-exported from `rtmpi`. The simulator and both live
+/// substrates match through the same [`rtmpi::MatchQueue`], whose
+/// wildcard rule (`ANY_TAG` never matches a reserved tag) is therefore
+/// the one rule on every clock, and all three draw per-collective tags
+/// from the same span (`rtmpi::TAG_COLL_BASE + seq % TAG_COLL_SPAN`).
 pub const TAG_INTERNAL_BASE: Tag = rtmpi::TAG_RESERVED_BASE;
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).

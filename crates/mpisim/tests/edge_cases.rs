@@ -2,6 +2,7 @@
 //! many concurrent nonblocking collectives, interleaved collective and
 //! point-to-point traffic, and exhaustion-adjacent scenarios.
 
+use mpisim::nbc::CollOf;
 use mpisim::{
     bytes_to_f64s, f64s_to_bytes, Bytes, Dtype, Mpi, ReduceOp, ThreadLevel, Universe, COMM_WORLD,
 };
@@ -49,10 +50,9 @@ fn many_concurrent_nbc_instances_complete_independently() {
             let mut reqs = Vec::new();
             for k in 0..8u64 {
                 let mine = f64s_to_bytes(&[(mpi.rank() as u64 * 100 + k) as f64]);
-                reqs.push(
-                    mpi.iallreduce(COMM_WORLD, mine, Dtype::F64, ReduceOp::Sum)
-                        .await,
-                );
+                let (dtype, op, data) = (Dtype::F64, ReduceOp::Sum, Bytes::real(mine));
+                let coll = CollOf::Allreduce { dtype, op, data };
+                reqs.push(mpi.icollective(COMM_WORLD, coll).await);
             }
             // Complete them out of order.
             for r in reqs.iter().rev() {
@@ -78,9 +78,13 @@ fn p2p_and_collectives_interleave_without_cross_matching() {
             let peer = (mpi.rank() + 1) % 4;
             let from = (mpi.rank() + 3) % 4;
             let rx = mpi.irecv(COMM_WORLD, Some(from), Some(1)).await;
-            let coll = mpi
-                .iallreduce(COMM_WORLD, f64s_to_bytes(&[1.0]), Dtype::F64, ReduceOp::Sum)
-                .await;
+            let data = Bytes::real(f64s_to_bytes(&[1.0]));
+            let coll = CollOf::Allreduce {
+                dtype: Dtype::F64,
+                op: ReduceOp::Sum,
+                data,
+            };
+            let coll = mpi.icollective(COMM_WORLD, coll).await;
             let tx = mpi.isend(COMM_WORLD, peer, 1, vec![mpi.rank() as u8]).await;
             mpi.waitall(&[rx.clone(), coll.clone(), tx]).await;
             let ring = rx.take_data().expect("ring").to_vec()[0];

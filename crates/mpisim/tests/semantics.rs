@@ -4,6 +4,7 @@
 //! management, and the THREAD_MULTIPLE lock model.
 
 use destime::Nanos;
+use mpisim::nbc::CollOf;
 use mpisim::{
     bytes_to_f64s, f64s_to_bytes, Bytes, Dtype, Mpi, ReduceOp, ThreadLevel, Universe, COMM_WORLD,
 };
@@ -390,18 +391,22 @@ fn gather_and_scatter_roundtrip() {
         Box::pin(async move {
             let root = 1;
             // Gather each rank's id block at root.
+            let mine = Bytes::real(vec![mpi.rank() as u8; 3]);
             let g = mpi
-                .igather(COMM_WORLD, root, vec![mpi.rank() as u8; 3])
+                .icollective(COMM_WORLD, CollOf::Gather { root, mine })
                 .await;
             mpi.wait(&g).await;
             let gathered = g.take_data().expect("gather result");
             // Root scatters it right back.
             let input = if mpi.rank() == root {
-                Some(gathered.clone())
+                gathered.clone()
             } else {
-                None
+                Bytes::synthetic(0)
             };
-            let s = mpi.iscatter(COMM_WORLD, root, input, 3).await;
+            let block = 3;
+            let s = mpi
+                .icollective(COMM_WORLD, CollOf::Scatter { root, input, block })
+                .await;
             mpi.wait(&s).await;
             s.take_data().expect("scatter result").to_vec()
         })
@@ -419,8 +424,9 @@ fn nonblocking_collective_overlaps_only_with_polling() {
         Box::pin(async move {
             let env = mpi.env().clone();
             let mine = f64s_to_bytes(&[1.0; 1024]);
+            let (dtype, op, data) = (Dtype::F64, ReduceOp::Sum, Bytes::real(mine));
             let req = mpi
-                .iallreduce(COMM_WORLD, mine, Dtype::F64, ReduceOp::Sum)
+                .icollective(COMM_WORLD, CollOf::Allreduce { dtype, op, data })
                 .await;
             env.advance(5_000_000).await; // compute without polls
             let t = env.now();
@@ -436,6 +442,53 @@ fn nonblocking_collective_overlaps_only_with_polling() {
             wait_ns > 1_000,
             "without progress the wait must do real work, got {wait_ns}ns"
         );
+    }
+}
+
+/// The DES twin of the live wildcard regression: every rank posts an
+/// `ANY_SOURCE`/`ANY_TAG` receive, then runs a barrier and an allreduce on
+/// the same communicator. Neither the receive nor an `iprobe(None, None)`
+/// may see a round message — the simulator matches with the live
+/// substrates' queue — and the receive then takes the application
+/// message. Rank 0 enters late and probes before it posts, so its peers'
+/// barrier tokens wait in its unexpected queue, where an exact probe on
+/// the first collective's tag does see them.
+#[test]
+fn wildcard_receive_never_takes_a_collective_round() {
+    for p in 2..=4 {
+        let (outs, _) = Universe::new(p, MachineProfile::xeon(), ThreadLevel::Funneled).run(
+            move |mpi| async move {
+                let r = mpi.rank();
+                if r == 0 {
+                    mpi.env().advance(1_000_000).await;
+                    let round = rtmpi::TAG_COLL_BASE + 1;
+                    let st = mpi.iprobe(COMM_WORLD, None, Some(round)).await;
+                    assert_eq!(st.map(|s| s.tag), Some(round), "a token is waiting");
+                    assert_eq!(mpi.iprobe(COMM_WORLD, None, None).await, None);
+                }
+                let rx = mpi.irecv(COMM_WORLD, None, None).await;
+                mpi.barrier(COMM_WORLD).await;
+                let mine = f64s_to_bytes(&[r as f64, 1.0]);
+                let sum = mpi
+                    .allreduce(COMM_WORLD, mine, Dtype::F64, ReduceOp::Sum)
+                    .await;
+                mpi.send(COMM_WORLD, (r + 1) % p, 42, vec![r as u8]).await;
+                mpi.wait(&rx).await;
+                let st = rx.status().expect("receive status");
+                let data = rx.take_data().expect("receive data").to_vec();
+                (bytes_to_f64s(&sum.to_vec()), st.source, st.tag, data)
+            },
+        );
+        let total = (p * (p - 1) / 2) as f64;
+        for (r, (sum, source, tag, data)) in outs.into_iter().enumerate() {
+            let left = (r + p - 1) % p;
+            assert_eq!(sum, vec![total, p as f64], "p={p} rank {r}");
+            assert_eq!(
+                (source, tag, data),
+                (left, 42, vec![left as u8]),
+                "p={p} rank {r}"
+            );
+        }
     }
 }
 

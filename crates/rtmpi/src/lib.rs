@@ -18,10 +18,10 @@
 //! Matching follows MPI rules: FIFO per (source, tag) with wildcard
 //! support, unexpected-message buffering, probe. The matching logic lives
 //! in [`matchq`] and is shared with the socket wire backend
-//! (`crates/wire`), so the two live substrates agree on it by
-//! construction. Payloads are handed off as `Arc<[u8]>` — one allocation,
-//! no double indirection — which is also the shape of the wire backend's
-//! receive buffers.
+//! (`crates/wire`) and the simulator (`mpisim`), so the substrates agree
+//! on it by construction. Payloads are handed off as `Arc<[u8]>` — one
+//! allocation, no double indirection — which is also the shape of the
+//! wire backend's receive buffers.
 //!
 //! **Requests.** Delivery is push-style, so most operations are over by
 //! the time their call returns: every send (the payload is handed off),
@@ -62,8 +62,9 @@ pub type Tag = u32;
 /// derive their reserved ranges from here.
 pub const TAG_RESERVED_BASE: Tag = 0x7000_0000;
 
-/// Reserved sub-range used by the live service loop's collective
-/// schedules (`offload::Service`, whichever thread steps it):
+/// Reserved sub-range used by every collective schedule — the live
+/// service loop's (`offload::Service`, whichever thread steps it) and the
+/// simulator's (`mpisim::Mpi::icollective`):
 /// `[TAG_COLL_BASE, TAG_COLL_BASE + TAG_COLL_SPAN)`.
 pub const TAG_COLL_BASE: Tag = TAG_RESERVED_BASE;
 

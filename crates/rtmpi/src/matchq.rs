@@ -4,15 +4,17 @@
 //! names an exact source or the wildcard (`None`) and an exact tag or the
 //! wildcard, arrivals match posted receives in post order, posted receives
 //! match buffered arrivals in arrival order, and the per-`(source, tag)`
-//! stream is FIFO. The in-process mailboxes ([`crate::RtMpi`]) and the
-//! socket wire backend's progress engine (`crates/wire`) both delegate to
-//! this queue, so the two live substrates cannot drift apart on matching
-//! semantics.
+//! stream is FIFO. All three engines delegate to this queue: the
+//! in-process mailboxes ([`crate::RtMpi`]), the socket wire backend's
+//! progress engine (`crates/wire`) and the discrete-event simulator
+//! (`mpisim::engine`, one queue per communicator — matching never crosses
+//! communicators, so that keeps one queue's order). They cannot drift
+//! apart on matching semantics, the reserved-tag wildcard rule included.
 //!
 //! The queue is generic over the *receive token* `R` (what a posted
-//! receive resolves to — an in-process request handle, or a wire request
-//! id) and the *buffered message* `M` (an eager payload, or a rendezvous
-//! RTS descriptor awaiting its CTS).
+//! receive resolves to — an in-process request handle, a wire request
+//! id, or a simulated request) and the *buffered message* `M` (an eager
+//! payload, or a rendezvous RTS descriptor awaiting its CTS).
 
 use std::collections::VecDeque;
 

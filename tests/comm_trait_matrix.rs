@@ -49,7 +49,7 @@ async fn exercise_everything(comm: Comm) -> Vec<String> {
     assert_eq!(bytes_to_f64s(&s.to_vec())[0], p as f64);
     let r = comm
         .icollective(SimColl::Allreduce {
-            payload: Bytes::real(f64s_to_bytes(&[me as f64])),
+            data: Bytes::real(f64s_to_bytes(&[me as f64])),
             dtype: Dtype::F64,
             op: ReduceOp::Max,
         })
@@ -64,7 +64,7 @@ async fn exercise_everything(comm: Comm) -> Vec<String> {
     let r = comm
         .icollective(SimColl::Reduce {
             root: 1,
-            payload: Bytes::real(f64s_to_bytes(&[2.0])),
+            data: Bytes::real(f64s_to_bytes(&[2.0])),
             dtype: Dtype::F64,
             op: ReduceOp::Sum,
         })
@@ -127,8 +127,11 @@ async fn exercise_everything(comm: Comm) -> Vec<String> {
         let expect: Vec<u8> = (0..p as u8).flat_map(|x| [x, x]).collect();
         assert_eq!(g, expect);
     }
-    let input =
-        (me == 3).then(|| Bytes::real((0..p as u8).flat_map(|x| [x * 2, x * 2 + 1]).collect()));
+    let input = if me == 3 {
+        Bytes::real((0..p as u8).flat_map(|x| [x * 2, x * 2 + 1]).collect())
+    } else {
+        Bytes::synthetic(0)
+    };
     let (root, block) = (3, 2);
     let r = comm
         .icollective(SimColl::Scatter { root, input, block })
