@@ -354,9 +354,16 @@ run cargo run -q --release -p lint --bin offload-lint -- --root . \
 # SPSC handoff and park/doorbell handshake are explored under the same
 # pinned seed — including a deliberately-broken-ordering test that proves
 # the detector has teeth on this structure.
+# The ring's tests include the rewind: the SKIP handoff, a park with a
+# SKIP at the consumer's tail, and a producer that rewinds without the
+# drained check (it must be caught as a data race). Each capped-DFS test
+# asserts it explored its whole space or up to the cap; the footer names
+# the ring's model tests so a green run says which ran.
 run env CARGO_TARGET_DIR=target/model RUSTFLAGS="--cfg offload_model" \
   OFFLOAD_MODEL_SEED="${OFFLOAD_MODEL_SEED:-1592598549}" \
   cargo test -p check -p shmring -q
+SHMRING_MODEL_TESTS=$(env CARGO_TARGET_DIR=target/model RUSTFLAGS="--cfg offload_model" \
+  cargo test -q -p shmring --test model -- --list 2>/dev/null | sed -n 's/: test$//p' | tr '\n' ' ')
 
 # Protocol-model lane (always on, plain build): check::proto runs the
 # *real* wire engine and NBC round schedules over an in-process fabric
@@ -457,4 +464,4 @@ WIRE_NATIVE_ONLY="all of crates/wire but regpool::, fabric::tests::{reassembly_*
 bench_gate
 
 echo
-echo "ci.sh: all checks passed — gated lanes ran:${GATED_RAN:- none}; skipped:${GATED_SKIPPED:- none}; wire tests native-only (never under Miri): ${WIRE_NATIVE_ONLY}"
+echo "ci.sh: all checks passed — gated lanes ran:${GATED_RAN:- none}; skipped:${GATED_SKIPPED:- none}; wire tests native-only (never under Miri): ${WIRE_NATIVE_ONLY}; shmring model tests: ${SHMRING_MODEL_TESTS% }"

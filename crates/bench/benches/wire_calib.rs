@@ -22,7 +22,14 @@
 //! peer count (`syscalls_per_idle_progress.n2` = `.n4` = 1), and a 1 KiB
 //! eager echo costs a fixed number of them on both ranks together
 //! (`syscalls_per_eager_echo.1KB`). A per-link syscall creeping back into
-//! the pass moves these, and they gate `lower`.
+//! the pass moves these, and they gate `lower`. So does
+//! `rndv_data_writes.256KB`: the sender's socket writes per 256 KiB
+//! rendezvous DATA frame on the same one-thread world. It reads 4.81
+//! with the kernel's default UDS send buffer (≈ 208 KiB: a partial write,
+//! an `EAGAIN`, the rest on later passes) and would read 1 with a buffer
+//! that takes the whole frame; a 512 KiB `SO_SNDBUF` on every UDS link
+//! did that, but moved `opbench`'s `bulk_rndv_uds` `post_ns.p50` up
+//! 20–30 %, so the mesh keeps the default (EXPERIMENTS.md).
 
 use bench::{benchjson, emit, us, Direction, PanelSnapshot};
 use harness::Table;
@@ -133,6 +140,27 @@ fn eager_echo_syscalls(size: usize, echoes: u64) -> f64 {
     total as f64 / echoes as f64
 }
 
+/// Socket writes rank 0 makes per `size`-byte rendezvous DATA frame it
+/// sends, on a 2-rank world pumped from one thread: every
+/// `wire.sys.write` but its RTS (one per message; nothing else rides
+/// that write, as the CTS has not arrived yet).
+fn rndv_data_writes(size: usize, sends: u64) -> f64 {
+    let mut world = loopback_configured(2, WireConfig::default());
+    let payload: Arc<[u8]> = Arc::from(vec![0xd3u8; size]);
+    leg(&mut world, &payload, 0, 1); // warmup
+    let before = world[0].obs().snapshot();
+    for _ in 0..sends {
+        leg(&mut world, &payload, 0, 1);
+    }
+    let d = world[0].obs().snapshot().diff(&before);
+    assert_eq!(
+        d.counter("wire.rndv_tx"),
+        sends,
+        "every send took the rendezvous path"
+    );
+    (d.counter("wire.sys.write") - d.counter("wire.rndv_tx")) as f64 / sends as f64
+}
+
 fn main() {
     let iters = if bench::quick_mode() { 16 } else { 64 };
     let repeats = bench::bench_repeats();
@@ -235,6 +263,7 @@ fn main() {
             "syscalls_per_eager_echo.1KB",
             eager_echo_syscalls(small, 64),
         ),
+        ("rndv_data_writes.256KB", rndv_data_writes(256 * 1024, 16)),
     ] {
         snap.push_series(name, "count", Direction::Lower, vec![value; repeats]);
     }

@@ -27,15 +27,37 @@
 //! consumer may take slot `tail & mask` when `seq == tail + 1` and
 //! recycles it with `seq = tail + slots`. All position arithmetic wraps.
 //!
+//! # Rewind
+//!
+//! Walking every slot whatever the traffic would keep the whole ring
+//! resident (2 × 128 × 16 KiB = 4 MiB a peer pair at the default
+//! geometry) for traffic that needs a few slots. So the producer
+//! *rewinds*: when the ring has drained (its previous slot is recycled,
+//! `seq == head − 1 + slots`) and its slot index is at or past
+//! `slots / 8`, it publishes a SKIP record in the head slot
+//! (`len = `[`SKIP`], no payload) and continues at slot 0 of the next
+//! lap. A consumer that pops a SKIP recycles the slot and jumps to the
+//! same lap start; the caller never sees it. The resident set then
+//! follows the bytes in flight, and a burst larger than `slots / 8`
+//! still runs through the whole ring.
+//!
+//! The slots a rewind passes over keep an older lap's free value. So
+//! both sides read a `seq` of the slot's residue (`≡ pos mod slots`) at
+//! or behind their own position as free (producer) or empty (consumer),
+//! exactly like the current lap's. Without that rule the first burst to
+//! reach past a skipped slot would read it as full, and the link would
+//! wedge for good.
+//!
 //! Unlike the in-process queue, the far side of a ring is *another
 //! process* and therefore untrusted input: a hostile or corrupt peer can
 //! scribble anything into the control words. The protocol never panics on
 //! ring state. A bogus `seq` reads as "full" to the producer (its link
-//! wedges and the engine's timeout reaps it); the consumer knows the only
-//! two values an honest producer leaves at its tail (`tail`, `tail + 1`)
-//! and reports any other as [`Pop::Corrupt`], as it does a `len` beyond
-//! the slot capacity, so the caller can kill the link — exactly as a
-//! corrupt frame header kills a socket link.
+//! wedges and the engine's timeout reaps it); the consumer reads only a
+//! published value (`tail + 1`) or a free one as what it says, and
+//! reports any other as [`Pop::Corrupt`], as it does a `len` beyond the
+//! slot capacity and a SKIP no honest producer publishes (below
+//! `slots / 8`, or on a ring too small to rewind), so the caller can kill
+//! the link — exactly as a corrupt frame header kills a socket link.
 //!
 //! # Park/doorbell handshake
 //!

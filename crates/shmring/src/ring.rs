@@ -201,11 +201,44 @@ impl<M: RingMem> SlotWriter<'_, M> {
     }
 }
 
+/// The `len` of a SKIP record: the producer has rewound to the first
+/// slot of the next lap, and the rest of this lap carries nothing.
+pub const SKIP: u32 = u32::MAX;
+
+/// A producer rewinds only from a slot index at or past
+/// `slots / REWIND_FRACTION`, so small-frame traffic pays at most one
+/// SKIP publish per that many frames. Rings of fewer slots than this
+/// never rewind.
+const REWIND_FRACTION: u32 = 8;
+
+/// The first slot index a rewind may start from; `u32::MAX` (no index)
+/// when the ring is too small to rewind at all.
+fn rewind_floor(slots: u32) -> u32 {
+    match slots / REWIND_FRACTION {
+        0 => u32::MAX,
+        floor => floor,
+    }
+}
+
+/// Does a slot whose `seq` reads `seq` count as free at position `pos`?
+/// Exactly `pos` is the slot recycled for this lap; a value of the same
+/// residue (mod slots) at or behind `pos` is a free value an older lap
+/// left in a slot that rewinds have skipped since. A published value
+/// (`≡ pos + 1`), one ahead of `pos`, or one of another residue is not.
+fn free_at(seq: u64, pos: u64, mask: u64) -> bool {
+    (seq ^ pos) & mask == 0 && pos.wrapping_sub(seq) < 1 << 63
+}
+
 /// The producing half of one ring direction.
 pub struct Producer<M: RingMem> {
     mem: M,
     head: u64,
     mask: u64,
+    /// See [`rewind_floor`].
+    rewind_at: u32,
+    /// The highest slot index a frame was written to, plus one: how much
+    /// of the ring the traffic has made resident.
+    hwm: u32,
 }
 
 impl<M: RingMem> Producer<M> {
@@ -219,9 +252,11 @@ impl<M: RingMem> Producer<M> {
         let slots = mem.slots();
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
         Producer {
+            rewind_at: rewind_floor(slots),
             mem,
             head: start,
             mask: (slots - 1) as u64,
+            hwm: 0,
         }
     }
 
@@ -230,16 +265,63 @@ impl<M: RingMem> Producer<M> {
         self.mem.slot_size()
     }
 
+    /// The highest slot index a chunk has been written to, plus one. With
+    /// rewinds it follows the bytes in flight, not the slot count.
+    pub fn hwm(&self) -> u32 {
+        self.hwm
+    }
+
+    /// May the producer write slot `idx` at position `pos`?
+    fn claim(&self, idx: u32, pos: u64) -> bool {
+        // ORDERING: Acquire pairs with the consumer's recycle Release —
+        // its reads of an earlier lap's payload complete before we
+        // overwrite the slot. Anything but a free value (published,
+        // garbage from a hostile peer) reads as "full".
+        free_at(self.mem.seq(idx).load(Ordering::Acquire), pos, self.mask)
+    }
+
+    /// Publish slot `idx` at the head: `len`, then `seq`.
+    fn publish(&mut self, idx: u32, len: u32) {
+        // ORDERING: Relaxed — the seq publish below orders it.
+        self.mem.len(idx).store(len, Ordering::Relaxed);
+        // ORDERING: SeqCst publish. Release would suffice for the data
+        // handoff (pairing with the consumer's Acquire), but the publish
+        // is also the producer half of the Dekker park handshake: it must
+        // be globally ordered against the consumer's `parked` store so
+        // `prepare_park`'s re-check cannot miss it.
+        self.mem
+            .seq(idx)
+            .store(self.head.wrapping_add(1), Ordering::SeqCst);
+    }
+
+    /// Rewind when the ring has drained and the head is far enough in:
+    /// publish a SKIP in the head slot and move the head to the first
+    /// slot of the next lap, so the resident set follows the bytes in
+    /// flight. Returns the head's slot index afterwards.
+    fn maybe_rewind(&mut self, idx: u32) -> u32 {
+        if idx < self.rewind_at {
+            return idx;
+        }
+        // ORDERING: Acquire pairs with the consumer's recycle of the
+        // previous position. The consumer recycles in order, so this one
+        // value orders all its reads of this lap before our writes — the
+        // drain is what makes the next lap's slots ours.
+        let drained = self.mem.seq(idx - 1).load(Ordering::Acquire)
+            == self.head.wrapping_sub(1).wrapping_add(self.mem.slots() as u64);
+        if !drained || !self.claim(idx, self.head) {
+            return idx;
+        }
+        self.publish(idx, SKIP);
+        self.head = (self.head | self.mask).wrapping_add(1);
+        0
+    }
+
     /// Claim the next slot, run `fill` to write its payload, publish it.
     /// Returns `None` when the ring is full (or the peer has wedged the
     /// slot's `seq` — indistinguishable by design, and equally harmless).
     pub fn try_push_with<R>(&mut self, fill: impl FnOnce(&mut SlotWriter<'_, M>) -> R) -> Option<R> {
-        let idx = (self.head & self.mask) as u32;
-        // ORDERING: Acquire pairs with the consumer's recycle Release —
-        // its reads of the previous lap's payload complete before we
-        // overwrite the slot. Any value other than `head` (behind,
-        // garbage from a hostile peer) reads as "full".
-        if self.mem.seq(idx).load(Ordering::Acquire) != self.head {
+        let idx = self.maybe_rewind((self.head & self.mask) as u32);
+        if !self.claim(idx, self.head) {
             return None;
         }
         let mut w = SlotWriter {
@@ -250,17 +332,9 @@ impl<M: RingMem> Producer<M> {
         };
         let r = fill(&mut w);
         let n = w.off;
-        // ORDERING: Relaxed — the seq publish below orders it.
-        self.mem.len(idx).store(n, Ordering::Relaxed);
-        // ORDERING: SeqCst publish. Release would suffice for the data
-        // handoff (pairing with the consumer's Acquire), but the publish
-        // is also the producer half of the Dekker park handshake: it must
-        // be globally ordered against the consumer's `parked` store so
-        // `prepare_park`'s re-check cannot miss it.
-        self.mem
-            .seq(idx)
-            .store(self.head.wrapping_add(1), Ordering::SeqCst);
+        self.publish(idx, n);
         self.head = self.head.wrapping_add(1);
+        self.hwm = self.hwm.max(idx + 1);
         Some(r)
     }
 
@@ -306,6 +380,8 @@ pub struct Consumer<M: RingMem> {
     mem: M,
     tail: u64,
     mask: u64,
+    /// See [`rewind_floor`]: a SKIP below it is no honest producer's.
+    rewind_at: u32,
 }
 
 impl<M: RingMem> Consumer<M> {
@@ -319,6 +395,7 @@ impl<M: RingMem> Consumer<M> {
         let slots = mem.slots();
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
         Consumer {
+            rewind_at: rewind_floor(slots),
             mem,
             tail: start,
             mask: (slots - 1) as u64,
@@ -335,37 +412,58 @@ impl<M: RingMem> Consumer<M> {
     /// fit into `direct` (the unfilled rest of whatever the caller is
     /// assembling), what follows appended to `out` — the shape of a
     /// `readv(2)` into `[direct, out]`. On `Got(n)` the first
-    /// `min(n, direct.len())` bytes of `direct` are initialised.
+    /// `min(n, direct.len())` bytes of `direct` are initialised. A SKIP at
+    /// the tail is taken on the way and never surfaces.
     pub fn try_pop_into(&mut self, direct: &mut [MaybeUninit<u8>], out: &mut Vec<u8>) -> Pop {
-        let idx = (self.tail & self.mask) as u32;
-        // ORDERING: Acquire pairs with the producer's publish — the slot
-        // bytes and `len` written before it are visible below.
-        let seq = self.mem.seq(idx).load(Ordering::Acquire);
-        if seq != self.tail.wrapping_add(1) {
-            // The slot at the tail holds `tail` until the producer
-            // publishes it (our own recycle, or the initial value, wrote
-            // that); any other value is peer-written garbage.
-            return if seq == self.tail {
-                Pop::Empty
-            } else {
-                Pop::Corrupt
-            };
+        loop {
+            let idx = (self.tail & self.mask) as u32;
+            // ORDERING: Acquire pairs with the producer's publish — the
+            // slot bytes and `len` written before it are visible below.
+            let seq = self.mem.seq(idx).load(Ordering::Acquire);
+            if seq != self.tail.wrapping_add(1) {
+                // Until the producer publishes it, the slot holds a free
+                // value: `tail` (our own recycle, or the initial value),
+                // or an older lap's in a slot rewinds have skipped. Any
+                // other value is peer-written garbage.
+                return if free_at(seq, self.tail, self.mask) {
+                    Pop::Empty
+                } else {
+                    Pop::Corrupt
+                };
+            }
+            // ORDERING: Relaxed — ordered by the Acquire seq load above.
+            let n = self.mem.len(idx).load(Ordering::Relaxed);
+            if n == SKIP {
+                // An honest producer rewinds only from `rewind_at` on, so
+                // a SKIP is taken at most once a pop: the slot it leads
+                // to, a lap's first, cannot hold another.
+                if idx < self.rewind_at {
+                    return Pop::Corrupt;
+                }
+                self.recycle(idx);
+                self.tail = (self.tail | self.mask).wrapping_add(1);
+                continue;
+            }
+            // Peer-controlled input: an impossible length is reported,
+            // never trusted (and never a panic).
+            if n > self.mem.slot_size() {
+                return Pop::Corrupt;
+            }
+            self.mem.read(idx, n, direct, out);
+            self.recycle(idx);
+            self.tail = self.tail.wrapping_add(1);
+            return Pop::Got(n as usize);
         }
-        // ORDERING: Relaxed — ordered by the Acquire seq load above.
-        let n = self.mem.len(idx).load(Ordering::Relaxed);
-        // Peer-controlled input: an impossible length is reported, never
-        // trusted (and never a panic).
-        if n > self.mem.slot_size() {
-            return Pop::Corrupt;
-        }
-        self.mem.read(idx, n, direct, out);
-        // ORDERING: Release recycle pairs with the producer's claim
-        // Acquire — our payload reads complete before it may overwrite.
+    }
+
+    /// Hand the tail slot back to the producer for the next lap.
+    fn recycle(&self, idx: u32) {
+        // ORDERING: Release recycle pairs with the producer's claim (and
+        // drained-check) Acquire — our payload reads complete before it
+        // may overwrite.
         self.mem
             .seq(idx)
             .store(self.tail.wrapping_add(self.mem.slots() as u64), Ordering::Release);
-        self.tail = self.tail.wrapping_add(1);
-        Pop::Got(n as usize)
     }
 
     /// Announce intent to park, then re-check the ring. Returns `true`

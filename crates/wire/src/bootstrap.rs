@@ -451,6 +451,65 @@ fn tcp_pair() -> std::io::Result<(Stream, Stream)> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn a_version_1_segment_is_refused_and_the_pair_falls_back_in_step() {
+        use rtmpi::{OpOutcome, Transport};
+
+        let dir = std::env::temp_dir().join(format!("wire-shm-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("bootstrap dir");
+        let listener = UnixListener::bind(sock_path(&dir, 0)).expect("bind rank 0");
+        let higher = {
+            let dir = dir.clone();
+            let cfg = WireConfig {
+                shm: true,
+                ..WireConfig::default()
+            };
+            std::thread::spawn(move || connect_mesh(1, 2, &dir, cfg))
+        };
+        // Rank 0 as a version-1 build: it takes the Hello and offers a
+        // segment whose header says 1 (the layout is unchanged).
+        let mut low = Stream::from(listener.accept().expect("accept rank 1").0);
+        let mut hello = [0u8; HEADER_LEN];
+        low.read_exact_blocking(&mut hello).expect("hello");
+        assert_eq!(
+            Header::decode(&hello).expect("hello").kind,
+            FrameKind::Hello
+        );
+        let acked = crate::shm::offer_with_version(&mut low, 1).expect("offer");
+        assert!(!acked, "refused in-band, so the offerer falls back too");
+        let mut high = higher
+            .join()
+            .expect("rank 1 thread")
+            .expect("rank 1 bootstraps on the socket path");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The socket carries the data plane: an eager frame written on it
+        // is received.
+        let body = [4u8, 5, 6];
+        let hdr = Header {
+            kind: FrameKind::Eager,
+            src: 0,
+            tag: 5,
+            xid: 0,
+            len: body.len() as u64,
+        };
+        low.write_all_blocking(&hdr.encode()).expect("eager header");
+        low.write_all_blocking(&body).expect("eager body");
+        let rx = high.irecv(Some(0), Some(5));
+        let got = loop {
+            high.progress();
+            if let Some(out) = high.try_take(&rx) {
+                break out;
+            }
+        };
+        assert!(matches!(got, Ok(OpOutcome::Received(st, d)) if st.len == 3 && d[..] == body));
+        #[cfg(feature = "obs-enabled")]
+        {
+            let snap = high.obs().snapshot();
+            assert_eq!(snap.counter("wire.shm_fallback"), 1, "counted once");
+            assert_eq!(snap.counter("wire.shm_frames"), 0, "no ring");
+        }
+    }
+
     fn plane(vars: &[(&str, &str)]) -> std::io::Result<StatsPlaneEnv> {
         StatsPlaneEnv::parse(|name| {
             vars.iter()

@@ -71,7 +71,9 @@ pub struct WireConfig {
     /// Negotiate the shared-memory data plane per peer pair at bootstrap
     /// (UDS meshes only; every failure degrades to the socket path).
     pub shm: bool,
-    /// Ring slot count for negotiated segments (power of two).
+    /// Ring slot count for negotiated segments (power of two): the
+    /// capacity, not the footprint — a ring rewinds to its first slot
+    /// when it drains, so only the slots in flight stay resident.
     pub shm_slots: u32,
     /// Ring slot payload size in bytes.
     pub shm_slot_bytes: u32,

@@ -486,6 +486,12 @@ struct FabricObs {
     shm_frames: obs::Counter,
     shm_fallback: obs::Counter,
     shm_doorbell: obs::Counter,
+    /// Ring slots a link's producer has written, the highest index plus
+    /// one; its high-water mark is the most of any link. With rewinds it
+    /// follows the bytes in flight, not the configured slot count.
+    /// Registered only by a fabric with an shm link, so a socket-only
+    /// fabric allocates nothing for it.
+    shm_ring_hwm: Option<obs::Gauge>,
     /// Bytes user code writes on the receive path: copies out of a ring
     /// slot (into a body or the staging), copies from a buffer into a
     /// body or a delivered `Arc`. What the kernel writes is not counted;
@@ -698,6 +704,12 @@ impl FrameFabric for SocketFabric {
             shm_frames: c("wire.shm_frames"),
             shm_fallback: c("wire.shm_fallback"),
             shm_doorbell: c("wire.shm_doorbell"),
+            shm_ring_hwm: self
+                .links
+                .iter()
+                .flatten()
+                .any(|l| l.shm.is_some())
+                .then(|| registry.gauge("wire.shm_ring_hwm")),
             rx_copy_bytes: c("wire.rx_copy_bytes"),
             sys_poll: c("wire.sys.poll"),
             sys_read: c("wire.sys.read"),
@@ -813,7 +825,12 @@ fn flush_shm(link: &mut SocketLink, obs: &FabricObs, res: &mut LinkPoll) {
         stream, tx, shm, ..
     } = link;
     let Some(shm) = shm.as_mut() else { return };
-    if push_ring(&mut shm.tx, tx, obs, res) && shm.tx.doorbell_needed() {
+    let hwm = shm.tx.hwm();
+    let pushed = push_ring(&mut shm.tx, tx, obs, res);
+    if let Some(gauge) = obs.shm_ring_hwm.as_ref().filter(|_| shm.tx.hwm() > hwm) {
+        gauge.set(shm.tx.hwm().into());
+    }
+    if pushed && shm.tx.doorbell_needed() {
         // Best-effort nudge on the socket: the consumer's poll loop (and
         // its timeout backstop) make a dropped doorbell a latency blip,
         // never a hang.

@@ -505,6 +505,39 @@ proptest! {
         assert_same(&out, &want);
         let rx = &b.links[0].as_ref().expect("link").rx;
         prop_assert!(rx.body.is_none() && rx.hdr_len == 0);
+
+        // Frame by frame, each delivered before the next is queued,
+        // through 32 slots of 16 KiB (rewinds from slot 4 on) behind 40
+        // one-slot frames: the stream takes more than a lap, so the ring
+        // must rewind, and its resident slots stay within the first
+        // 4 − 1 + (the most slots one frame needs).
+        let mut want = vec![(frame(FrameKind::Cts, 2, &[]), Vec::new()); 40];
+        want.extend(frames_from(&seeds));
+        let widest = want
+            .iter()
+            .map(|(_, body)| (HEADER_LEN + body.len()).div_ceil(16 * 1024))
+            .max()
+            .unwrap_or(1);
+        let (mut a, mut b) = joined(Some((32, 16 * 1024)));
+        let registry = obs::Registry::default();
+        a.register_obs(&registry);
+        let mut out = Vec::new();
+        for (h, body) in &want {
+            a.queue(1, h, body);
+            let delivered = out.len() + 1;
+            while out.len() < delivered {
+                prop_assert!(!a.flush(1).died);
+                prop_assert!(!pass(&mut b, 0, &mut out).died);
+            }
+        }
+        assert_same(&out, &want);
+        let hwm = a.links[1].as_ref().expect("link").shm.as_ref().expect("shm").tx.hwm();
+        prop_assert!(hwm as usize <= 3 + widest, "{hwm} slots resident, widest frame {widest}");
+        #[cfg(feature = "obs-enabled")]
+        prop_assert_eq!(
+            registry.snapshot().gauge("wire.shm_ring_hwm").high_water,
+            u64::from(hwm)
+        );
     }
 }
 

@@ -22,13 +22,45 @@
 //!   [ slots × slot_size payload bytes ]
 //! ```
 //!
+//! The layout is that of version 1; version 2 changed what the control
+//! words may say (below), so a version-1 peer is refused at map time.
+//!
+//! # Rewind and the SKIP record
+//!
+//! A producer whose ring has drained rewinds to slot 0 of the next lap
+//! once its slot index reaches `slots / 8` (see [`shmring`]): it
+//! publishes one SKIP record — `len = u32::MAX`, no payload — in its
+//! head slot, and the consumer that pops it jumps to the same lap start.
+//! The segment's resident pages then follow the bytes in flight (about
+//! 19 slots a direction on a 256 KiB rendezvous exchange) instead of the
+//! whole ring. Slots a rewind passed over keep an older lap's free
+//! value. What the consumer makes of its tail slot at position `t`
+//! (`N` slots, `R = N / 8`, `idx = t mod N`):
+//!
+//! | `seq` | `len` | pop |
+//! |---|---|---|
+//! | `t + 1` | `≤ slot_size` | `Got(len)`: one chunk |
+//! | `t + 1` | `u32::MAX`, `R ≥ 1` and `idx ≥ R` | SKIP: recycle, jump to the next lap's slot 0, look again |
+//! | `t + 1` | `u32::MAX` otherwise | `Corrupt` |
+//! | `t + 1` | any other `> slot_size` | `Corrupt` |
+//! | `≡ t (mod N)`, at or behind `t` | any | `Empty` |
+//! | anything else | any | `Corrupt` |
+//!
+//! The producer claims its head slot at position `h` only on a free
+//! value (`≡ h (mod N)`, at or behind `h`); any other value reads as
+//! full. SKIP never reaches the fabric: chunks are bytes, and it carries
+//! none.
+//!
 //! # Trust model
 //!
 //! The far side of the segment is another process and therefore
 //! *untrusted input*, exactly like socket bytes: every value read out of
 //! shared memory (header fields at map time, `seq`/`len` at run time) is
 //! validated or tolerated. A hostile peer can wedge or kill its own
-//! links — never panic this process or make it read out of bounds.
+//! links — never panic this process or make it read out of bounds. A
+//! forged SKIP can do no more: the consumer takes at most one per pop
+//! (the slot it leads to, a lap's first, may not hold another), and one
+//! below `R` kills the link like any other corrupt slot.
 //!
 //! # Fallback matrix
 //!
@@ -56,9 +88,11 @@ use crate::fabric::Stream;
 use crate::proto::{FrameKind, Header, HEADER_LEN};
 use crate::sys::RxBody;
 
-/// Default ring geometry: 128 slots × 16 KiB ≈ 2 MiB per direction.
-/// A slot comfortably holds the largest eager frame (`WIRE_EAGER_MAX`
-/// defaults to 4 KiB + header); rendezvous payloads chunk across slots.
+/// Default ring geometry: 128 slots × 16 KiB ≈ 2 MiB per direction of
+/// capacity, not footprint: rewinds keep resident only the slots the
+/// traffic in flight needs (`wire.shm_ring_hwm`). A slot comfortably
+/// holds the largest eager frame (`WIRE_EAGER_MAX` defaults to 4 KiB +
+/// header); rendezvous payloads chunk across slots.
 pub const DEFAULT_SLOTS: u32 = 128;
 pub const DEFAULT_SLOT_BYTES: u32 = 16 * 1024;
 
@@ -69,7 +103,9 @@ const MIN_SLOT_BYTES: u32 = 64;
 const MAX_SLOT_BYTES: u32 = 1 << 24;
 
 const SEG_MAGIC: u64 = 0x5752_5348_4d31_u64; // "WRSHM1"
-const SEG_VERSION: u32 = 1;
+/// 2: rings rewind (SKIP records, free values of older laps). A
+/// version-1 peer would read a SKIP as a corrupt slot.
+const SEG_VERSION: u32 = 2;
 
 /// Offer/ack verdict carried in the `Shm` frame's `tag`.
 const SHM_TAG_OK: u32 = 1;
@@ -726,6 +762,24 @@ pub(crate) fn accept_segment(stream: &mut Stream, rank: u32) -> io::Result<Optio
     Ok(mapped.map(|(lay, seg)| link_from_map(&seg, &lay, false)))
 }
 
+/// Offer a fresh 8 × 256 B segment whose header says `version`, as a
+/// build of that version would, and return whether the peer acked it:
+/// the test hook behind the version-refusal test in `bootstrap`.
+#[cfg(test)]
+pub(crate) fn offer_with_version(stream: &mut Stream, version: u32) -> io::Result<bool> {
+    let lay = layout(8, 256)?;
+    let (fd, seg) = create_segment(&lay)?;
+    seg_hdr_atomics(&seg).1.store(version, Ordering::Relaxed);
+    let offer = shm_header(0, SHM_TAG_OK, lay.slots, lay.slot_size).encode();
+    let sock = uds_fd(stream).ok_or(io::ErrorKind::Unsupported)?;
+    send_with_fd(sock, &offer, fd.as_raw_fd())?;
+    let mut ack = [0u8; HEADER_LEN];
+    stream.read_exact_blocking(&mut ack)?;
+    let ack = Header::decode(&ack)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("shm ack: {e}")))?;
+    Ok(ack.kind == FrameKind::Shm && ack.tag == SHM_TAG_OK)
+}
+
 /// Creator-side counterpart of the `tag = UNAVAILABLE` short-offer: the
 /// acceptor still consumes exactly one Shm header, so the two sides stay
 /// in step on the byte stream. (The offer path above writes it.)
@@ -760,34 +814,63 @@ mod tests {
 
     #[test]
     fn segment_ring_wraps_and_reports_corruption() {
-        let (mut low, mut high) = loopback_pair(2, 64).expect("segment");
+        let lay = layout(8, 64).expect("layout");
+        let (_fd, seg) = create_segment(&lay).expect("segment");
+        let (mut low, mut high) = (
+            link_from_map(&seg, &lay, true),
+            link_from_map(&seg, &lay, false),
+        );
         let mut buf = Vec::new();
         for round in 0..5u8 {
-            assert!(low.tx.try_push(&[round; 3]));
-            assert!(low.tx.try_push(&[round; 4]));
+            for i in 0..8 {
+                assert!(low.tx.try_push(&[round; 3]), "round {round} push {i}");
+            }
             assert!(!low.tx.try_push(b"full"));
-            assert_eq!(high.rx.try_pop(&mut buf), Pop::Got(3));
-            assert_eq!(high.rx.try_pop(&mut buf), Pop::Got(4));
+            for _ in 0..8 {
+                assert_eq!(high.rx.try_pop(&mut buf), Pop::Got(3));
+            }
+            assert_eq!(high.rx.try_pop(&mut buf), Pop::Empty);
             buf.clear();
         }
-        // A hostile len is reported, not trusted.
+        // The ring drained at slot 0 five laps on; a push from slot 2
+        // rewinds, a SKIP the consumer takes on the way.
+        assert!(low.tx.try_push(b"ab"));
+        assert!(low.tx.try_push(b"cd"));
+        assert_eq!(high.rx.try_pop(&mut buf), Pop::Got(2));
+        assert_eq!(high.rx.try_pop(&mut buf), Pop::Got(2));
+        assert!(low.tx.try_push(b"ef"), "slot 2: rewinds to slot 0");
+        assert_eq!(high.rx.try_pop(&mut buf), Pop::Got(2));
+        assert_eq!(&buf, b"abcdef");
+        // Hostile control words in the shared mapping are reported, not
+        // trusted: a len past the slot (written over every slot of the
+        // ring, the consumer's next among them), and, on a fresh
+        // segment, a SKIP at slot 0, below the rewind floor.
+        let ring0 = ShmMem::new(&seg, &lay, 0);
         assert!(low.tx.try_push(b"x"));
-        let mem_len_probe = {
-            // Reach the shared len word through the consumer's own mem
-            // is not exposed; recreate the pair instead with a direct
-            // segment to poke.
-            let lay = layout(2, 64).expect("layout");
-            let (_fd, seg) = create_segment(&lay).expect("segment");
-            let mem = ShmMem::new(&seg, &lay, 0);
-            mem.len(0).store(u32::MAX, Ordering::Relaxed);
-            mem.len(0).load(Ordering::Relaxed)
-        };
-        assert_eq!(mem_len_probe, u32::MAX);
+        for i in 0..lay.slots {
+            ring0.len(i).store(65, Ordering::Relaxed);
+        }
+        assert_eq!(high.rx.try_pop(&mut buf), Pop::Corrupt);
+        let (_fd, seg) = create_segment(&lay).expect("segment");
+        let mut high = link_from_map(&seg, &lay, false);
+        let ring0 = ShmMem::new(&seg, &lay, 0);
+        ring0.len(0).store(shmring::SKIP, Ordering::Relaxed);
+        ring0.seq(0).store(1, Ordering::Relaxed);
+        assert_eq!(high.rx.try_pop(&mut buf), Pop::Corrupt);
+        assert_eq!(&buf, b"abcdef", "nothing delivered from either");
     }
 
     #[test]
     fn cross_thread_segment_streams_in_order() {
-        let (mut low, mut high) = loopback_pair(4, 128).expect("segment");
+        // 4 slots never rewind; 16 rewind from slot 2 whenever the
+        // consumer has caught up.
+        for slots in [4, 16] {
+            cross_thread_stream(slots);
+        }
+    }
+
+    fn cross_thread_stream(slots: u32) {
+        let (mut low, mut high) = loopback_pair(slots, 128).expect("segment");
         let producer = std::thread::spawn(move || {
             for i in 0..5_000u32 {
                 let msg = i.to_le_bytes();
