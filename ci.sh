@@ -195,6 +195,18 @@ esac
 run cargo build --release --workspace
 run cargo test --workspace -q
 
+# `check` is a leaf: the facade sits under offload, rtmpi and shmring, so
+# a workspace edge out of it would close a package cycle the moment one
+# of those is on its far side. The protocol checker that needs the engine
+# is `protocheck`, above them all.
+echo
+echo "== check depends on no workspace crate =="
+CHECK_DEPS=$(cargo tree --offline -p check -e normal --prefix none | sed 1d)
+if [ -n "$CHECK_DEPS" ]; then
+  echo "check depends on: $CHECK_DEPS"
+  exit 1
+fi
+
 # The no-op observability build must stay warning-free and green where it
 # matters most: the instrumented hot paths and the engine, and the layers
 # whose tests read counters (those reads are gated on `obs-enabled`).
@@ -349,8 +361,8 @@ run cargo run -q --release -p lint --bin offload-lint -- --root . \
 # lost-wakeup detection. The seed is pinned so CI is reproducible; export
 # OFFLOAD_MODEL_SEED / OFFLOAD_MODEL_ITERS to explore differently. A
 # separate target dir keeps the --cfg flag from thrashing the main cache.
-# shmring rides the same lane: tests/model.rs compiles the ring protocol
-# source against check's instrumented atomics (see crates/shmring), so the
+# shmring rides the same lane: the ring is written against check's
+# facade, so tests/model.rs explores the shipped protocol and the
 # SPSC handoff and park/doorbell handshake are explored under the same
 # pinned seed — including a deliberately-broken-ordering test that proves
 # the detector has teeth on this structure.
@@ -359,13 +371,22 @@ run cargo run -q --release -p lint --bin offload-lint -- --root . \
 # drained check (it must be caught as a data race). Each capped-DFS test
 # asserts it explored its whole space or up to the cap; the footer names
 # the ring's model tests so a green run says which ran.
+# rtmpi's request rides it too (tests/model.rs): a polled receive
+# completed by isend on another model thread, a blocking wait racing the
+# completer, and a completer that reads `waiters` before it publishes
+# `done` (armed through `model-faults`), which must be caught as a
+# deadlock. The footer names these as well.
 run env CARGO_TARGET_DIR=target/model RUSTFLAGS="--cfg offload_model" \
   OFFLOAD_MODEL_SEED="${OFFLOAD_MODEL_SEED:-1592598549}" \
-  cargo test -p check -p shmring -q
-SHMRING_MODEL_TESTS=$(env CARGO_TARGET_DIR=target/model RUSTFLAGS="--cfg offload_model" \
-  cargo test -q -p shmring --test model -- --list 2>/dev/null | sed -n 's/: test$//p' | tr '\n' ' ')
+  cargo test -p check -p shmring -p rtmpi --features rtmpi/model-faults -q
+model_tests() { # model_tests <cargo test args…>: the names, space-separated
+  env CARGO_TARGET_DIR=target/model RUSTFLAGS="--cfg offload_model" \
+    cargo test -q "$@" -- --list 2>/dev/null | sed -n 's/: test$//p' | tr '\n' ' '
+}
+SHMRING_MODEL_TESTS=$(model_tests -p shmring --test model)
+RTMPI_MODEL_TESTS=$(model_tests -p rtmpi --features model-faults --test model)
 
-# Protocol-model lane (always on, plain build): check::proto runs the
+# Protocol-model lane (always on, plain build): protocheck runs the
 # *real* wire engine and NBC round schedules over an in-process fabric
 # and explores frame delivery order / duplication / peer death across
 # eager, rendezvous and all collective schedules at 2–4 ranks. The seed
@@ -375,7 +396,7 @@ SHMRING_MODEL_TESTS=$(env CARGO_TARGET_DIR=target/model RUSTFLAGS="--cfg offload
 # acceptance sweep is 11k schedules of a 3-rank allreduce.
 run env OFFLOAD_MODEL_SEED="${OFFLOAD_MODEL_SEED:-1592598549}" \
   OFFLOAD_MODEL_ITERS=11000 OFFLOAD_PROTO_MIN_DISTINCT=10000 \
-  cargo test -q -p check --features proto --release
+  cargo test -q -p protocheck --release
 
 # Thread-sanitizer lane (gated: needs a nightly toolchain with the
 # rust-src component). TSan watches the *native* executions of the core
@@ -464,4 +485,4 @@ WIRE_NATIVE_ONLY="all of crates/wire but regpool::, fabric::tests::{reassembly_*
 bench_gate
 
 echo
-echo "ci.sh: all checks passed — gated lanes ran:${GATED_RAN:- none}; skipped:${GATED_SKIPPED:- none}; wire tests native-only (never under Miri): ${WIRE_NATIVE_ONLY}; shmring model tests: ${SHMRING_MODEL_TESTS% }"
+echo "ci.sh: all checks passed — gated lanes ran:${GATED_RAN:- none}; skipped:${GATED_SKIPPED:- none}; wire tests native-only (never under Miri): ${WIRE_NATIVE_ONLY}; shmring model tests: ${SHMRING_MODEL_TESTS% }; rtmpi model tests: ${RTMPI_MODEL_TESTS% }"

@@ -20,6 +20,11 @@
 //!   arguments, and flags unsynchronized conflicting data accesses, lost
 //!   wakeups (deadlock with no timeout armed), and livelocks.
 //!
+//! Its users are `offload` (the core above), `shmring` (the SPSC ring)
+//! and `rtmpi` (the in-process request). So that any of them can import
+//! the facade, this crate depends on no workspace crate; the wire
+//! protocol's explorer, which needs the engine, is `protocheck`.
+//!
 //! What the model does and does not prove is written up in DESIGN.md §11.
 //! In one line: it checks *all modelled interleavings under sequentially
 //! consistent semantics of the declared orderings* — weak-memory
@@ -52,8 +57,6 @@
 
 pub mod cell;
 pub mod clock;
-#[cfg(feature = "proto")]
-pub mod proto;
 pub mod sync;
 pub mod thread;
 

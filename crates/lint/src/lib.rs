@@ -17,10 +17,11 @@
 //! * `ordering-comment` — every atomic `Ordering::…` use outside test
 //!   code (SeqCst *and* weaker) carries an `// ORDERING:` comment saying
 //!   why that ordering — no stronger, no weaker — is the right one.
-//! * `std-concurrency-facade` — `crates/core` (the model-checked crate)
-//!   must not touch `std::sync::atomic` or `std::thread` directly;
-//!   everything goes through the `check` facade so the model scheduler
-//!   can interpose. Test modules are exempt (they run natively).
+//! * `std-concurrency-facade` — the model-checked crates (`crates/core`,
+//!   `crates/rtmpi` and `crates/shmring`) must not touch
+//!   `std::sync::atomic` or `std::thread` directly; everything goes
+//!   through the `check` facade so the model scheduler can interpose.
+//!   Test modules are exempt (they run natively).
 //! * `reserved-tag-literal` — no integer literal inside the reserved tag
 //!   span `0x7000_0000..0x8000_0000` outside `crates/rtmpi`: consumers
 //!   must name `TAG_RESERVED_BASE`/`TAG_COLL_BASE` so the span can move.
@@ -220,7 +221,9 @@ fn scope_of(path: &str) -> Scope {
         "crates/wire/src/stats.rs",
     ];
     Scope {
-        facade_only: path.starts_with("crates/core/src"),
+        facade_only: ["crates/core/src", "crates/rtmpi/src", "crates/shmring/src"]
+            .iter()
+            .any(|dir| path.starts_with(dir)),
         owns_reserved_span: path.starts_with("crates/rtmpi"),
         peer_input: peer_input_files.contains(&path),
         wire_safe_zone: path.starts_with("crates/wire/src")
@@ -632,8 +635,13 @@ mod tests {
     #[test]
     fn std_concurrency_in_core_is_flagged_and_facade_is_not() {
         let src = "use std::thread::JoinHandle;\nuse std::sync::atomic::AtomicU32;\n";
-        let rules = rules_fired("crates/core/src/live.rs", src);
-        assert_eq!(rules, ["std-concurrency-facade"]);
+        for path in [
+            "crates/core/src/live.rs",
+            "crates/rtmpi/src/lib.rs",
+            "crates/shmring/src/ring.rs",
+        ] {
+            assert_eq!(rules_fired(path, src), ["std-concurrency-facade"], "{path}");
+        }
         // The facade itself and other crates may touch std directly.
         assert!(scan_source("crates/check/src/thread.rs", src).is_empty());
         assert!(scan_source("crates/wire/src/launcher.rs", src).is_empty());

@@ -1,11 +1,11 @@
-//! Protocol model checking for the wire state machines.
+//! `protocheck` — protocol model checking for the wire state machines.
 //!
 //! `crates/check`'s main facility (the sync facade + CHESS-style
-//! scheduler) proves the lock-free *core*; this module proves the *wire
+//! scheduler) proves the lock-free *core*; this crate proves the *wire
 //! protocol* — eager, RTS→CTS→DATA rendezvous, and the NBC round
 //! schedules — under every frame interleaving the transport contract
 //! allows. It exists because `wire::engine` is generic over
-//! [`wire::FrameFabric`]: production runs the socket mesh, this module
+//! [`wire::FrameFabric`]: production runs the socket mesh, this crate
 //! substitutes [`ModelFabric`], a deterministic in-process fabric where
 //! *frame delivery itself* is the explored nondeterminism.
 //!
@@ -50,7 +50,7 @@
 //! ## Exploration, seeds, replay
 //!
 //! The conventions match the core model checker: seeded SplitMix64
-//! random walks (`OFFLOAD_MODEL_SEED`, default [`crate::DEFAULT_SEED`];
+//! random walks (`OFFLOAD_MODEL_SEED`, default [`check::DEFAULT_SEED`];
 //! `OFFLOAD_MODEL_ITERS`), schedule strings as dot-separated choice
 //! indices ("3.0.1.2"), and exact replay via `OFFLOAD_MODEL_SCHEDULE` or
 //! [`Strategy::Replay`]. The bounded-DFS strategy adds DPOR-style
@@ -828,7 +828,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             strategy: Strategy::Random {
-                seed: crate::DEFAULT_SEED,
+                seed: check::DEFAULT_SEED,
                 iters: 256,
             },
             max_dups: 0,
@@ -893,7 +893,7 @@ impl std::fmt::Display for Failure {
         write!(
             f,
             "replay: OFFLOAD_MODEL_SCHEDULE=\"{}\" with the same WorldSpec \
-             (cargo test -p check --features proto)",
+             (cargo test -p protocheck)",
             self.schedule
         )
     }
@@ -1152,7 +1152,7 @@ mod tests {
     fn random(iters: u64) -> Config {
         Config {
             strategy: Strategy::Random {
-                seed: crate::DEFAULT_SEED,
+                seed: check::DEFAULT_SEED,
                 iters,
             },
             ..Config::default()
@@ -1324,7 +1324,7 @@ mod tests {
         let spec = WorldSpec::collective(3, 64, CollOp::Allreduce { lanes: 24 });
         let cfg = Config {
             strategy: Strategy::Random {
-                seed: crate::DEFAULT_SEED,
+                seed: check::DEFAULT_SEED,
                 iters,
             },
             // Duplication is part of the explored space (and of the

@@ -34,13 +34,15 @@
 //! condvar only when a blocked [`RtRequest::wait`] has registered itself
 //! under the same lock: one operation's life on this substrate costs no
 //! syscall, and `RtMpi::recv`/`send` still block correctly
-//! (`offload-lint`'s `guarded-notify` rule keeps it that way).
+//! (`offload-lint`'s `guarded-notify` rule keeps it that way, and
+//! `tests/model.rs` model-checks it: the node locks and flags through the
+//! `check` facade).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::PoisonError;
 
-use parking_lot::{Condvar, Mutex};
+use check::sync::atomic::{AtomicBool, Ordering};
+use check::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 #[cfg(feature = "model-faults")]
 pub mod faults;
@@ -71,6 +73,13 @@ pub const TAG_COLL_BASE: Tag = TAG_RESERVED_BASE;
 /// Width of the reserved collective sub-range; per-collective tags are
 /// `TAG_COLL_BASE + (seq % TAG_COLL_SPAN)`.
 pub const TAG_COLL_SPAN: Tag = 0x1000_0000;
+
+/// Lock `m`, ignoring poisoning: a thread that panicked holding a mailbox
+/// or a request lock left its state consistent (every critical section
+/// here is a few field writes), so it must not wedge the other ranks.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Completion status of a receive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,7 +160,9 @@ impl RtRequest {
         let Repr::Pending(node) = &self.0 else {
             unreachable!("only pending receives are posted to a mailbox");
         };
-        let mut st = node.state.lock();
+        #[cfg(feature = "model-faults")]
+        let early_wake = faults::notify_decided_early().then(|| lock(&node.state).waiters > 0);
+        let mut st = lock(&node.state);
         st.outcome = Some((status, data));
         // ORDERING: Release — publishes the outcome to is_done()'s Acquire
         // for lock-free completion polling. Blocking waiters are covered
@@ -159,6 +170,8 @@ impl RtRequest {
         // under it, so either they see the flag or we see them.
         node.done.store(true, Ordering::Release);
         let wake = st.waiters > 0;
+        #[cfg(feature = "model-faults")]
+        let wake = early_wake.unwrap_or(wake);
         drop(st);
         if wake {
             node.cv.notify_all();
@@ -182,12 +195,12 @@ impl RtRequest {
             Repr::Ready(cell) => return cell.take(),
             Repr::Pending(node) => node,
         };
-        let mut st = node.state.lock();
+        let mut st = lock(&node.state);
         // ORDERING: Relaxed — `done` is only ever stored under this lock,
         // which we hold; the lock orders it.
         while !node.done.load(Ordering::Relaxed) {
             st.waiters += 1;
-            node.cv.wait(&mut st);
+            st = node.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             st.waiters -= 1;
         }
         st.outcome.take()
@@ -197,8 +210,19 @@ impl RtRequest {
     pub fn try_take(&self) -> Option<(Status, Arc<[u8]>)> {
         match &self.0 {
             Repr::Ready(cell) => cell.take(),
-            Repr::Pending(node) if self.is_done() => node.state.lock().outcome.take(),
+            Repr::Pending(node) if self.is_done() => lock(&node.state).outcome.take(),
             Repr::Pending(_) => None,
+        }
+    }
+
+    /// Threads blocked in [`RtRequest::wait`] on this request right now
+    /// (always 0 for a request complete at hand-off): what the model
+    /// tests read to see that every waiter deregistered.
+    #[cfg(feature = "model-faults")]
+    pub fn waiters(&self) -> u32 {
+        match &self.0 {
+            Repr::Ready(_) => 0,
+            Repr::Pending(node) => lock(&node.state).waiters,
         }
     }
 }
@@ -207,19 +231,8 @@ struct RankShared {
     mail: Mutex<MatchQueue<RtRequest, Arc<[u8]>>>,
 }
 
-type CollResult = Arc<Vec<Arc<[u8]>>>;
-
-struct CollSlot {
-    contributions: Mutex<Vec<Option<Arc<[u8]>>>>,
-    result: Mutex<Option<CollResult>>,
-    arrived: Mutex<usize>,
-    generation: Mutex<u64>,
-    cv: Condvar,
-}
-
 struct WorldShared {
     ranks: Vec<RankShared>,
-    coll: CollSlot,
 }
 
 /// One rank's handle onto the in-process world. `Send`: move each handle to
@@ -238,13 +251,6 @@ pub fn world(n: usize) -> Vec<RtMpi> {
                 mail: Mutex::new(MatchQueue::new()),
             })
             .collect(),
-        coll: CollSlot {
-            contributions: Mutex::new(vec![None; n]),
-            result: Mutex::new(None),
-            arrived: Mutex::new(0),
-            generation: Mutex::new(0),
-            cv: Condvar::new(),
-        },
     });
     (0..n)
         .map(|rank| RtMpi {
@@ -267,7 +273,7 @@ impl RtMpi {
     /// returned handle is born complete and costs no allocation.
     pub fn isend(&self, dst: usize, tag: Tag, data: Arc<[u8]>) -> RtRequest {
         let posted = {
-            let mut mail = self.world.ranks[dst].mail.lock();
+            let mut mail = lock(&self.world.ranks[dst].mail);
             match mail.take_posted(self.rank, tag) {
                 Some(posted) => posted,
                 None => {
@@ -289,7 +295,7 @@ impl RtMpi {
 
     /// Nonblocking receive; `None` filters are wildcards.
     pub fn irecv(&self, src: Option<usize>, tag: Option<Tag>) -> RtRequest {
-        let mut mail = self.world.ranks[self.rank].mail.lock();
+        let mut mail = lock(&self.world.ranks[self.rank].mail);
         if let Some(u) = mail.take_unexpected(src, tag) {
             let status = Status {
                 source: u.src,
@@ -326,104 +332,12 @@ impl RtMpi {
 
     /// Is a matching message waiting unexpectedly?
     pub fn iprobe(&self, src: Option<usize>, tag: Option<Tag>) -> Option<Status> {
-        let mail = self.world.ranks[self.rank].mail.lock();
+        let mail = lock(&self.world.ranks[self.rank].mail);
         mail.probe(src, tag).map(|(s, t, d)| Status {
             source: s,
             tag: t,
             len: d.len(),
         })
-    }
-
-    /// Generation-counted reusable barrier across all ranks.
-    pub fn barrier(&self) {
-        let coll = &self.world.coll;
-        let n = self.size();
-        let mut arrived = coll.arrived.lock();
-        let my_gen = *coll.generation.lock();
-        *arrived += 1;
-        if *arrived == n {
-            *arrived = 0;
-            *coll.generation.lock() += 1;
-            coll.cv.notify_all();
-        } else {
-            while *coll.generation.lock() == my_gen {
-                coll.cv.wait(&mut arrived);
-            }
-        }
-    }
-
-    /// Allgather: returns all contributions indexed by rank. Also the
-    /// building block for the other collectives.
-    pub fn allgather(&self, mine: Arc<[u8]>) -> Vec<Arc<[u8]>> {
-        let coll = &self.world.coll;
-        let n = self.size();
-        let mut arrived = coll.arrived.lock();
-        let my_gen = *coll.generation.lock();
-        coll.contributions.lock()[self.rank] = Some(mine);
-        *arrived += 1;
-        if *arrived == n {
-            // Leader: assemble, publish, release.
-            let gathered: Vec<Arc<[u8]>> = coll
-                .contributions
-                .lock()
-                .iter_mut()
-                .map(|c| c.take().expect("all contributions present"))
-                .collect();
-            *coll.result.lock() = Some(Arc::new(gathered));
-            *arrived = 0;
-            *coll.generation.lock() += 1;
-            coll.cv.notify_all();
-        } else {
-            while *coll.generation.lock() == my_gen {
-                coll.cv.wait(&mut arrived);
-            }
-        }
-        drop(arrived);
-        let result = coll
-            .result
-            .lock()
-            .as_ref()
-            .expect("result published")
-            .clone();
-        result.as_ref().clone()
-    }
-
-    /// Sum-allreduce over f64 lanes.
-    pub fn allreduce_f64_sum(&self, mine: &[f64]) -> Vec<f64> {
-        let bytes: Vec<u8> = mine.iter().flat_map(|x| x.to_le_bytes()).collect();
-        let all = self.allgather(Arc::from(bytes));
-        let mut acc = vec![0.0f64; mine.len()];
-        for contrib in &all {
-            for (i, c) in contrib.chunks_exact(8).enumerate() {
-                acc[i] += f64::from_le_bytes(c.try_into().expect("8-byte lane"));
-            }
-        }
-        acc
-    }
-
-    /// All-to-all of `block`-byte blocks: input holds `n` blocks, block `i`
-    /// for rank `i`; returns the transposed blocks.
-    pub fn alltoall(&self, input: &[u8], block: usize) -> Vec<u8> {
-        let n = self.size();
-        assert_eq!(input.len(), n * block);
-        let all = self.allgather(Arc::from(input));
-        let mut out = vec![0u8; n * block];
-        for (src, contrib) in all.iter().enumerate() {
-            out[src * block..(src + 1) * block]
-                .copy_from_slice(&contrib[self.rank * block..(self.rank + 1) * block]);
-        }
-        out
-    }
-
-    /// Broadcast from `root`.
-    pub fn bcast(&self, root: usize, mine: Option<Arc<[u8]>>) -> Arc<[u8]> {
-        let contribution = if self.rank == root {
-            mine.expect("root provides payload")
-        } else {
-            Arc::from(Vec::new())
-        };
-        let all = self.allgather(contribution);
-        all[root].clone()
     }
 }
 
@@ -515,20 +429,22 @@ mod tests {
         assert_eq!(outs[0], vec![1, 2, 3, 4]);
     }
 
+    /// Split a two-rank world into its two handles.
+    fn pair() -> (RtMpi, RtMpi) {
+        let mut w = world(2);
+        let w1 = w.pop().expect("rank 1");
+        (w.pop().expect("rank 0"), w1)
+    }
+
     #[test]
     fn unexpected_message_is_buffered() {
-        let outs = spawn_world(2, |mpi| {
-            if mpi.rank() == 0 {
-                mpi.send(1, 1, Arc::from(vec![9]));
-                mpi.barrier();
-                0
-            } else {
-                mpi.barrier(); // message certainly sent before we post
-                let (_, d) = mpi.recv(Some(0), Some(1));
-                d[0]
-            }
-        });
-        assert_eq!(outs[1], 9);
+        let (w0, w1) = pair();
+        // Joined, so the message was certainly sent before we post.
+        thread::spawn(move || w0.send(1, 1, Arc::from(vec![9])))
+            .join()
+            .expect("sender");
+        let (_, d) = w1.recv(Some(0), Some(1));
+        assert_eq!(d[0], 9);
     }
 
     #[test]
@@ -561,78 +477,6 @@ mod tests {
             }
         });
         assert_eq!(outs[0], vec![1, 2]);
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let outs = spawn_world(4, |mpi| {
-            let mut x = 0u32;
-            for _ in 0..50 {
-                mpi.barrier();
-                x += 1;
-            }
-            x
-        });
-        assert_eq!(outs, vec![50; 4]);
-    }
-
-    #[test]
-    fn allgather_collects_in_rank_order() {
-        let outs = spawn_world(3, |mpi| {
-            let all = mpi.allgather(Arc::from(vec![mpi.rank() as u8; 2]));
-            all.iter().map(|v| v[0]).collect::<Vec<_>>()
-        });
-        for o in outs {
-            assert_eq!(o, vec![0, 1, 2]);
-        }
-    }
-
-    #[test]
-    fn allreduce_sums() {
-        let outs = spawn_world(4, |mpi| mpi.allreduce_f64_sum(&[mpi.rank() as f64, 2.0]));
-        for o in outs {
-            assert_eq!(o, vec![6.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let outs = spawn_world(3, |mpi| {
-            let input: Vec<u8> = (0..3).map(|d| (mpi.rank() * 3 + d) as u8).collect();
-            mpi.alltoall(&input, 1)
-        });
-        // out[rank][src] = src*3 + rank
-        for (r, o) in outs.iter().enumerate() {
-            let expect: Vec<u8> = (0..3).map(|s| (s * 3 + r) as u8).collect();
-            assert_eq!(o, &expect);
-        }
-    }
-
-    #[test]
-    fn bcast_from_nonzero_root() {
-        let outs = spawn_world(3, |mpi| {
-            let payload = (mpi.rank() == 2).then(|| Arc::from(vec![7u8, 8]));
-            mpi.bcast(2, payload).to_vec()
-        });
-        for o in outs {
-            assert_eq!(o, vec![7, 8]);
-        }
-    }
-
-    #[test]
-    fn repeated_collectives_do_not_cross_generations() {
-        let outs = spawn_world(3, |mpi| {
-            let mut sums = Vec::new();
-            for round in 0..10 {
-                let s = mpi.allreduce_f64_sum(&[(mpi.rank() + round) as f64]);
-                sums.push(s[0]);
-            }
-            sums
-        });
-        for o in outs {
-            let expect: Vec<f64> = (0..10).map(|r| (3 * r + 3) as f64).collect();
-            assert_eq!(o, expect);
-        }
     }
 
     #[test]
@@ -708,8 +552,7 @@ mod tests {
 
     #[test]
     fn pending_receive_yields_its_payload_once_among_clones() {
-        let mut w = world(2);
-        let (w1, w0) = (w.pop().expect("rank 1"), w.pop().expect("rank 0"));
+        let (w0, w1) = pair();
         let rx = w1.irecv(Some(0), Some(1));
         let twin = rx.clone();
         assert!(!rx.is_done() && !twin.is_done());
@@ -750,20 +593,14 @@ mod tests {
 
     #[test]
     fn iprobe_reports_without_consuming() {
-        let outs = spawn_world(2, |mpi| {
-            if mpi.rank() == 0 {
-                mpi.send(1, 4, Arc::from(vec![0u8; 17]));
-                mpi.barrier();
-                true
-            } else {
-                mpi.barrier();
-                let st = mpi.iprobe(Some(0), None).expect("probe finds it");
-                assert_eq!(st.len, 17);
-                assert!(mpi.iprobe(Some(0), Some(4)).is_some());
-                let (_, d) = mpi.recv(Some(0), Some(4));
-                d.len() == 17
-            }
-        });
-        assert!(outs[1]);
+        let (w0, w1) = pair();
+        thread::spawn(move || w0.send(1, 4, Arc::from(vec![0u8; 17])))
+            .join()
+            .expect("sender");
+        let st = w1.iprobe(Some(0), None).expect("probe finds it");
+        assert_eq!(st.len, 17);
+        assert!(w1.iprobe(Some(0), Some(4)).is_some());
+        let (_, d) = w1.recv(Some(0), Some(4));
+        assert_eq!(d.len(), 17);
     }
 }

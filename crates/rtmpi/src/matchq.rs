@@ -53,7 +53,7 @@ pub fn filter_matches(
 ) -> bool {
     let tag_ok = match tag_filter {
         Some(t) => t == tag,
-        // Seeded regression (check::proto rediscovers it): before the
+        // Seeded regression (protocheck rediscovers it): before the
         // exclusion below, ANY_TAG matched reserved tags and could steal a
         // collective round's frame from the NBC schedule.
         #[cfg(feature = "model-faults")]

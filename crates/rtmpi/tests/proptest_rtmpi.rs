@@ -45,18 +45,17 @@ proptest! {
         prop_assert_eq!(total, tags.len());
     }
 
-    /// Probe never lies: after a barrier-synchronized send, iprobe sees the
-    /// message with the right metadata and recv consumes exactly it.
+    /// Probe never lies: after a send the sender was joined on, iprobe
+    /// sees the message with the right metadata and recv consumes exactly
+    /// it.
     #[test]
     fn probe_agrees_with_recv(len in 0usize..200, tag in 0u32..100) {
         let mut world = rtmpi::world(2);
         let rx_side = world.pop().expect("rank 1");
         let tx_side = world.pop().expect("rank 0");
-        let sender = thread::spawn(move || {
-            tx_side.send(1, tag, Arc::from(vec![7u8; len]));
-            tx_side.barrier();
-        });
-        rx_side.barrier();
+        thread::spawn(move || tx_side.send(1, tag, Arc::from(vec![7u8; len])))
+            .join()
+            .expect("sender");
         let st = rx_side.iprobe(Some(0), None).expect("message visible");
         prop_assert_eq!(st.tag, tag);
         prop_assert_eq!(st.len, len);
@@ -64,36 +63,5 @@ proptest! {
         prop_assert_eq!(st2.len, len);
         prop_assert_eq!(d.len(), len);
         prop_assert!(rx_side.iprobe(Some(0), None).is_none());
-        sender.join().expect("sender");
-    }
-
-    /// Collectives compute correct results for arbitrary rank counts and
-    /// payload shapes under real threads.
-    #[test]
-    fn collectives_hold_for_arbitrary_shapes(p in 2usize..6, lanes in 1usize..6, root_sel in any::<u8>()) {
-        let root = root_sel as usize % p;
-        let handles: Vec<_> = rtmpi::world(p)
-            .into_iter()
-            .map(|mpi| {
-                thread::spawn(move || {
-                    let me = mpi.rank();
-                    let mine: Vec<f64> = (0..lanes).map(|l| (me * 10 + l) as f64).collect();
-                    let sum = mpi.allreduce_f64_sum(&mine);
-                    let bc = mpi.bcast(
-                        root,
-                        (me == root).then(|| Arc::from(vec![root as u8; 3])),
-                    );
-                    (sum, bc.to_vec())
-                })
-            })
-            .collect();
-        let outs: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
-        for (sum, bc) in outs {
-            for (l, &v) in sum.iter().enumerate() {
-                let expect: f64 = (0..p).map(|r| (r * 10 + l) as f64).sum();
-                prop_assert!((v - expect).abs() < 1e-9);
-            }
-            prop_assert_eq!(bc, vec![root as u8; 3]);
-        }
     }
 }

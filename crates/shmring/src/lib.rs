@@ -9,6 +9,8 @@
 //! * [`HeapMem`] — process-local slots, used by the unit tests and by the
 //!   model lane, where every slot access goes through the `check` cell
 //!   facade so the vector-clock race detector validates each handoff.
+//!   The ring's atomics go through `check::sync` too: std's own types in
+//!   a normal build, the instrumented ones under `--cfg offload_model`.
 //! * `wire::shm`'s segment-backed memory — raw pointers into the shared
 //!   mapping. That impl lives in `wire` (keeping every `unsafe` of the
 //!   subsystem in `shm.rs`); the protocol here is safe code.
@@ -74,57 +76,6 @@
 //! wakeup at these orderings — and that the lane has teeth when one is
 //! weakened.
 
-// The concurrency facade: the library always builds the ring over plain
-// std. The model lane never sees this facade — `tests/model.rs` includes
-// `ring.rs` against `check::{sync, cell}` instead, so the deterministic
-// scheduler and race detector explore the very same protocol source.
+mod ring;
 
-pub mod sync {
-    pub use std::sync::atomic;
-}
-
-pub mod cell {
-    //! Closure-based `UnsafeCell`, API-compatible with `check::cell` so
-    //! the ring code is identical in both build modes.
-
-    pub struct UnsafeCell<T: ?Sized> {
-        inner: std::cell::UnsafeCell<T>,
-    }
-
-    // SAFETY: deliberately shareable, like `check::cell::UnsafeCell` —
-    // `with`/`with_mut` only hand out raw pointers, and dereferencing
-    // them is the caller's `unsafe` obligation (exactly as with `.get()`
-    // on the std cell behind a `Sync` wrapper). The SPSC protocol is what
-    // upholds exclusivity, and the model lane checks that claim.
-    unsafe impl<T: ?Sized + Send> Send for UnsafeCell<T> {}
-    // SAFETY: as above — sharing only exposes raw pointers.
-    unsafe impl<T: ?Sized + Send> Sync for UnsafeCell<T> {}
-
-    impl<T> UnsafeCell<T> {
-        pub const fn new(value: T) -> Self {
-            Self {
-                inner: std::cell::UnsafeCell::new(value),
-            }
-        }
-
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> UnsafeCell<T> {
-        pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-            f(self.inner.get())
-        }
-
-        pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-            f(self.inner.get())
-        }
-
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut()
-        }
-    }
-}
-
-include!("ring.rs");
+pub use ring::*;

@@ -1,14 +1,9 @@
-// The SPSC ring protocol, written against the `crate::{sync, cell}`
-// facade of whichever crate root includes it: the library (std facade —
-// see lib.rs) or the model test crate (`check` facade — see
-// tests/model.rs). It is `include!`d rather than `mod`-ed so the model
-// lane compiles these exact lines through the instrumented types without
-// this crate ever *depending* on `check` (a regular edge would close the
-// check → wire → shmring package cycle; a dev-dep does not).
+//! The SPSC ring protocol (see the crate docs).
 
 use std::mem::MaybeUninit;
 
-use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use check::cell::UnsafeCell;
+use check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// The memory a ring runs over: control words (per-slot `seq` + `len`,
 /// one `parked` word) and fixed-size payload slots. Implementations
@@ -84,7 +79,7 @@ pub struct HeapMem {
     seq: Box<[AtomicU64]>,
     len: Box<[AtomicU32]>,
     parked: AtomicU32,
-    data: Box<[crate::cell::UnsafeCell<Box<[u8]>>]>,
+    data: Box<[UnsafeCell<Box<[u8]>>]>,
 }
 
 impl HeapMem {
@@ -110,7 +105,7 @@ impl HeapMem {
         }
         let len = (0..slots).map(|_| AtomicU32::new(0)).collect();
         let data = (0..slots)
-            .map(|_| crate::cell::UnsafeCell::new(vec![0u8; slot_size as usize].into_boxed_slice()))
+            .map(|_| UnsafeCell::new(vec![0u8; slot_size as usize].into_boxed_slice()))
             .collect();
         HeapMem {
             slots,
@@ -307,7 +302,10 @@ impl<M: RingMem> Producer<M> {
         // value orders all its reads of this lap before our writes — the
         // drain is what makes the next lap's slots ours.
         let drained = self.mem.seq(idx - 1).load(Ordering::Acquire)
-            == self.head.wrapping_sub(1).wrapping_add(self.mem.slots() as u64);
+            == self
+                .head
+                .wrapping_sub(1)
+                .wrapping_add(self.mem.slots() as u64);
         if !drained || !self.claim(idx, self.head) {
             return idx;
         }
@@ -319,7 +317,10 @@ impl<M: RingMem> Producer<M> {
     /// Claim the next slot, run `fill` to write its payload, publish it.
     /// Returns `None` when the ring is full (or the peer has wedged the
     /// slot's `seq` — indistinguishable by design, and equally harmless).
-    pub fn try_push_with<R>(&mut self, fill: impl FnOnce(&mut SlotWriter<'_, M>) -> R) -> Option<R> {
+    pub fn try_push_with<R>(
+        &mut self,
+        fill: impl FnOnce(&mut SlotWriter<'_, M>) -> R,
+    ) -> Option<R> {
         let idx = self.maybe_rewind((self.head & self.mask) as u32);
         if !self.claim(idx, self.head) {
             return None;
@@ -461,9 +462,10 @@ impl<M: RingMem> Consumer<M> {
         // ORDERING: Release recycle pairs with the producer's claim (and
         // drained-check) Acquire — our payload reads complete before it
         // may overwrite.
-        self.mem
-            .seq(idx)
-            .store(self.tail.wrapping_add(self.mem.slots() as u64), Ordering::Release);
+        self.mem.seq(idx).store(
+            self.tail.wrapping_add(self.mem.slots() as u64),
+            Ordering::Release,
+        );
     }
 
     /// Announce intent to park, then re-check the ring. Returns `true`

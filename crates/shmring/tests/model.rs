@@ -1,32 +1,20 @@
 //! Model-checked tests for the shared-memory ring protocol.
 //!
-//! This test crate `include!`s the ring source (`src/ring.rs`) against
-//! the `check` facade — `crate::{sync, cell}` below resolve to the
-//! instrumented types — so under the model lane (`RUSTFLAGS=--cfg
-//! offload_model`) the deterministic scheduler explores the very same
-//! protocol lines the library ships, and the vector-clock detector
-//! validates every slot handoff: the cross-process protocol proven
-//! in-process. The library itself never depends on `check` (a regular
-//! edge would close the check → wire → shmring package cycle; this
-//! dev-dependency does not). In a plain build the same closures run once
-//! against std as smoke tests.
+//! The ring is written against the `check` facade, so under the model
+//! lane (`RUSTFLAGS=--cfg offload_model`) the deterministic scheduler
+//! explores the very protocol lines the library ships, and the
+//! vector-clock detector validates every slot handoff: the cross-process
+//! protocol proven in-process. In a plain build the same closures run
+//! once against std as smoke tests.
 //!
 //! Tests that *expect* a failure only exist in the instrumented build
 //! (without it the ring's ops are invisible to the detector).
-
-// The included ring surface is wider than any one test uses.
-#![allow(dead_code)]
 
 use std::sync::Arc;
 
 use check::sync::{Condvar, Mutex};
 use check::thread;
-
-// The facade the included ring code compiles against (`crate::sync`,
-// `crate::cell`): check's instrumented types.
-pub use check::{cell, sync};
-
-include!("../src/ring.rs");
+use shmring::*;
 
 /// A DFS budget for tests with retry loops, whose schedule space is too
 /// large to exhaust — same rationale as the core queue's model tests.

@@ -1,9 +1,8 @@
-//! Unit coverage of the ring protocol over the library's std facade.
-//! (The same protocol source is explored under the model checker in
-//! `tests/model.rs`.)
+//! Unit coverage of the ring protocol on std's atomics. (The same
+//! protocol is explored under the model checker in `tests/model.rs`.)
 
-use shmring::sync::atomic::Ordering;
 use shmring::*;
+use std::sync::atomic::Ordering;
 
 #[test]
 fn roundtrip_is_fifo() {

@@ -22,7 +22,7 @@
 //! The engine is generic over its [`FrameFabric`]: production runs the
 //! nonblocking socket mesh ([`crate::fabric::SocketFabric`], the default
 //! type parameter, so plain `WireComm` means the socket flavour); the
-//! protocol model checker (`check::proto`) substitutes a deterministic
+//! protocol model checker (`protocheck`) substitutes a deterministic
 //! in-process fabric and explores delivery interleavings.
 //!
 //! Peer death (EOF / connection reset / corrupt stream) fails — with
@@ -549,7 +549,7 @@ impl<F: FrameFabric> WireComm<F> {
                 let Some(&id) = self.sent_rndv.get(&hdr.xid) else {
                     // Stray CTS: no rendezvous send owns this xid (never
                     // issued, already answered, or reaped at peer death).
-                    // Seeded regression (check::proto rediscovers it): the
+                    // Seeded regression (protocheck rediscovers it): the
                     // pre-PR7 engine panicked here.
                     #[cfg(feature = "model-faults")]
                     crate::faults::maybe_stray_cts_panic(hdr.xid);

@@ -5,7 +5,7 @@
 //! trait owns the *delivery*: bytes queued toward a peer, bytes flushed,
 //! whole frames arriving back out. Separating the two is what makes the
 //! protocol model-checkable — the engine is generic over its fabric, so
-//! `check::proto` can substitute a deterministic in-process fabric whose
+//! `protocheck` can substitute a deterministic in-process fabric whose
 //! explorer permutes frame-delivery order, delay, duplication, and
 //! peer-death points, while production runs the nonblocking socket mesh
 //! ([`SocketFabric`]) below.

@@ -1,5 +1,5 @@
 //! Seeded, known-fixed wire bugs kept reinjectable for the protocol model
-//! checker (`check::proto`) — see `rtmpi::faults` for the rationale, and
+//! checker (`protocheck`) — see `rtmpi::faults` for the rationale, and
 //! for why the flags are thread-local. Compiled only under
 //! `model-faults`, armed only by explicit test calls.
 

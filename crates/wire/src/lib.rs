@@ -19,7 +19,7 @@
 //! * [`fabric`] — [`FrameFabric`]: the frame-delivery seam under the
 //!   engine. [`SocketFabric`] is the production one — one `poll(2)` per
 //!   progress pass, one read per ready link, each body written once into
-//!   the `Arc` it is delivered in; `check::proto` substitutes an
+//!   the `Arc` it is delivered in; `protocheck` substitutes an
 //!   in-memory fabric to model-check delivery order, duplication and
 //!   peer death (DESIGN.md §15).
 //! * [`engine`] — [`WireComm`]: the nonblocking per-rank progress engine
